@@ -343,8 +343,13 @@ def cmd_run(options: dict) -> Report:
     target = U @ secret.to_dense() @ U.conj().T
     branch_rows = []
     worst = 0.0
+    distances: dict[int, float] = {}  # by id(): histories share state objects
     for br in branches:
-        d = trace_distance(reconstruct(br).to_dense(), target)
+        d = distances.get(id(br.state))
+        if d is None:
+            d = distances[id(br.state)] = trace_distance(
+                reconstruct(br).to_dense(), target
+            )
         worst = max(worst, d)
         branch_rows.append(
             {
@@ -514,8 +519,9 @@ def cmd_gadget(options: dict) -> Report:
     branches, _ = evaluate(shared, script)
     direct = np.zeros((8, 8))
     direct[7, 7] = 1.0
+    distinct = {id(br.state): br for br in branches}.values()
     worst = max(
-        trace_distance(reconstruct(br).to_dense(), direct) for br in branches
+        trace_distance(reconstruct(br).to_dense(), direct) for br in distinct
     )
     report.add(
         "share-gadget-branches",

@@ -30,7 +30,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
     from .circuits import Gate
 
-from .errors import ResourceError, UsageError
+from .errors import ProtocolError, ResourceError, UsageError
 
 LETTERS = ("I", "X", "Y", "Z")
 
@@ -44,6 +44,11 @@ _LETTER_OF = {v: k for k, v in _BITS_OF.items()}
 #: coefficients scaled by 2^-N, and an absolute cutoff would silently delete
 #: genuine terms once N grows past ~36.
 PRUNE_TOL = 1e-12
+
+#: relative tolerance of approx_equal: two operators with the same words and
+#: tags are equal when no coefficient differs by more than EQUAL_TOL times
+#: the larger of their biggest |coeff|
+EQUAL_TOL = 1e-12
 
 #: dense materialization refuses above this many qubits unless overridden
 DENSE_CAP = 12
@@ -260,6 +265,24 @@ class PauliOperator:
     def is_hermitian(self) -> bool:
         return all(abs(c.imag) <= PRUNE_TOL for c in self.terms.values())
 
+    def approx_equal(self, other: PauliOperator) -> bool:
+        """Same words, same tags, and every coefficient within EQUAL_TOL of
+        the larger operator's biggest |coeff|. Decided term by term, never by
+        a hash of the coefficients."""
+        if self.num_qubits != other.num_qubits or self.terms.keys() != other.terms.keys():
+            return False
+        if self.tags != other.tags:
+            return False
+        if not self.terms:
+            return True
+        scale = max(
+            max(abs(c) for c in self.terms.values()),
+            max(abs(c) for c in other.terms.values()),
+        )
+        tol = EQUAL_TOL * scale
+        theirs = other.terms
+        return all(abs(c - theirs[k]) <= tol for k, c in self.terms.items())
+
     # -- arithmetic --------------------------------------------------------
 
     def _pruned(self) -> PauliOperator:
@@ -458,7 +481,10 @@ class PauliOperator:
             _acc((x, z ^ zbit), sign * c / 2, tag)
         post = PauliOperator(self.num_qubits, terms, tags)._pruned()
         prob = post.trace()
-        assert abs(prob.imag) < 1e-9
+        if abs(prob.imag) >= 1e-9:
+            raise ProtocolError(
+                f"measurement probability {prob} is not real; the operator is not Hermitian"
+            )
         return float(prob.real), post
 
     # -- dense bridge --------------------------------------------------------
@@ -636,6 +662,10 @@ def _toffoli_table() -> dict[tuple, tuple]:
                             w = np.trace(basis @ conj) / 8
                             if abs(w) > 1e-13:
                                 entries.append(((q1, q2, q3), complex(w)))
-                assert 1 <= len(entries) <= 8
+                if not 1 <= len(entries) <= 8:
+                    raise ProtocolError(
+                        f"Toffoli conjugation of {LETTERS[i1]}{LETTERS[i2]}{LETTERS[i3]} "
+                        f"gave {len(entries)} words, expected 1..8"
+                    )
                 table[(p1, p2, p3)] = tuple(entries)
     return table

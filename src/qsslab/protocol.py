@@ -15,6 +15,12 @@ are stored maximally mixed — their outcomes live in the classical
 transcript, so the pair (state, transcript) loses nothing; this keeps term
 counts flat instead of letting each consumed triple multiply them by
 2^(3(n+1)).
+
+Exact evaluation enumerates all 2^(3(n+1)) bit histories of each gadget but
+merges the states they reach: histories that leave equal operators (same
+words and tags, coefficients within paulis.EQUAL_TOL relative) and whose pending
+correction conditions read the same parities share one operator and are
+simulated once. The branch cap counts histories, not merged states.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -387,31 +393,63 @@ def reconstruct(
 
 
 @dataclass
-class _Branch:
+class _Group:
+    """One operator and every (bits, probability) history that reaches it."""
+
     op: PauliOperator
-    bits: list[int]
-    prob: float
+    histories: list[tuple[tuple[int, ...], float]]
+
+
+def _merge(groups: list[_Group], signature: Callable[[_Group], tuple]) -> list[_Group]:
+    """Fold each group into the first earlier one with an equal signature and
+    an approx_equal operator; the survivor keeps its operator object."""
+    buckets: dict[tuple, list[_Group]] = {}
+    merged: list[_Group] = []
+    for grp in groups:
+        bucket = buckets.setdefault(signature(grp), [])
+        for other in bucket:
+            if other.op.approx_equal(grp.op):
+                other.histories.extend(grp.histories)
+                break
+        else:
+            bucket.append(grp)
+            merged.append(grp)
+    return merged
 
 
 def _run_gadget(
     gadget: Circuit,
-    branches: list[_Branch],
+    groups: list[_Group],
     mode: str,
     rng: np.random.Generator | None,
     branch_cap: int,
-) -> list[_Branch]:
-    base = len(branches[0].bits)
-    for br in branches:
-        br.bits.extend([0] * gadget.num_classical_bits)
+    gate_index: int,
+) -> list[_Group]:
+    base = len(groups[0].histories[0][0])
+    pad = (0,) * gadget.num_classical_bits
+    for grp in groups:
+        grp.histories = [(bits + pad, p) for bits, p in grp.histories]
+    # Two groups evolve identically through the rest of the gadget when
+    # their operators are equal and every correction condition reads the
+    # same parity on their bits so far (unwritten bits are still 0, and the
+    # bits yet to come are shared once they merge).
+    conditions = sorted({g.condition for g in gadget.gates if g.condition is not None})
+
+    def local_bits(grp: _Group) -> tuple[int, ...]:
+        return grp.histories[0][0][base:]
+
+    def signature(grp: _Group) -> tuple[bool, ...]:
+        return tuple(evaluate_condition(c, local_bits(grp)) for c in conditions)
+
     for g in gadget.gates:
         if g.kind == "MEASURE_Z":
             (q,) = g.qubits
             slot = base + g.classical_bit
-            nxt: list[_Branch] = []
-            for br in branches:
+            children: list[_Group] = []
+            for grp in groups:
                 outcomes = []
                 for b in (0, 1):
-                    p, post = br.op.project_z(q, b)
+                    p, post = grp.op.project_z(q, b)
                     if p > PROBABILITY_CUTOFF:
                         outcomes.append((b, p, post))
                 if mode == "sampled":
@@ -419,25 +457,30 @@ def _run_gadget(
                     pick = int(rng.choice(len(outcomes), p=probs / probs.sum()))
                     outcomes = [outcomes[pick]]
                 for b, p, post in outcomes:
-                    bits = br.bits if len(outcomes) == 1 else list(br.bits)
-                    bits[slot] = b
-                    nxt.append(
-                        _Branch(post.scaled(1 / p).reset_to_mixed((q,)), bits, br.prob * p)
+                    histories = [
+                        (bits[:slot] + (b,) + bits[slot + 1 :], prob * p)
+                        for bits, prob in grp.histories
+                    ]
+                    children.append(
+                        _Group(post.scaled(1 / p).reset_to_mixed((q,)), histories)
                     )
-            branches = nxt
-            if len(branches) > branch_cap:
+            count = sum(len(grp.histories) for grp in children)
+            if count > branch_cap:
                 raise ResourceError(
-                    f"exact branch enumeration exceeded {branch_cap} branches; "
-                    "rerun in sampled mode or raise branch_cap"
+                    f"exact branch enumeration reached {count} bit histories, over "
+                    f"the cap of {branch_cap}, in the TOFFOLI at script gate "
+                    f"{gate_index}; rerun in sampled mode or raise branch_cap"
                 )
+            groups = _merge(children, signature)
         else:
-            for br in branches:
+            for grp in groups:
                 if g.condition is not None and not evaluate_condition(
-                    g.condition, br.bits[base:]
+                    g.condition, local_bits(grp)
                 ):
                     continue
-                br.op = br.op.conjugate_clifford(g)
-    return branches
+                grp.op = grp.op.conjugate_clifford(g)
+    # the gadget's conditions are spent: equal operators now evolve alike
+    return _merge(groups, lambda grp: ())
 
 
 def evaluate(
@@ -451,9 +494,13 @@ def evaluate(
 
     Cliffords expand transversally and never branch. Each TOFFOLI consumes
     the next intact ancilla triple and measures 3(n+1) qubits; exact mode
-    keeps every branch (probabilities sum to 1), sampled mode draws one path
-    with the mandatory seed. Returns the branch states and the broadcast
-    transcript.
+    enumerates every bit history (probabilities sum to 1), sampled mode
+    draws one path with the mandatory seed. Histories that reach equal
+    states are merged and simulated once; the result still holds one
+    SharedState per history, in lexicographic bit order, and histories that
+    reached one merged state share its operator object. ``branch_cap``
+    bounds the number of histories; exceeding it raises ResourceError.
+    Returns the branch states and the broadcast transcript.
     """
     if mode == "sampled":
         if seed is None:
@@ -475,14 +522,14 @@ def evaluate(
     layout = shared.layout
     m = layout.columns
     consumed = set(shared.consumed_ancillas)
-    branches = [_Branch(shared.state, list(shared.classical_transcript), 1.0)]
+    groups = [_Group(shared.state, [(tuple(shared.classical_transcript), 1.0)])]
     origins: list[BitOrigin] = []
     for gi, gate in enumerate(script.gates):
         if gate.kind == "TOFFOLI":
             triple = available.pop(0)
             anc = layout.ancilla_triple_rows(triple)
             gadget = toffoli_gadget(tuple(gate.qubits), anc, layout)
-            base = len(branches[0].bits)
+            base = len(groups[0].histories[0][0])
             for local in range(gadget.num_classical_bits):
                 row = gate.qubits[local // m]
                 col = local % m + 1
@@ -496,26 +543,30 @@ def evaluate(
                         participant=layout.owner(col),
                     )
                 )
-            branches = _run_gadget(gadget, branches, mode, rng, branch_cap)
+            groups = _run_gadget(gadget, groups, mode, rng, branch_cap, gi)
             consumed.add(triple)
         else:
             circuit = transversal_expand(gate, layout)
-            for br in branches:
-                br.op = br.op.conjugate_circuit(circuit.gates)
+            for grp in groups:
+                grp.op = grp.op.conjugate_circuit(circuit.gates)
 
+    histories = sorted(
+        ((bits, prob, grp.op) for grp in groups for bits, prob in grp.histories),
+        key=lambda h: h[0],
+    )
     out = [
         SharedState(
             layout=layout,
-            state=br.op,
+            state=op,
             consumed_ancillas=frozenset(consumed),
-            classical_transcript=tuple(br.bits),
-            branch_probability=shared.branch_probability * br.prob,
+            classical_transcript=bits,
+            branch_probability=shared.branch_probability * prob,
         )
-        for br in branches
+        for bits, prob, op in histories
     ]
     transcript = Transcript(
         bit_origins=tuple(origins),
-        branches=tuple((tuple(br.bits), br.prob) for br in branches),
+        branches=tuple((bits, prob) for bits, prob, _ in histories),
     )
     return out, transcript
 

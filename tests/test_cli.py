@@ -113,7 +113,9 @@ def test_run_with_toffoli_script(tmp_path):
         tmp_path, "run", "--script", script, "--secret", secret, "--strict", "--k", "1"
     )
     assert code == 0
-    assert len(payload["transcript"]["branches"]) == 512
+    rows = payload["transcript"]["branches"]
+    assert len(rows) == 512
+    assert all(a["bits"] < b["bits"] for a, b in zip(rows, rows[1:]))
     assert len(payload["transcript"]["bits"]) == 9
     for bit in payload["transcript"]["bits"]:
         assert bit["marginal"] == pytest.approx(0.5)

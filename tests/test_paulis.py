@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qsslab.circuits import Gate
 from qsslab.dense import embedded_unitary, random_density_matrix
-from qsslab.errors import ResourceError, UsageError
+from qsslab.errors import ProtocolError, ResourceError, UsageError
 from qsslab.paulis import (
     SINGLE_QUBIT_CLIFFORDS,
     TWO_QUBIT_CLIFFORDS,
@@ -356,6 +356,23 @@ def test_project_z_matches_dense_projector():
     expected = full @ rho.to_dense() @ full
     assert p == pytest.approx(np.trace(expected).real)
     assert np.allclose(post.to_dense(), expected, atol=1e-12)
+
+
+def test_project_z_rejects_complex_probability():
+    skew = PauliOperator(1, {(0, 0): 0.5 + 0.5j, (0, 1): 0.5})
+    with pytest.raises(ProtocolError, match="not real"):
+        skew.project_z(0, 0)
+
+
+def test_approx_equal_is_relative_and_checks_words_and_tags():
+    base = PauliOperator(2, {(0, 0): 0.25, (1, 0): 0.125}, {(1, 0): frozenset({"X"})})
+    assert base.approx_equal(base.scaled(1 + 1e-13))
+    assert not base.approx_equal(base.scaled(1 + 1e-11))
+    # relative to the largest coefficient, so a tiny global scale still merges
+    tiny = base.scaled(2.0**-60)
+    assert tiny.approx_equal(tiny.scaled(1 + 1e-13))
+    assert not base.approx_equal(PauliOperator(2, {(0, 0): 0.25, (0, 1): 0.125}))
+    assert not base.approx_equal(PauliOperator(2, dict(base.terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,23 @@
 import numpy as np
 import pytest
 
-from qsslab.circuits import Gate
+from qsslab.circuits import (
+    Circuit,
+    Gate,
+    evaluate_condition,
+    toffoli_gadget,
+    transversal_expand,
+)
 from qsslab.dense import random_density_matrix, trace_distance
 from qsslab.errors import ProtocolError, ResourceError, UsageError
 from qsslab.paulis import PauliOperator, PauliString
 from qsslab.protocol import (
+    PROBABILITY_CUTOFF,
     EvaluationScript,
     SchemeParams,
     Transcript,
+    _Group,
+    _run_gadget,
     announce_distribution,
     canonical_secret_family,
     deal,
@@ -376,8 +385,9 @@ def test_second_triple_is_available_after_the_first():
 def test_exact_branch_cap_raises():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
     shared = deal(params, _basis_secret(3, 0))
-    with pytest.raises(ResourceError):
-        evaluate(shared, EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),)), branch_cap=256)
+    script = EvaluationScript(3, (Gate("H", (1,)), Gate("TOFFOLI", (1, 2, 3))))
+    with pytest.raises(ResourceError, match=r"reached 512 bit histories.* cap of 256.* script gate 1"):
+        evaluate(shared, script, branch_cap=256)
 
 
 def test_sampled_mode_is_reproducible():
@@ -390,6 +400,11 @@ def test_sampled_mode_is_reproducible():
     assert tr1.branches == tr2.branches
     assert first[0].state.terms == second[0].state.terms
     assert first[0].branch_probability == pytest.approx(1 / 512)
+    # the draws this seed has always made: merging must not change how the
+    # generator is consumed
+    ((bits, prob),) = tr1.branches
+    assert bits == (1, 0, 0, 0, 0, 1, 1, 0, 1)
+    assert prob == pytest.approx(0.0019531249999999991, rel=1e-15)
 
 
 def test_sampled_branch_matches_logical_action():
@@ -403,6 +418,104 @@ def test_sampled_branch_matches_logical_action():
     u = logical_unitary(script)
     target = u @ secret.to_dense() @ u.conj().T
     assert trace_distance(reconstruct(branch).to_dense(), target) < 1e-9
+
+
+def _per_history_evaluate(shared, script):
+    """Exact-mode reference without merging: one full simulation per bit
+    history, as (bits, probability, operator) in lexicographic bit order."""
+    layout = shared.layout
+    available = list(shared.available_triples)
+    branches = [(shared.classical_transcript, 1.0, shared.state)]
+    for gate in script:
+        if gate.kind != "TOFFOLI":
+            gates = transversal_expand(gate, layout).gates
+            branches = [(bits, p, op.conjugate_circuit(gates)) for bits, p, op in branches]
+            continue
+        gadget = toffoli_gadget(gate.qubits, layout.ancilla_triple_rows(available.pop(0)), layout)
+        base = len(branches[0][0])
+        branches = [(bits + (0,) * gadget.num_classical_bits, p, op) for bits, p, op in branches]
+        for g in gadget.gates:
+            if g.kind == "MEASURE_Z":
+                (q,) = g.qubits
+                slot = base + g.classical_bit
+                nxt = []
+                for bits, p, op in branches:
+                    for b in (0, 1):
+                        pb, post = op.project_z(q, b)
+                        if pb > PROBABILITY_CUTOFF:
+                            new_bits = bits[:slot] + (b,) + bits[slot + 1 :]
+                            nxt.append((new_bits, p * pb, post.scaled(1 / pb).reset_to_mixed((q,))))
+                branches = nxt
+            else:
+                branches = [
+                    (bits, p, op)
+                    if g.condition is not None and not evaluate_condition(g.condition, bits[base:])
+                    else (bits, p, op.conjugate_clifford(g))
+                    for bits, p, op in branches
+                ]
+    return branches
+
+
+@pytest.mark.parametrize("case", ["basis", "mixed"])
+def test_merged_evaluate_matches_per_history_oracle(case):
+    params = SchemeParams.strict(n=2, k=1, kprime=1)
+    if case == "basis":
+        secret = _basis_secret(3, 0b110)
+        script = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),))
+    else:
+        rng = np.random.default_rng(5)
+        secret = PauliOperator.from_dense(random_density_matrix(3, rng).entries)
+        assert secret.num_terms == 64
+        script = EvaluationScript(
+            3,
+            (
+                Gate("H", (1,)),
+                Gate("CNOT", (2, 3)),
+                Gate("TOFFOLI", (3, 1, 2)),
+                Gate("S", (3,)),
+                Gate("CZ", (1, 2)),
+            ),
+        )
+    shared = deal(params, secret)
+    states, transcript = evaluate(shared, script)
+    oracle = _per_history_evaluate(shared, script)
+    assert [bits for bits, _ in transcript.branches] == [bits for bits, _, _ in oracle]
+    for (_, p), (_, q, op), state in zip(transcript.branches, oracle, states):
+        assert abs(p - q) <= 1e-15
+        assert state.state.approx_equal(op)
+
+
+def test_equal_operators_with_different_corrections_stay_apart():
+    # |+>|0>: both outcomes of qubit 0 leave the same stored operator, but
+    # only outcome 1 flips qubit 1, so the two histories must not merge early
+    vec = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
+    plus_zero = PauliOperator.from_dense(np.outer(vec, vec))
+    circuit = Circuit(
+        2,
+        1,
+        (
+            Gate("MEASURE_Z", (0,), classical_bit=0),
+            Gate("X", (1,), condition="b0"),
+        ),
+    )
+    groups = _run_gadget(circuit, [_Group(plus_zero, [((), 1.0)])], "exact", None, 16, 0)
+    assert len(groups) == 2
+    for grp in groups:
+        ((bits, prob),) = grp.histories
+        assert prob == pytest.approx(0.5)
+        assert grp.op.coeff("IZ") == pytest.approx(0.25 if bits == (0,) else -0.25)
+
+
+def test_histories_share_one_operator_for_a_generic_secret():
+    from qsslab.audit import generic_tagged_secret
+
+    params = SchemeParams.strict(n=2, k=1, kprime=1)
+    shared = deal(params, generic_tagged_secret(3))
+    states, transcript = evaluate(shared, EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),)))
+    assert len(states) == 512
+    assert len({id(st.state) for st in states}) == 1
+    bits = [b for b, _ in transcript.branches]
+    assert bits == sorted(bits) and len(set(bits)) == 512
 
 
 # ---------------------------------------------------------------------------
