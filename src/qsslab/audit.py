@@ -19,11 +19,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .circuits import ShareLayout
+from .dense import DENSE_CAP
 from .errors import ResourceError, UsageError
-from .paulis import DENSE_CAP, PauliOperator, PauliString
+from .paulis import PauliOperator, PauliString
 from .protocol import (
     AnnouncementReport,
     SchemeParams,
@@ -228,11 +227,7 @@ def secret_independence_check(
         ]
         for i in range(len(views)):
             for j in range(i + 1, len(views)):
-                diff = views[i].add(views[j].scaled(-1.0))
-                if diff.num_terms == 0:
-                    continue
-                eigs = np.linalg.eigvalsh(diff.to_dense())
-                max_td = max(max_td, 0.5 * float(np.abs(eigs).sum()))
+                max_td = max(max_td, views[i].trace_distance(views[j]))
         notes.append(
             f"dense cross-check over {len(views)} concrete secrets "
             f"({view_qubits} view qubits)"
@@ -271,11 +266,7 @@ def distinguishability(
         )
     view_a = adversary_view(deal(params, secret_a), coalition)
     view_b = adversary_view(deal(params, secret_b), coalition)
-    diff = view_a.add(view_b.scaled(-1.0))
-    if diff.num_terms == 0:
-        return 0.0
-    eigs = np.linalg.eigvalsh(diff.to_dense())
-    return 0.5 * float(np.abs(eigs).sum())
+    return view_a.trace_distance(view_b)
 
 
 # ---------------------------------------------------------------------------

@@ -328,13 +328,7 @@ def cmd_run(options: dict) -> Report:
         script = EvaluationScript(params.s, ())
 
     shared = deal(params, secret)
-    fresh = reconstruct(shared)
-    diff = fresh.add(secret.scaled(-1.0))
-    if diff.num_terms == 0:
-        round_trip = 0.0
-    else:
-        eigs = np.linalg.eigvalsh(diff.to_dense())
-        round_trip = 0.5 * float(np.abs(eigs).sum())
+    round_trip = reconstruct(shared).trace_distance(secret)
     report.add("round-trip-distance", round_trip, tol)
 
     branches, transcript = evaluate(shared, script, mode=mode, seed=seed)

@@ -18,6 +18,7 @@ from .errors import ResourceError, UsageError
 if TYPE_CHECKING:  # pragma: no cover
     from .circuits import Circuit, Gate
 
+#: dense materialization refuses above this many qubits unless overridden
 DENSE_CAP = 12
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -15,21 +15,29 @@ complex coefficients; the i^phase of a string is folded into its coefficient,
 so a Hermitian operator has exactly one real entry per physical Pauli. Terms
 may carry *secret tags* - bookkeeping labels tied to the logical expansion
 term that spawned them - which every operation preserves and never invents.
-Multiplication and gate conjugation run on the packed integers via symplectic
-bit arithmetic, so sweeps over hundreds of qubits stay cheap.
+Multiplication runs on the packed integers via symplectic bit arithmetic.
+
+Clifford conjugation runs on bit planes: a run of Clifford gates unpacks the
+term keys once into per-qubit boolean arrays x[q] and z[q] over all T terms,
+turns each gate into a few whole-array XOR/AND operations on the planes it
+touches plus a sign mask, and packs the keys back once. A Clifford relabels
+words bijectively, so keys keep their order and coefficients are only
+negated; the result equals gate-by-gate application exactly. Any qubit count
+works, including the 101-column ladder check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
     from .circuits import Gate
 
+from .dense import DENSE_CAP
 from .errors import ProtocolError, ResourceError, UsageError
 
 LETTERS = ("I", "X", "Y", "Z")
@@ -49,9 +57,6 @@ PRUNE_TOL = 1e-12
 #: tags are equal when no coefficient differs by more than EQUAL_TOL times
 #: the larger of their biggest |coeff|
 EQUAL_TOL = 1e-12
-
-#: dense materialization refuses above this many qubits unless overridden
-DENSE_CAP = 12
 
 _MATS = {
     "I": np.eye(2, dtype=complex),
@@ -181,6 +186,14 @@ class PauliString:
 
 Key = tuple[int, int]
 TagSet = frozenset[str]
+
+
+def _real_probability(prob: complex) -> float:
+    if abs(prob.imag) >= 1e-9:
+        raise ProtocolError(
+            f"measurement probability {prob} is not real; the operator is not Hermitian"
+        )
+    return float(prob.real)
 
 
 def _letters_of_key(key: Key, num_qubits: int) -> str:
@@ -334,38 +347,97 @@ class PauliOperator:
     def conjugate_clifford(self, gate: "Gate") -> PauliOperator:
         """Apply U . U^dag for a Clifford gate: a bijective relabeling of
         words with +-1 signs, so the term count, trace and Hermiticity are
-        untouched.
-
-        Sign rules are stated on input bits; all were verified against the
-        dense 4x4/8x8 conjugation oracle (see tests).
-        """
-        kind = gate.kind
-        qs = gate.qubits
-        if kind == "TOFFOLI":
-            raise UsageError("TOFFOLI is not Clifford; use conjugate_toffoli")
-        if kind not in _CLIFFORD_RULES:
-            raise UsageError(f"unsupported Clifford kind {kind!r}")
-        for q in qs:
-            if not 0 <= q < self.num_qubits:
-                raise UsageError(f"qubit {q} out of range")
-        rule = _CLIFFORD_RULES[kind]
-        terms: dict[Key, complex] = {}
-        tags: dict[Key, TagSet] = {}
-        for (x, z), c in self.terms.items():
-            nx, nz, flip = rule(x, z, qs)
-            terms[(nx, nz)] = c if not flip else -c
-            if (x, z) in self.tags:
-                tags[(nx, nz)] = self.tags[(x, z)]
-        return PauliOperator(self.num_qubits, terms, tags)
+        untouched. The one-gate case of the bit-plane kernel."""
+        return self._conjugate_cliffords((gate,))
 
     def conjugate_circuit(self, gates: Iterable["Gate"]) -> PauliOperator:
+        """Conjugate by a gate list: each maximal run of Cliffords goes to the
+        bit-plane kernel in one call, each TOFFOLI to conjugate_toffoli."""
         op = self
+        run: list[Gate] = []
         for g in gates:
             if g.kind == "TOFFOLI":
-                op = op.conjugate_toffoli(g.qubits)
+                op = op._conjugate_cliffords(run).conjugate_toffoli(g.qubits)
+                run = []
             else:
-                op = op.conjugate_clifford(g)
-        return op
+                run.append(g)
+        return op._conjugate_cliffords(run)
+
+    def _conjugate_cliffords(self, gates: Sequence["Gate"]) -> PauliOperator:
+        """Conjugate by a run of Clifford gates on bit planes.
+
+        Every gate is validated before any work. The keys are unpacked once
+        into boolean planes x[q], z[q] over the terms, each gate updates the
+        planes it touches and a per-term sign mask, and the keys are packed
+        back once. Sign rules are stated on input bits; all were verified
+        against the dense 4x4/8x8 conjugation oracle (see tests).
+        """
+        n = self.num_qubits
+        for g in gates:
+            if g.kind == "TOFFOLI":
+                raise UsageError("TOFFOLI is not Clifford; use conjugate_toffoli")
+            if g.kind not in _CLIFFORD_KINDS:
+                raise UsageError(f"unsupported Clifford kind {g.kind!r}")
+            for q in g.qubits:
+                if not 0 <= q < n:
+                    raise UsageError(f"qubit {q} out of range")
+        count = len(self.terms)
+        if not gates or not count:
+            return self
+        # one row of little-endian bytes per term, x then z, each padded to
+        # whole 64-bit words; gates never touch the padding planes
+        width = (n + 63) // 64  # 64-bit words per mask
+        keys = list(self.terms)
+        raw = b"".join(
+            [x.to_bytes(8 * width, "little") + z.to_bytes(8 * width, "little") for x, z in keys]
+        )
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(count, 16 * width)
+        planes = np.unpackbits(np.ascontiguousarray(rows.T), axis=0, bitorder="little")
+        x = list(planes[: 64 * width].view(bool))
+        z = list(planes[64 * width :].view(bool))
+        sign = np.zeros(count, dtype=bool)
+        for g in gates:
+            kind = g.kind
+            if kind == "CNOT":
+                c, t = g.qubits
+                sign ^= x[c] & z[t] & ~(x[t] ^ z[c])  # X(x)Z / Y(x)Y pick up -1
+                x[t] ^= x[c]
+                z[c] ^= z[t]
+                continue
+            if kind == "CZ":
+                a, b = g.qubits
+                sign ^= x[a] & x[b] & (z[a] ^ z[b])
+                z[a] ^= x[b]
+                z[b] ^= x[a]
+                continue
+            (q,) = g.qubits
+            if kind == "H":
+                sign ^= x[q] & z[q]  # Y -> -Y
+                x[q], z[q] = z[q], x[q]
+            elif kind == "S":
+                sign ^= x[q] & z[q]  # Y -> -X
+                z[q] ^= x[q]
+            elif kind == "Sdg":
+                sign ^= x[q] & ~z[q]  # X -> -Y
+                z[q] ^= x[q]
+            elif kind == "X":
+                sign ^= z[q]
+            elif kind == "Y":
+                sign ^= x[q] ^ z[q]
+            else:  # Z
+                sign ^= x[q]
+        # back to rows of little-endian uint64 words, then to Python ints
+        packed = np.packbits(np.stack(x + z, axis=1), axis=1, bitorder="little").view("<u8")
+        ints = packed[:, ::width].astype(object)
+        for w in range(1, width):
+            ints |= packed[:, w::width].astype(object) << (64 * w)
+        new_keys = list(zip(*ints.T.tolist()))
+        coeffs = list(self.terms.values())
+        for i in np.flatnonzero(sign).tolist():
+            coeffs[i] = -coeffs[i]
+        tags = self.tags
+        new_tags = {nk: tags[k] for k, nk in zip(keys, new_keys) if k in tags}
+        return PauliOperator(n, dict(zip(new_keys, coeffs)), new_tags)
 
     # -- Toffoli conjugation ------------------------------------------------
 
@@ -480,12 +552,72 @@ class PauliOperator:
             _acc((x, z), c / 2, tag)
             _acc((x, z ^ zbit), sign * c / 2, tag)
         post = PauliOperator(self.num_qubits, terms, tags)._pruned()
-        prob = post.trace()
-        if abs(prob.imag) >= 1e-9:
-            raise ProtocolError(
-                f"measurement probability {prob} is not real; the operator is not Hermitian"
-            )
-        return float(prob.real), post
+        return _real_probability(post.trace()), post
+
+    def measure_z(
+        self, qubit: int
+    ) -> tuple[tuple[float, PauliOperator | None], tuple[float, PauliOperator | None]]:
+        """Both outcomes of a Z measurement in one pass over the terms.
+
+        Entry b is (p_b, state_b): the probability of outcome b and the
+        normalised post-measurement state with the qubit reset to I/2, equal
+        to project_z(qubit, b) -> scaled(1 / p_b) -> reset_to_mixed((qubit,)).
+        The state is None when p_b is not positive.
+
+        After the reset only words with I on the qubit remain, and word k
+        collects c(k)/2 + (-1)^b c(k Z_q)/2. Its Z_q partner in project_z's
+        output has the same |coeff|, so the relative prune reads the same
+        largest term; scaling by 1/p_b > 0 cannot change a relative prune.
+        """
+        if not 0 <= qubit < self.num_qubits:
+            raise UsageError(f"qubit {qubit} out of range")
+        zbit = 1 << qubit
+        acc0: dict[Key, complex] = {}
+        acc1: dict[Key, complex] = {}
+        tags: dict[Key, TagSet] = {}
+        for key, c in self.terms.items():
+            x, z = key
+            if x & zbit:  # X or Y on the measured qubit: Pi P Pi = 0
+                continue
+            if z & zbit:
+                # project_z's own sign * c / 2, so the sums agree bit for bit
+                k = (x, z ^ zbit)
+                c0, c1 = 1.0 * c / 2, -1.0 * c / 2
+            else:
+                k = key
+                c0 = c1 = c / 2
+            acc0[k] = acc0.get(k, 0j) + c0
+            acc1[k] = acc1.get(k, 0j) + c1
+            tag = self.tags.get(key)
+            if tag:
+                tags[k] = tags.get(k, frozenset()) | tag
+        return self._measured(acc0, tags), self._measured(acc1, tags)
+
+    def _measured(
+        self, acc: dict[Key, complex], tags: dict[Key, TagSet]
+    ) -> tuple[float, PauliOperator | None]:
+        """Prune one outcome of measure_z, read its probability and normalise."""
+        biggest = max(map(abs, acc.values()), default=0.0)
+        if biggest == 0.0:
+            return 0.0, None
+        tol = PRUNE_TOL * biggest
+        ident = acc.get((0, 0), 0j)
+        p = _real_probability((ident if abs(ident) >= tol else 0j) * 2**self.num_qubits)
+        if p <= 0.0:
+            return p, None
+        factor = 1 / p
+        terms = {k: c * factor for k, c in acc.items() if abs(c) >= tol}
+        kept = {k: t for k, t in tags.items() if k in terms}
+        return p, PauliOperator(self.num_qubits, terms, kept)
+
+    def trace_distance(self, other: PauliOperator) -> float:
+        """Half the trace norm of self - other, from the eigenvalues of the
+        dense difference (to_dense's cap applies); 0.0 when no term differs."""
+        diff = self.add(other.scaled(-1.0))
+        if diff.num_terms == 0:
+            return 0.0
+        eigs = np.linalg.eigvalsh(diff.to_dense())
+        return 0.5 * float(np.abs(eigs).sum())
 
     # -- dense bridge --------------------------------------------------------
 
@@ -550,81 +682,9 @@ class PauliOperator:
         return PauliOperator(n, terms)
 
 
-# ---------------------------------------------------------------------------
-# Clifford conjugation rules on packed bits. Each returns (x', z', sign_flip).
-# ---------------------------------------------------------------------------
-
-
-def _rule_h(x: int, z: int, qs: tuple[int, ...]) -> tuple[int, int, bool]:
-    (q,) = qs
-    b = 1 << q
-    xb, zb = x & b, z & b
-    nx = (x & ~b) | (zb and b)
-    nz = (z & ~b) | (xb and b)
-    return nx, nz, bool(xb and zb)  # Y -> -Y
-
-
-def _rule_s(x: int, z: int, qs: tuple[int, ...]) -> tuple[int, int, bool]:
-    (q,) = qs
-    b = 1 << q
-    return x, z ^ (x & b), bool(x & z & b)  # Y -> -X
-
-
-def _rule_sdg(x: int, z: int, qs: tuple[int, ...]) -> tuple[int, int, bool]:
-    (q,) = qs
-    b = 1 << q
-    return x, z ^ (x & b), bool(x & ~z & b)  # X -> -Y
-
-
-def _rule_x(x: int, z: int, qs: tuple[int, ...]) -> tuple[int, int, bool]:
-    (q,) = qs
-    return x, z, bool(z & (1 << q))
-
-
-def _rule_y(x: int, z: int, qs: tuple[int, ...]) -> tuple[int, int, bool]:
-    (q,) = qs
-    return x, z, bool((x ^ z) & (1 << q))
-
-
-def _rule_z(x: int, z: int, qs: tuple[int, ...]) -> tuple[int, int, bool]:
-    (q,) = qs
-    return x, z, bool(x & (1 << q))
-
-
-def _rule_cnot(x: int, z: int, qs: tuple[int, ...]) -> tuple[int, int, bool]:
-    c, t = qs
-    cb, tb = 1 << c, 1 << t
-    xc, zc = _bit(x, c), _bit(z, c)
-    xt, zt = _bit(x, t), _bit(z, t)
-    nx = x ^ (tb if xc else 0)
-    nz = z ^ (cb if zt else 0)
-    flip = bool(xc and zt and not (xt ^ zc))  # X(x)Z / Y(x)Y pick up -1
-    return nx, nz, flip
-
-
-def _rule_cz(x: int, z: int, qs: tuple[int, ...]) -> tuple[int, int, bool]:
-    a, b = qs
-    ab, bb = 1 << a, 1 << b
-    xa, za = _bit(x, a), _bit(z, a)
-    xb, zb = _bit(x, b), _bit(z, b)
-    nz = z ^ (ab if xb else 0) ^ (bb if xa else 0)
-    flip = bool(xa and xb and (za ^ zb))
-    return x, nz, flip
-
-
-_CLIFFORD_RULES = {
-    "H": _rule_h,
-    "S": _rule_s,
-    "Sdg": _rule_sdg,
-    "X": _rule_x,
-    "Y": _rule_y,
-    "Z": _rule_z,
-    "CNOT": _rule_cnot,
-    "CZ": _rule_cz,
-}
-
 SINGLE_QUBIT_CLIFFORDS = ("H", "S", "Sdg", "X", "Y", "Z")
 TWO_QUBIT_CLIFFORDS = ("CNOT", "CZ")
+_CLIFFORD_KINDS = frozenset(SINGLE_QUBIT_CLIFFORDS + TWO_QUBIT_CLIFFORDS)
 
 
 @cache

@@ -14,7 +14,10 @@ States are carried as sparse Pauli expansions with secret tags riding along
 are stored maximally mixed — their outcomes live in the classical
 transcript, so the pair (state, transcript) loses nothing; this keeps term
 counts flat instead of letting each consumed triple multiply them by
-2^(3(n+1)).
+2^(3(n+1)). Cliffords reach the engine in batches, since each
+conjugate_circuit call pays one unpack and one pack of the term keys:
+consecutive script Cliffords, and a gadget's gates between two
+measurements, run as one call per state.
 
 Exact evaluation enumerates all 2^(3(n+1)) bit histories of each gadget but
 merges the states they reach: histories that leave equal operators (same
@@ -441,44 +444,54 @@ def _run_gadget(
     def signature(grp: _Group) -> tuple[bool, ...]:
         return tuple(evaluate_condition(c, local_bits(grp)) for c in conditions)
 
+    # Gates between two measurements run as one conjugate_circuit call per
+    # group; a group's bits, and so its conditions, hold still until the next
+    # measurement.
+    pending: list[Gate] = []
+
+    def flush() -> None:
+        for grp in groups:
+            bits = local_bits(grp)
+            grp.op = grp.op.conjugate_circuit(
+                g
+                for g in pending
+                if g.condition is None or evaluate_condition(g.condition, bits)
+            )
+        pending.clear()
+
     for g in gadget.gates:
-        if g.kind == "MEASURE_Z":
-            (q,) = g.qubits
-            slot = base + g.classical_bit
-            children: list[_Group] = []
-            for grp in groups:
-                outcomes = []
-                for b in (0, 1):
-                    p, post = grp.op.project_z(q, b)
-                    if p > PROBABILITY_CUTOFF:
-                        outcomes.append((b, p, post))
-                if mode == "sampled":
-                    probs = np.array([p for _, p, _ in outcomes])
-                    pick = int(rng.choice(len(outcomes), p=probs / probs.sum()))
-                    outcomes = [outcomes[pick]]
-                for b, p, post in outcomes:
-                    histories = [
-                        (bits[:slot] + (b,) + bits[slot + 1 :], prob * p)
-                        for bits, prob in grp.histories
-                    ]
-                    children.append(
-                        _Group(post.scaled(1 / p).reset_to_mixed((q,)), histories)
-                    )
-            count = sum(len(grp.histories) for grp in children)
-            if count > branch_cap:
-                raise ResourceError(
-                    f"exact branch enumeration reached {count} bit histories, over "
-                    f"the cap of {branch_cap}, in the TOFFOLI at script gate "
-                    f"{gate_index}; rerun in sampled mode or raise branch_cap"
-                )
-            groups = _merge(children, signature)
-        else:
-            for grp in groups:
-                if g.condition is not None and not evaluate_condition(
-                    g.condition, local_bits(grp)
-                ):
-                    continue
-                grp.op = grp.op.conjugate_clifford(g)
+        if g.kind != "MEASURE_Z":
+            pending.append(g)
+            continue
+        flush()
+        (q,) = g.qubits
+        slot = base + g.classical_bit
+        children: list[_Group] = []
+        for grp in groups:
+            outcomes = [
+                (b, p, post)
+                for b, (p, post) in enumerate(grp.op.measure_z(q))
+                if p > PROBABILITY_CUTOFF
+            ]
+            if mode == "sampled":
+                probs = np.array([p for _, p, _ in outcomes])
+                pick = int(rng.choice(len(outcomes), p=probs / probs.sum()))
+                outcomes = [outcomes[pick]]
+            for b, p, post in outcomes:
+                histories = [
+                    (bits[:slot] + (b,) + bits[slot + 1 :], prob * p)
+                    for bits, prob in grp.histories
+                ]
+                children.append(_Group(post, histories))
+        count = sum(len(grp.histories) for grp in children)
+        if count > branch_cap:
+            raise ResourceError(
+                f"exact branch enumeration reached {count} bit histories, over "
+                f"the cap of {branch_cap}, in the TOFFOLI at script gate "
+                f"{gate_index}; rerun in sampled mode or raise branch_cap"
+            )
+        groups = _merge(children, signature)
+    flush()
     # the gadget's conditions are spent: equal operators now evolve alike
     return _merge(groups, lambda grp: ())
 
@@ -524,8 +537,17 @@ def evaluate(
     consumed = set(shared.consumed_ancillas)
     groups = [_Group(shared.state, [(tuple(shared.classical_transcript), 1.0)])]
     origins: list[BitOrigin] = []
+    # consecutive script Cliffords expand into one run per group
+    pending: list[Gate] = []
+
+    def flush() -> None:
+        for grp in groups:
+            grp.op = grp.op.conjugate_circuit(pending)
+        pending.clear()
+
     for gi, gate in enumerate(script.gates):
         if gate.kind == "TOFFOLI":
+            flush()
             triple = available.pop(0)
             anc = layout.ancilla_triple_rows(triple)
             gadget = toffoli_gadget(tuple(gate.qubits), anc, layout)
@@ -546,9 +568,8 @@ def evaluate(
             groups = _run_gadget(gadget, groups, mode, rng, branch_cap, gi)
             consumed.add(triple)
         else:
-            circuit = transversal_expand(gate, layout)
-            for grp in groups:
-                grp.op = grp.op.conjugate_circuit(circuit.gates)
+            pending.extend(transversal_expand(gate, layout).gates)
+    flush()
 
     histories = sorted(
         ((bits, prob, grp.op) for grp in groups for bits, prob in grp.histories),

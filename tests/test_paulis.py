@@ -1,5 +1,7 @@
 """Symbolic Pauli algebra against dense-matrix oracles."""
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,219 @@ def test_conjugation_keeps_term_count_and_trace():
 
 
 # ---------------------------------------------------------------------------
+# bit-plane kernel vs per-term reference rules
+# ---------------------------------------------------------------------------
+
+# Per-term rules on packed integers, stated on input bits: each returns
+# (x', z', sign_flip). They are the reference the bit-plane kernel must match.
+
+
+def _bit(mask, q):
+    return (mask >> q) & 1
+
+
+def _rule_h(x, z, qs):
+    (q,) = qs
+    b = 1 << q
+    xb, zb = x & b, z & b
+    return (x & ~b) | (zb and b), (z & ~b) | (xb and b), bool(xb and zb)
+
+
+def _rule_s(x, z, qs):
+    (q,) = qs
+    b = 1 << q
+    return x, z ^ (x & b), bool(x & z & b)
+
+
+def _rule_sdg(x, z, qs):
+    (q,) = qs
+    b = 1 << q
+    return x, z ^ (x & b), bool(x & ~z & b)
+
+
+def _rule_x(x, z, qs):
+    (q,) = qs
+    return x, z, bool(z & (1 << q))
+
+
+def _rule_y(x, z, qs):
+    (q,) = qs
+    return x, z, bool((x ^ z) & (1 << q))
+
+
+def _rule_z(x, z, qs):
+    (q,) = qs
+    return x, z, bool(x & (1 << q))
+
+
+def _rule_cnot(x, z, qs):
+    c, t = qs
+    xc, zc, xt, zt = _bit(x, c), _bit(z, c), _bit(x, t), _bit(z, t)
+    nx = x ^ ((1 << t) if xc else 0)
+    nz = z ^ ((1 << c) if zt else 0)
+    return nx, nz, bool(xc and zt and not (xt ^ zc))
+
+
+def _rule_cz(x, z, qs):
+    a, b = qs
+    xa, za, xb, zb = _bit(x, a), _bit(z, a), _bit(x, b), _bit(z, b)
+    nz = z ^ ((1 << a) if xb else 0) ^ ((1 << b) if xa else 0)
+    return x, nz, bool(xa and xb and (za ^ zb))
+
+
+REFERENCE_RULES = {
+    "H": _rule_h,
+    "S": _rule_s,
+    "Sdg": _rule_sdg,
+    "X": _rule_x,
+    "Y": _rule_y,
+    "Z": _rule_z,
+    "CNOT": _rule_cnot,
+    "CZ": _rule_cz,
+}
+
+
+def _reference_conjugate(op, gate):
+    rule = REFERENCE_RULES[gate.kind]
+    terms, tags = {}, {}
+    for (x, z), c in op.terms.items():
+        nx, nz, flip = rule(x, z, gate.qubits)
+        terms[(nx, nz)] = -c if flip else c
+        if (x, z) in op.tags:
+            tags[(nx, nz)] = op.tags[(x, z)]
+    return PauliOperator(op.num_qubits, terms, tags)
+
+
+def _reference_circuit(op, gates):
+    for g in gates:
+        op = op.conjugate_toffoli(g.qubits) if g.kind == "TOFFOLI" else _reference_conjugate(op, g)
+    return op
+
+
+def _assert_identical(got, want):
+    """Same keys in the same order, exactly equal coefficients, same tags."""
+    assert got.num_qubits == want.num_qubits
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert list(got.tags.items()) == list(want.tags.items())
+
+
+def _random_tagged_operator(num_qubits, num_terms, seed):
+    """Random distinct words with complex (and some real) coefficients, about
+    half of them tagged."""
+    rng = np.random.default_rng(seed)
+    num_terms = min(num_terms, 4**num_qubits)
+    terms, tags = {}, {}
+    while len(terms) < num_terms:
+        key = tuple(int.from_bytes(rng.bytes(16), "little") % (1 << num_qubits) for _ in "xz")
+        if key in terms:
+            continue
+        re, im = rng.normal(size=2)
+        terms[key] = float(re) if rng.random() < 0.2 else complex(re, im)
+        if rng.random() < 0.5:
+            tags[key] = frozenset({f"t{len(terms) % 5}"})
+    return PauliOperator(num_qubits, terms, tags)
+
+
+def _random_gates(num_qubits, count, rng, kinds=tuple(REFERENCE_RULES)):
+    gates = []
+    for _ in range(count):
+        kind = str(rng.choice([k for k in kinds if num_qubits > 1 or k in SINGLE_QUBIT_CLIFFORDS]))
+        arity = 2 if kind in TWO_QUBIT_CLIFFORDS else 1
+        qubits = rng.choice(num_qubits, size=arity, replace=False)
+        gates.append(Gate(kind, tuple(int(q) for q in qubits)))
+    return gates
+
+
+KERNEL_WIDTHS = [1, 7, 8, 9, 63, 64, 65, 101]
+
+
+@pytest.mark.parametrize(
+    "kind,num_qubits",
+    [
+        (kind, n)
+        for kind in SINGLE_QUBIT_CLIFFORDS + TWO_QUBIT_CLIFFORDS
+        for n in KERNEL_WIDTHS
+        if n > 1 or kind in SINGLE_QUBIT_CLIFFORDS
+    ],
+)
+def test_kernel_matches_reference_rules(kind, num_qubits):
+    op = _random_tagged_operator(num_qubits, 200, seed=num_qubits)
+    # the first and last qubit and the byte and word boundaries
+    edges = sorted({min(q, num_qubits - 1) for q in (0, 7, 8, 63, 64, num_qubits - 1)})
+    if kind in TWO_QUBIT_CLIFFORDS:
+        placements = [(a, b) for a in edges for b in edges if a != b]
+    else:
+        placements = [(q,) for q in edges]
+    for qubits in placements:
+        gate = Gate(kind, qubits)
+        _assert_identical(op.conjugate_clifford(gate), _reference_conjugate(op, gate))
+
+
+@pytest.mark.parametrize("num_qubits", KERNEL_WIDTHS)
+def test_kernel_runs_match_gate_by_gate(num_qubits):
+    rng = np.random.default_rng(100 + num_qubits)
+    op = _random_tagged_operator(num_qubits, 300, seed=200 + num_qubits)
+    gates = _random_gates(num_qubits, 60, rng)
+    _assert_identical(op.conjugate_circuit(gates), _reference_circuit(op, gates))
+
+
+def test_toffoli_inside_a_circuit_splits_the_runs():
+    rng = np.random.default_rng(7)
+    op = _random_tagged_operator(5, 150, seed=8)
+    gates = (
+        _random_gates(5, 20, rng)
+        + [Gate("TOFFOLI", (3, 0, 4))]
+        + _random_gates(5, 20, rng)
+        + [Gate("TOFFOLI", (1, 2, 0))]
+        + _random_gates(5, 5, rng)
+    )
+    _assert_identical(op.conjugate_circuit(gates), _reference_circuit(op, gates))
+
+
+def test_empty_operator_and_empty_gate_list_come_back_unchanged():
+    op = _random_tagged_operator(9, 40, seed=3)
+    _assert_identical(op.conjugate_circuit([]), op)
+    empty = PauliOperator.zero(9)
+    _assert_identical(empty.conjugate_circuit([Gate("H", (3,)), Gate("CNOT", (0, 8))]), empty)
+    _assert_identical(empty.conjugate_clifford(Gate("CZ", (2, 5))), empty)
+
+
+class _Untouchable(Mapping):
+    """Terms that fail the test if the kernel reads them."""
+
+    def __getitem__(self, key):
+        raise AssertionError("terms read before validation")
+
+    def __iter__(self):
+        raise AssertionError("terms read before validation")
+
+    def __len__(self):
+        raise AssertionError("terms read before validation")
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [
+        (Gate("H", (4,)), "qubit 4 out of range"),
+        (Gate("CNOT", (1, 7)), "qubit 7 out of range"),
+        (Gate("I", (0,)), "unsupported Clifford kind 'I'"),
+        (Gate("MEASURE_Z", (0,), classical_bit=0), "unsupported Clifford kind 'MEASURE_Z'"),
+    ],
+)
+def test_bad_gate_raises_before_any_work(bad, match):
+    op = PauliOperator(4, _Untouchable())
+    with pytest.raises(UsageError, match=match):
+        op.conjugate_circuit([Gate("H", (0,)), Gate("CZ", (1, 2)), bad])
+    with pytest.raises(UsageError, match=match):
+        op.conjugate_clifford(bad)
+
+
+def test_conjugate_clifford_rejects_toffoli():
+    with pytest.raises(UsageError, match="not Clifford"):
+        PauliOperator.maximally_mixed(3).conjugate_clifford(Gate("TOFFOLI", (0, 1, 2)))
+
+
+# ---------------------------------------------------------------------------
 # Toffoli conjugation: frozen images of the single-letter words
 # ---------------------------------------------------------------------------
 
@@ -362,6 +577,74 @@ def test_project_z_rejects_complex_probability():
     skew = PauliOperator(1, {(0, 0): 0.5 + 0.5j, (0, 1): 0.5})
     with pytest.raises(ProtocolError, match="not real"):
         skew.project_z(0, 0)
+
+
+def _measured_by_composition(op, qubit, outcome):
+    p, post = op.project_z(qubit, outcome)
+    return p, post.scaled(1 / p).reset_to_mixed((qubit,))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 3, 9, 65])
+def test_measure_z_equals_project_scale_reset(num_qubits):
+    # Hermitian with small non-identity coefficients, so both probabilities
+    # are real and near 1/2; tags ride along on half the words
+    op = _random_tagged_operator(num_qubits, 120, seed=num_qubits)
+    terms = {k: 0.1 * 2.0**-num_qubits * complex(c).real for k, c in op.terms.items()}
+    terms[(0, 0)] = 2.0**-num_qubits
+    op = PauliOperator(num_qubits, terms, op.tags)
+    for qubit in sorted({0, num_qubits // 2, num_qubits - 1}):
+        for outcome, (p, state) in enumerate(op.measure_z(qubit)):
+            want_p, want = _measured_by_composition(op, qubit, outcome)
+            assert p == want_p
+            _assert_identical(state, want)
+
+
+def test_measure_z_matches_dense_projector():
+    from qsslab.dense import partial_trace_dense
+
+    rho = _random_operator(3, seed=43)
+    dense = rho.to_dense()
+    for qubit, outcome in [(0, 0), (0, 1), (2, 0), (2, 1)]:
+        p, state = rho.measure_z(qubit)[outcome]
+        proj = np.diag([1.0, 0.0] if outcome == 0 else [0.0, 1.0])
+        full = np.kron(proj, np.eye(4)) if qubit == 0 else np.kron(np.eye(4), proj)
+        projected = full @ dense @ full
+        assert p == pytest.approx(np.trace(projected).real, abs=1e-14)
+        marginal = partial_trace_dense(projected / p, [qubit])
+        reset = np.kron(np.eye(2) / 2, marginal) if qubit == 0 else np.kron(marginal, np.eye(2) / 2)
+        assert np.allclose(state.to_dense(), reset, atol=1e-12)
+
+
+def test_measure_z_of_a_basis_state_has_no_second_state():
+    zero = PauliOperator(1, {(0, 0): 0.5, (0, 1): 0.5})
+    (p0, post0), (p1, post1) = zero.measure_z(0)
+    assert p0 == 1.0 and post0.terms == {(0, 0): 0.5}
+    assert p1 == 0.0 and post1 is None
+
+
+def test_measure_z_prunes_a_tiny_identity_like_project_z():
+    # the identity term falls under PRUNE_TOL relative to the X term, so
+    # both paths read probability 0 for both outcomes
+    op = PauliOperator(2, {(0, 0): 1e-14, (0b10, 0): 1.0})
+    for outcome, (p, state) in enumerate(op.measure_z(0)):
+        assert p == op.project_z(0, outcome)[0] == 0.0
+        assert state is None
+
+
+def test_measure_z_rejects_complex_probability_and_bad_qubit():
+    skew = PauliOperator(1, {(0, 0): 0.5 + 0.5j, (0, 1): 0.5})
+    with pytest.raises(ProtocolError, match="not real"):
+        skew.measure_z(0)
+    with pytest.raises(UsageError):
+        skew.measure_z(1)
+
+
+def test_trace_distance_of_sparse_operators():
+    a = _random_operator(2, seed=61)
+    b = _random_operator(2, seed=62)
+    eigs = np.linalg.eigvalsh(a.to_dense() - b.to_dense())
+    assert a.trace_distance(b) == pytest.approx(0.5 * np.abs(eigs).sum(), abs=1e-14)
+    assert a.trace_distance(a) == 0.0
 
 
 def test_approx_equal_is_relative_and_checks_words_and_tags():
