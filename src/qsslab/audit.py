@@ -1,10 +1,14 @@
 """Adversary analysis on the dealt and evaluated states.
 
-The central trick is symbolic: deal() tags every Pauli term of the secret's
-expansion with its letter word, partial traces preserve tags, so counting
-surviving tagged terms in a coalition's reduced state answers "does the view
-depend on the secret?" for all secrets at once. One generic secret whose
-expansion touches every word covers the whole argument; dense trace
+The central argument is structural: deal() puts secret word w only on the
+secret rows and the encoder is a ladder inside each row, so a dealt word is
+image(w) on the secret rows times the image of a resource term on the
+ancilla rows, with image(I) = I. A partial trace only drops terms, so a
+term of a coalition's view depends on the secret exactly when it has a
+non-identity letter on a secret row; counting those answers "does the view
+depend on the secret?" for all secrets at once (the stabilizer-code view of
+authorized sets, Cleve-Gottesman-Lo, PRL 83, 648 (1999)). One generic secret
+whose expansion touches every word covers the whole argument; dense trace
 distances between concrete secret pairs cross-check the conclusion at small
 sizes.
 
@@ -40,14 +44,14 @@ AUDIT_TOLERANCE = 1e-10
 _GENERIC_WEIGHTS = {"I": 0.5, "X": 0.15, "Y": 0.12, "Z": 0.09}
 
 
-def generic_tagged_secret(s: int) -> PauliOperator:
-    """Full-support product secret; deal() stamps each word with its tag."""
+def generic_secret(s: int) -> PauliOperator:
+    """Full-support product secret: every s-qubit word has a coefficient."""
     entries = []
     for word in itertools.product("IXYZ", repeat=s):
         coeff = 1.0
         for letter in word:
             coeff *= _GENERIC_WEIGHTS[letter]
-        entries.append((PauliString.from_letters("".join(word)), coeff, None))
+        entries.append((PauliString.from_letters("".join(word)), coeff))
     return PauliOperator.from_terms(s, entries)
 
 
@@ -125,8 +129,8 @@ class Coalition:
 
 def adversary_view(shared: SharedState, coalition: Coalition) -> PauliOperator:
     """The coalition's reduced state: everything the honest parties hold is
-    traced out; secret tags survive on the remaining terms. Kept qubits stay
-    in row-major order restricted to the coalition's columns."""
+    traced out. Kept qubits stay in row-major order restricted to the
+    coalition's columns, so the secret rows come first."""
     layout = shared.layout
     if coalition.n != layout.n:
         raise UsageError("coalition does not match the layout")
@@ -177,14 +181,12 @@ class AuditReport:
         }
 
 
-def _count_tagged(view: PauliOperator, s: int) -> int:
-    """Terms whose tag set names any non-identity secret word."""
-    identity = "I" * s
-    count = 0
-    for key, tags in view.tags.items():
-        if key in view.terms and any(t != identity for t in tags):
-            count += 1
-    return count
+def _secret_rows(view: PauliOperator, s: int, width: int) -> list[PauliString]:
+    """Each view term restricted to the secret rows: the first s * width
+    qubits of the row-major view over ``width`` kept columns."""
+    size = s * width
+    mask = (1 << size) - 1
+    return [PauliString(size, x & mask, z & mask) for x, z in view.terms]
 
 
 def secret_independence_check(
@@ -192,9 +194,9 @@ def secret_independence_check(
     coalition: Coalition,
     tolerance: float = AUDIT_TOLERANCE,
 ) -> AuditReport:
-    """Deal a fully tagged generic secret and count the secret-tagged terms
-    surviving in the coalition's view; zero means the view is one fixed
-    operator whatever the secret was.
+    """Deal a full-support generic secret and count the terms of the
+    coalition's view with a non-identity letter on a secret row; zero means
+    the view is one fixed operator whatever the secret was.
 
     A full coalition is rejected (it reconstructs by design). Coalitions the
     security argument does not cover (dealer absent, or no honest
@@ -214,9 +216,10 @@ def secret_independence_check(
             "residuals are reported descriptively, without a pass/fail claim "
             "from the security argument"
         )
-    shared = deal(params, generic_tagged_secret(params.s))
+    shared = deal(params, generic_secret(params.s))
     view = adversary_view(shared, coalition)
-    residuals = _count_tagged(view, params.s)
+    width = len(coalition.columns())
+    residuals = sum(1 for word in _secret_rows(view, params.s, width) if word.weight)
 
     max_td = 0.0
     view_qubits = view.num_qubits
@@ -303,15 +306,11 @@ def _data_row_patterns(
 ) -> tuple[str, ...]:
     """Distinct secret-row letter patterns among the view's terms.
 
-    The view's qubits are row-major over the kept columns; the pattern of a
-    term is its restriction to the first s rows, written row by row.
+    The pattern of a term is its restriction to the secret rows, written row
+    by row.
     """
-    width = len(columns)
-    patterns = set()
-    for ps, _ in view.items():
-        letters = ps.letters()
-        patterns.add(letters[: layout.s * width])
-    return tuple(sorted(patterns))
+    words = _secret_rows(view, layout.s, len(columns))
+    return tuple(sorted({w.letters() for w in words}))
 
 
 def parity_regime_check(
@@ -329,7 +328,7 @@ def parity_regime_check(
     """
     if coalition.is_full:
         raise UsageError("parity regimes concern proper coalitions only")
-    shared = deal(params, generic_tagged_secret(params.s))
+    shared = deal(params, generic_secret(params.s))
     view = adversary_view(shared, coalition)
     layout = params.layout()
     columns = coalition.columns()

@@ -121,15 +121,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def then(self, other: Circuit) -> Circuit:
-        if other.num_qubits != self.num_qubits:
-            raise UsageError("circuit widths differ")
-        return Circuit(
-            self.num_qubits,
-            max(self.num_classical_bits, other.num_classical_bits),
-            self.gates + other.gates,
-        )
-
     def inverse(self) -> Circuit:
         """Inverse of a measurement-free Clifford+Toffoli circuit."""
         inv = {"S": "Sdg", "Sdg": "S"}
@@ -139,17 +130,6 @@ class Circuit:
                 raise UsageError("cannot invert measurements or conditioned gates")
             gates.append(Gate(inv.get(g.kind, g.kind), g.qubits))
         return Circuit(self.num_qubits, 0, tuple(gates))
-
-    def shifted_bits(self, offset: int) -> Circuit:
-        """Same circuit with every classical slot moved up by ``offset``."""
-        gates = []
-        for g in self.gates:
-            cond = g.condition
-            if cond is not None:
-                cond = "^".join(f"b{slot + offset}" for slot in parse_condition(cond))
-            cbit = g.classical_bit if g.classical_bit is None else g.classical_bit + offset
-            gates.append(Gate(g.kind, g.qubits, cbit, cond))
-        return Circuit(self.num_qubits, self.num_classical_bits + offset, tuple(gates))
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +170,6 @@ def gates_from_lines(text: str) -> list[Gate]:
             )
         )
     return gates
-
-
-def circuit_to_lines(circuit: Circuit) -> str:
-    return gates_to_lines(circuit.gates)
-
-
-def circuit_from_lines(text: str, num_qubits: int, num_classical_bits: int | None = None) -> Circuit:
-    gates = gates_from_lines(text)
-    if num_classical_bits is None:
-        num_classical_bits = 1 + max(
-            (g.classical_bit for g in gates if g.classical_bit is not None), default=-1
-        )
-    return Circuit(num_qubits, num_classical_bits, tuple(gates))
 
 
 # ---------------------------------------------------------------------------

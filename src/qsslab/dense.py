@@ -201,10 +201,6 @@ def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def fidelity_pure(psi: StateVector, phi: StateVector) -> float:
-    return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
-
-
 def measure_z(state: StateVector | DensityMatrix, qubit: int):
     """Exhaustive Z-measurement branches: [(outcome, probability, post-state)].
 

@@ -12,9 +12,7 @@ phase. Qubit 0 is the leftmost tensor factor everywhere in this package.
 
 Operators (class:`PauliOperator`) are sparse maps from *phase-free* words to
 complex coefficients; the i^phase of a string is folded into its coefficient,
-so a Hermitian operator has exactly one real entry per physical Pauli. Terms
-may carry *secret tags* - bookkeeping labels tied to the logical expansion
-term that spawned them - which every operation preserves and never invents.
+so a Hermitian operator has exactly one real entry per physical Pauli.
 Multiplication runs on the packed integers via symplectic bit arithmetic.
 
 Clifford conjugation runs on bit planes: a run of Clifford gates unpacks the
@@ -53,9 +51,9 @@ _LETTER_OF = {v: k for k, v in _BITS_OF.items()}
 #: genuine terms once N grows past ~36.
 PRUNE_TOL = 1e-12
 
-#: relative tolerance of approx_equal: two operators with the same words and
-#: tags are equal when no coefficient differs by more than EQUAL_TOL times
-#: the larger of their biggest |coeff|
+#: relative tolerance of approx_equal: two operators with the same words are
+#: equal when no coefficient differs by more than EQUAL_TOL times the larger
+#: of their biggest |coeff|
 EQUAL_TOL = 1e-12
 
 _MATS = {
@@ -132,11 +130,6 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return self.phase % 2 == 0
 
-    def commutes_with(self, other: PauliString) -> bool:
-        self._check_len(other)
-        # symplectic form: strings commute iff <a, b> = 0 over GF(2)
-        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
-
     def _check_len(self, other: PauliString) -> None:
         if self.num_qubits != other.num_qubits:
             raise UsageError(
@@ -185,7 +178,6 @@ class PauliString:
 
 
 Key = tuple[int, int]
-TagSet = frozenset[str]
 
 
 def _real_probability(prob: complex) -> float:
@@ -196,25 +188,12 @@ def _real_probability(prob: complex) -> float:
     return float(prob.real)
 
 
-def _letters_of_key(key: Key, num_qubits: int) -> str:
-    x, z = key
-    return "".join(
-        _LETTER_OF[(_bit(x, q), _bit(z, q))] for q in range(num_qubits)
-    )
-
-
 @dataclass(frozen=True)
 class PauliOperator:
-    """Sparse Hermitian-friendly operator: sum of coeff * phase-free word.
-
-    ``tags`` maps a word key to the set of secret labels whose expansion terms
-    contributed to it. Operations union tag sets when terms merge and drop
-    them with pruned terms; nothing else touches them.
-    """
+    """Sparse Hermitian-friendly operator: sum of coeff * phase-free word."""
 
     num_qubits: int
     terms: Mapping[Key, complex] = field(default_factory=dict)
-    tags: Mapping[Key, TagSet] = field(default_factory=dict)
 
     # -- construction -----------------------------------------------------
 
@@ -225,22 +204,19 @@ class PauliOperator:
     @staticmethod
     def from_terms(
         num_qubits: int,
-        entries: Iterable[tuple[PauliString, complex, str | None]],
+        entries: Iterable[tuple[PauliString, complex]],
     ) -> PauliOperator:
         terms: dict[Key, complex] = {}
-        tags: dict[Key, TagSet] = {}
-        for ps, coeff, tag in entries:
+        for ps, coeff in entries:
             if ps.num_qubits != num_qubits:
                 raise UsageError("term length mismatch")
             c = coeff * ps.phase_factor()
             terms[ps.key] = terms.get(ps.key, 0j) + c
-            if tag is not None:
-                tags[ps.key] = tags.get(ps.key, frozenset()) | {tag}
-        return PauliOperator(num_qubits, terms, tags)._pruned()
+        return PauliOperator(num_qubits, terms)._pruned()
 
     @staticmethod
-    def from_string(ps: PauliString, coeff: complex = 1.0, tag: str | None = None) -> PauliOperator:
-        return PauliOperator.from_terms(ps.num_qubits, [(ps, coeff, tag)])
+    def from_string(ps: PauliString, coeff: complex = 1.0) -> PauliOperator:
+        return PauliOperator.from_terms(ps.num_qubits, [(ps, coeff)])
 
     @staticmethod
     def maximally_mixed(num_qubits: int) -> PauliOperator:
@@ -253,19 +229,9 @@ class PauliOperator:
             word = PauliString.from_letters(word)
         return self.terms.get(word.key, 0j) * word.phase_factor().conjugate()
 
-    def tag_of(self, word: str | PauliString) -> TagSet:
-        if isinstance(word, str):
-            word = PauliString.from_letters(word)
-        return self.tags.get(word.key, frozenset())
-
     def items(self) -> Iterator[tuple[PauliString, complex]]:
         for (x, z), c in self.terms.items():
             yield PauliString(self.num_qubits, x, z), c
-
-    def letters_map(self) -> dict[str, complex]:
-        return {
-            _letters_of_key(k, self.num_qubits): c for k, c in self.terms.items()
-        }
 
     @property
     def num_terms(self) -> int:
@@ -279,12 +245,10 @@ class PauliOperator:
         return all(abs(c.imag) <= PRUNE_TOL for c in self.terms.values())
 
     def approx_equal(self, other: PauliOperator) -> bool:
-        """Same words, same tags, and every coefficient within EQUAL_TOL of
-        the larger operator's biggest |coeff|. Decided term by term, never by
-        a hash of the coefficients."""
+        """Same words and every coefficient within EQUAL_TOL of the larger
+        operator's biggest |coeff|. Decided term by term, never by a hash of
+        the coefficients."""
         if self.num_qubits != other.num_qubits or self.terms.keys() != other.terms.keys():
-            return False
-        if self.tags != other.tags:
             return False
         if not self.terms:
             return True
@@ -303,44 +267,32 @@ class PauliOperator:
             return self
         biggest = max(abs(c) for c in self.terms.values())
         if biggest == 0.0:
-            return PauliOperator(self.num_qubits, {}, {})
+            return PauliOperator(self.num_qubits, {})
         tol = PRUNE_TOL * biggest
         terms = {k: c for k, c in self.terms.items() if abs(c) >= tol}
-        tags = {k: t for k, t in self.tags.items() if k in terms}
-        return PauliOperator(self.num_qubits, terms, tags)
+        return PauliOperator(self.num_qubits, terms)
 
     def scaled(self, factor: complex) -> PauliOperator:
         return PauliOperator(
-            self.num_qubits,
-            {k: c * factor for k, c in self.terms.items()},
-            dict(self.tags),
+            self.num_qubits, {k: c * factor for k, c in self.terms.items()}
         )._pruned()
 
     def add(self, other: PauliOperator) -> PauliOperator:
         if self.num_qubits != other.num_qubits:
             raise UsageError("qubit count mismatch")
         terms = dict(self.terms)
-        tags = dict(self.tags)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0j) + c
-        for k, t in other.tags.items():
-            tags[k] = tags.get(k, frozenset()) | t
-        return PauliOperator(self.num_qubits, terms, tags)._pruned()
+        return PauliOperator(self.num_qubits, terms)._pruned()
 
     def tensor(self, other: PauliOperator) -> PauliOperator:
         shift = self.num_qubits
         terms: dict[Key, complex] = {}
-        tags: dict[Key, TagSet] = {}
         for (xa, za), ca in self.terms.items():
-            ta = self.tags.get((xa, za))
             for (xb, zb), cb in other.terms.items():
                 k = (xa | (xb << shift), za | (zb << shift))
                 terms[k] = terms.get(k, 0j) + ca * cb
-                tb = other.tags.get((xb, zb))
-                merged = (ta or frozenset()) | (tb or frozenset())
-                if merged:
-                    tags[k] = tags.get(k, frozenset()) | merged
-        return PauliOperator(self.num_qubits + other.num_qubits, terms, tags)._pruned()
+        return PauliOperator(self.num_qubits + other.num_qubits, terms)._pruned()
 
     # -- Clifford conjugation ---------------------------------------------
 
@@ -387,9 +339,11 @@ class PauliOperator:
         # one row of little-endian bytes per term, x then z, each padded to
         # whole 64-bit words; gates never touch the padding planes
         width = (n + 63) // 64  # 64-bit words per mask
-        keys = list(self.terms)
         raw = b"".join(
-            [x.to_bytes(8 * width, "little") + z.to_bytes(8 * width, "little") for x, z in keys]
+            [
+                x.to_bytes(8 * width, "little") + z.to_bytes(8 * width, "little")
+                for x, z in self.terms
+            ]
         )
         rows = np.frombuffer(raw, dtype=np.uint8).reshape(count, 16 * width)
         planes = np.unpackbits(np.ascontiguousarray(rows.T), axis=0, bitorder="little")
@@ -435,9 +389,7 @@ class PauliOperator:
         coeffs = list(self.terms.values())
         for i in np.flatnonzero(sign).tolist():
             coeffs[i] = -coeffs[i]
-        tags = self.tags
-        new_tags = {nk: tags[k] for k, nk in zip(keys, new_keys) if k in tags}
-        return PauliOperator(n, dict(zip(new_keys, coeffs)), new_tags)
+        return PauliOperator(n, dict(zip(new_keys, coeffs)))
 
     # -- Toffoli conjugation ------------------------------------------------
 
@@ -457,7 +409,6 @@ class PauliOperator:
                 raise UsageError(f"qubit {q} out of range")
         table = _toffoli_table()
         terms: dict[Key, complex] = {}
-        tags: dict[Key, TagSet] = {}
         for (x, z), c in self.terms.items():
             triple = (
                 (_bit(x, c1), _bit(z, c1)),
@@ -466,21 +417,18 @@ class PauliOperator:
             )
             base_x = x & ~((1 << c1) | (1 << c2) | (1 << t))
             base_z = z & ~((1 << c1) | (1 << c2) | (1 << t))
-            tag = self.tags.get((x, z))
             for (b1, b2, b3), w in table[triple]:
                 nx = base_x | (b1[0] << c1) | (b2[0] << c2) | (b3[0] << t)
                 nz = base_z | (b1[1] << c1) | (b2[1] << c2) | (b3[1] << t)
                 terms[(nx, nz)] = terms.get((nx, nz), 0j) + c * w
-                if tag:
-                    tags[(nx, nz)] = tags.get((nx, nz), frozenset()) | tag
-        return PauliOperator(self.num_qubits, terms, tags)._pruned()
+        return PauliOperator(self.num_qubits, terms)._pruned()
 
     # -- partial trace / measurement ----------------------------------------
 
     def partial_trace(self, traced: Iterable[int]) -> PauliOperator:
         """Trace out qubits: a term survives iff it is identity on every
-        traced qubit (traceless letters kill it), keeping its tags and
-        gaining a factor 2^len(traced); remaining qubits keep their order.
+        traced qubit (traceless letters kill it), gaining a factor
+        2^len(traced); remaining qubits keep their order.
         """
         traced_set = set(traced)
         for q in traced_set:
@@ -492,7 +440,6 @@ class PauliOperator:
             kill |= 1 << q
         factor = 2.0 ** len(traced_set)
         terms: dict[Key, complex] = {}
-        tags: dict[Key, TagSet] = {}
         for (x, z), c in self.terms.items():
             if (x | z) & kill:
                 continue
@@ -502,9 +449,7 @@ class PauliOperator:
                 nx |= _bit(x, q) << i
                 nz |= _bit(z, q) << i
             terms[(nx, nz)] = terms.get((nx, nz), 0j) + c * factor
-            if (x, z) in self.tags:
-                tags[(nx, nz)] = tags.get((nx, nz), frozenset()) | self.tags[(x, z)]
-        return PauliOperator(len(kept), terms, tags)._pruned()
+        return PauliOperator(len(kept), terms)._pruned()
 
     def reset_to_mixed(self, qubits: Iterable[int]) -> PauliOperator:
         """Replace the marginal on the given qubits by I/2 each, i.e.
@@ -521,8 +466,7 @@ class PauliOperator:
                 raise UsageError(f"qubit {q} out of range")
             mask |= 1 << q
         terms = {k: c for k, c in self.terms.items() if not ((k[0] | k[1]) & mask)}
-        tags = {k: t for k, t in self.tags.items() if k in terms}
-        return PauliOperator(self.num_qubits, terms, tags)
+        return PauliOperator(self.num_qubits, terms)
 
     def project_z(self, qubit: int, outcome: int) -> tuple[float, PauliOperator]:
         """Projective Z measurement: returns (tr(Pi_b rho), Pi_b rho Pi_b).
@@ -538,20 +482,13 @@ class PauliOperator:
         sign = -1.0 if outcome else 1.0
         zbit = 1 << qubit
         terms: dict[Key, complex] = {}
-        tags: dict[Key, TagSet] = {}
-
-        def _acc(k: Key, c: complex, tag: TagSet | None) -> None:
-            terms[k] = terms.get(k, 0j) + c
-            if tag:
-                tags[k] = tags.get(k, frozenset()) | tag
-
         for (x, z), c in self.terms.items():
             if x & zbit:  # X or Y on the measured qubit: Pi P Pi = 0
                 continue
-            tag = self.tags.get((x, z))
-            _acc((x, z), c / 2, tag)
-            _acc((x, z ^ zbit), sign * c / 2, tag)
-        post = PauliOperator(self.num_qubits, terms, tags)._pruned()
+            terms[(x, z)] = terms.get((x, z), 0j) + c / 2
+            k = (x, z ^ zbit)
+            terms[k] = terms.get(k, 0j) + sign * c / 2
+        post = PauliOperator(self.num_qubits, terms)._pruned()
         return _real_probability(post.trace()), post
 
     def measure_z(
@@ -574,7 +511,6 @@ class PauliOperator:
         zbit = 1 << qubit
         acc0: dict[Key, complex] = {}
         acc1: dict[Key, complex] = {}
-        tags: dict[Key, TagSet] = {}
         for key, c in self.terms.items():
             x, z = key
             if x & zbit:  # X or Y on the measured qubit: Pi P Pi = 0
@@ -588,14 +524,9 @@ class PauliOperator:
                 c0 = c1 = c / 2
             acc0[k] = acc0.get(k, 0j) + c0
             acc1[k] = acc1.get(k, 0j) + c1
-            tag = self.tags.get(key)
-            if tag:
-                tags[k] = tags.get(k, frozenset()) | tag
-        return self._measured(acc0, tags), self._measured(acc1, tags)
+        return self._measured(acc0), self._measured(acc1)
 
-    def _measured(
-        self, acc: dict[Key, complex], tags: dict[Key, TagSet]
-    ) -> tuple[float, PauliOperator | None]:
+    def _measured(self, acc: dict[Key, complex]) -> tuple[float, PauliOperator | None]:
         """Prune one outcome of measure_z, read its probability and normalise."""
         biggest = max(map(abs, acc.values()), default=0.0)
         if biggest == 0.0:
@@ -607,8 +538,7 @@ class PauliOperator:
             return p, None
         factor = 1 / p
         terms = {k: c * factor for k, c in acc.items() if abs(c) >= tol}
-        kept = {k: t for k, t in tags.items() if k in terms}
-        return p, PauliOperator(self.num_qubits, terms, kept)
+        return p, PauliOperator(self.num_qubits, terms)
 
     def trace_distance(self, other: PauliOperator) -> float:
         """Half the trace norm of self - other, from the eigenvalues of the

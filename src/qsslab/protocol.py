@@ -9,19 +9,20 @@ encoding ladder across every row. Logical Cliffords act column-locally via
 transversal_expand; each logical Toffoli burns one ancilla triple through
 the measurement gadget, with every measured bit broadcast.
 
-States are carried as sparse Pauli expansions with secret tags riding along
-(the audit module counts them after partial traces). Measured-out qubits
-are stored maximally mixed — their outcomes live in the classical
-transcript, so the pair (state, transcript) loses nothing; this keeps term
-counts flat instead of letting each consumed triple multiply them by
-2^(3(n+1)). Cliffords reach the engine in batches, since each
+States are carried as sparse Pauli expansions; a term depends on the
+secret exactly when it has a non-identity letter on a secret row (see
+deal), which is what the audit module counts. Measured-out qubits are
+stored maximally mixed — their outcomes live in the classical transcript,
+so the pair (state, transcript) loses nothing; this keeps term counts flat
+instead of letting each consumed triple multiply them by 2^(3(n+1)).
+Cliffords reach the engine in batches, since each
 conjugate_circuit call pays one unpack and one pack of the term keys:
 consecutive script Cliffords, and a gadget's gates between two
 measurements, run as one call per state.
 
 Exact evaluation enumerates all 2^(3(n+1)) bit histories of each gadget but
 merges the states they reach: histories that leave equal operators (same
-words and tags, coefficients within paulis.EQUAL_TOL relative) and whose pending
+words, coefficients within paulis.EQUAL_TOL relative) and whose pending
 correction conditions read the same parities share one operator and are
 simulated once. The branch cap counts histories, not merged states.
 """
@@ -211,15 +212,6 @@ class BitOrigin:
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    gadget_id: int
-    participant: str
-    slot: int
-    value: int
-    branch_probability: float
-
-
-@dataclass(frozen=True)
 class Transcript:
     """Broadcast record of one evaluate call.
 
@@ -248,21 +240,6 @@ class Transcript:
             key = tuple(bits[s] for s in slots)
             dist[key] = dist.get(key, 0.0) + p
         return dist
-
-    def records(self) -> tuple[MeasurementRecord, ...]:
-        out = []
-        for bits, p in self.branches:
-            for origin in self.bit_origins:
-                out.append(
-                    MeasurementRecord(
-                        gadget_id=origin.gadget_id,
-                        participant=origin.participant,
-                        slot=origin.slot,
-                        value=bits[origin.slot],
-                        branch_probability=p,
-                    )
-                )
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +317,9 @@ def _as_secret_operator(secret: object, s: int) -> PauliOperator:
 
 
 def deal(params: SchemeParams, secret: object) -> SharedState:
-    """Encode and distribute: the dealt global state with every secret term
-    tagged by its Pauli word for downstream audits."""
+    """Encode and distribute: the dealt global state. Secret word w lands
+    only on the secret rows, so after the row-local ladder a dealt term has
+    a non-identity letter on a secret row exactly when its w is not I."""
     op = _as_secret_operator(secret, params.s)
     layout = params.layout()
     m = layout.columns
@@ -351,12 +329,8 @@ def deal(params: SchemeParams, secret: object) -> SharedState:
     fresh = 2.0 ** -(params.s * (m - 1))
     entries = []
     for ps, c in op.items():
-        word = ps.letters()
-        spread = "".join(letter + "I" * (m - 1) for letter in word)
-        existing = op.tag_of(ps)
-        entries.append((PauliString.from_letters(spread), c * fresh, word))
-        for tag in existing:
-            entries.append((PauliString.from_letters(spread), 0.0, tag))
+        spread = "".join(letter + "I" * (m - 1) for letter in ps.letters())
+        entries.append((PauliString.from_letters(spread), c * fresh))
     block = PauliOperator.from_terms(params.s * m, entries)
 
     # ancilla triples: one magic state per triple on the dealer's column
@@ -366,7 +340,7 @@ def deal(params: SchemeParams, secret: object) -> SharedState:
         triple_entries = []
         for ps, c in magic.items():
             spread = "".join(letter + "I" * (m - 1) for letter in ps.letters())
-            triple_entries.append((PauliString.from_letters(spread), c * fresh3, None))
+            triple_entries.append((PauliString.from_letters(spread), c * fresh3))
         triple_block = PauliOperator.from_terms(3 * m, triple_entries)
         for _ in range(params.t // 3):
             block = block.tensor(triple_block)
@@ -744,7 +718,7 @@ def parse_secret(obj: dict, s: int | None = None) -> PauliOperator:
         op = PauliOperator.from_terms(
             num,
             [
-                (PauliString.from_letters(w), _as_complex(c), None)
+                (PauliString.from_letters(w), _as_complex(c))
                 for w, c in words.items()
             ],
         )

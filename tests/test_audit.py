@@ -1,5 +1,7 @@
 """Partial-trace security audits of the dealt state."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,12 @@ from qsslab.errors import ResourceError, UsageError
 from qsslab.audit import (
     AUDIT_TOLERANCE,
     Coalition,
+    _secret_rows,
     adversary_view,
     covered_coalitions,
     distinguishability,
     eq16_form_check,
-    generic_tagged_secret,
+    generic_secret,
     parity_regime_check,
     secret_independence_check,
 )
@@ -89,15 +92,15 @@ def test_covered_coalitions_enumeration():
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_generic_tagged_secret_has_full_support(s):
-    op = generic_tagged_secret(s)
+def test_generic_secret_has_full_support(s):
+    op = generic_secret(s)
     assert op.num_terms == 4**s
     assert op.trace() == pytest.approx(1.0)
     assert op.is_hermitian
 
 
-def test_generic_tagged_secret_is_a_state():
-    eigs = np.linalg.eigvalsh(generic_tagged_secret(2).to_dense())
+def test_generic_secret_is_a_state():
+    eigs = np.linalg.eigvalsh(generic_secret(2).to_dense())
     assert np.min(eigs) > 0
 
 
@@ -179,7 +182,7 @@ def test_all_participants_without_dealer_odd_width():
 
 def test_all_participants_without_dealer_even_width():
     # four columns: X-words hide from the dealer, so the dealer-less crowd
-    # retains secret-tagged structure; the count factorizes into the 3
+    # retains secret-dependent structure; the count factorizes into the 3
     # nontrivial {I,X} row patterns times the {I,X}-only resource terms
     params = SchemeParams.relaxed(n=3, s=2, budget=1)
     report = secret_independence_check(params, Coalition.parse("p1,p2,p3", n=3))
@@ -191,6 +194,32 @@ def test_all_participants_without_dealer_even_width():
     assert report.tagged_residuals == 3 * x_only == 21
     assert report.verdict == "fail"
     assert any("descriptively" in note for note in report.notes)
+
+
+def _proper_coalitions(n):
+    parties = ["alice"] + [f"p{i}" for i in range(1, n + 1)]
+    for size in range(1, len(parties)):
+        for members in itertools.combinations(parties, size):
+            yield Coalition(n, frozenset(members))
+
+
+def test_secret_row_terms_are_the_secret_dependent_terms():
+    # linearity oracle, blind to the row structure: the view of the generic
+    # secret minus the view of I/2^s keeps exactly the words that depend on
+    # the secret, and those must be the terms the audit counts
+    nonzero = 0
+    for n, s, budget in itertools.product(range(1, 6), range(1, 4), range(2)):
+        params = SchemeParams.relaxed(n=n, s=s, budget=budget)
+        generic = deal(params, generic_secret(s))
+        mixed = deal(params, PauliOperator.maximally_mixed(s))
+        for coalition in _proper_coalitions(n):
+            view = adversary_view(generic, coalition)
+            diff = view.add(adversary_view(mixed, coalition).scaled(-1.0))
+            rows = _secret_rows(view, s, len(coalition.columns()))
+            counted = {key for key, word in zip(view.terms, rows) if word.weight}
+            assert counted == diff.terms.keys(), (n, s, budget, coalition.label())
+            nonzero += bool(counted)
+    assert nonzero > 0
 
 
 def test_independence_note_mentions_dense_cross_check_policy():

@@ -7,8 +7,6 @@ from qsslab.circuits import (
     Circuit,
     Gate,
     ShareLayout,
-    circuit_from_lines,
-    circuit_to_lines,
     evaluate_condition,
     expected_ladder_pauli,
     gates_from_lines,
@@ -95,14 +93,6 @@ def test_circuit_rejects_classical_bit_out_of_range():
         Circuit(1, 0, (Gate("MEASURE_Z", (0,), classical_bit=0),))
 
 
-def test_then_concatenates():
-    a = Circuit(2, 0, (Gate("H", (0,)),))
-    b = Circuit(2, 0, (Gate("CNOT", (0, 1)),))
-    assert [g.kind for g in a.then(b)] == ["H", "CNOT"]
-    with pytest.raises(UsageError):
-        a.then(Circuit(3, 0, ()))
-
-
 def test_inverse_undoes_circuit():
     circuit = Circuit(2, 0, (Gate("H", (0,)), Gate("S", (1,)), Gate("CNOT", (0, 1))))
     u = build_unitary(circuit)
@@ -115,16 +105,6 @@ def test_inverse_rejects_measurements():
     circuit = Circuit(1, 1, (Gate("MEASURE_Z", (0,), classical_bit=0),))
     with pytest.raises(UsageError):
         circuit.inverse()
-
-
-def test_shifted_bits():
-    circuit = Circuit(
-        1, 1, (Gate("MEASURE_Z", (0,), classical_bit=0), Gate("X", (0,), condition="b0"))
-    )
-    moved = circuit.shifted_bits(4)
-    assert moved.num_classical_bits == 5
-    assert moved.gates[0].classical_bit == 4
-    assert moved.gates[1].condition == "b4"
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +132,6 @@ def test_gate_lines_reject_garbage():
         gates_from_lines('{"g": "H"}')
     with pytest.raises(UsageError):
         gates_from_lines("not json")
-
-
-def test_circuit_lines_round_trip():
-    circuit = Circuit(
-        2,
-        1,
-        (
-            Gate("H", (0,)),
-            Gate("MEASURE_Z", (0,), classical_bit=0),
-            Gate("X", (1,), condition="b0"),
-        ),
-    )
-    back = circuit_from_lines(circuit_to_lines(circuit), 2, 1)
-    assert back == circuit
 
 
 # ---------------------------------------------------------------------------

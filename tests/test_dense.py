@@ -11,7 +11,6 @@ from qsslab.dense import (
     apply_gate,
     build_unitary,
     embedded_unitary,
-    fidelity_pure,
     measure_z,
     partial_trace_dense,
     random_density_matrix,
@@ -124,13 +123,6 @@ def test_trace_distance_zero_plus():
     plus = apply_gate(zero, ("H", (0,)))
     got = trace_distance(zero.to_density(), plus.to_density())
     assert got == pytest.approx(0.7071067811865476)
-
-
-def test_fidelity_pure():
-    zero = StateVector.basis(1, 0)
-    plus = apply_gate(zero, ("H", (0,)))
-    assert fidelity_pure(zero, zero) == pytest.approx(1.0)
-    assert fidelity_pure(zero, plus) == pytest.approx(0.5)
 
 
 def test_measure_z_branches_are_complete():

@@ -147,35 +147,23 @@ def test_deal_produces_trace_one_grid_state():
     assert shared.classical_transcript == ()
 
 
-def test_deal_tags_every_secret_word():
-    params = SchemeParams.relaxed(n=2, s=2)
+def _dealt_word(params, word, coeff):
+    """Deal I/2^s + coeff * word (a state for |coeff| <= 2^-s) and return
+    the one non-identity dealt term."""
+    s = len(word)
     secret = PauliOperator.from_terms(
-        2,
-        [
-            (PauliString.from_letters("II"), 0.25, None),
-            (PauliString.from_letters("XZ"), 0.1, None),
-        ],
+        s, [(PauliString.identity(s), 2.0**-s), (PauliString.from_letters(word), coeff)]
     )
     shared = deal(params, secret)
-    tags = set().union(*(shared.state.tag_of(ps) for ps, _ in shared.state.items()))
-    assert tags == {"II", "XZ"}
-
-
-def _terms_tagged(state, word):
-    return [
-        (ps, c) for ps, c in state.items() if word in state.tag_of(ps)
-    ]
+    assert shared.state.num_terms == 2
+    ((ps, c),) = [(ps, c) for ps, c in shared.state.items() if ps.weight]
+    return ps, c
 
 
 def test_deal_worked_example_odd_width():
     # five columns: every letter of the secret word is copied down its row
     params = SchemeParams.relaxed(n=4, s=3)
-    from qsslab.audit import generic_tagged_secret
-
-    shared = deal(params, generic_tagged_secret(3))
-    tagged = _terms_tagged(shared.state, "XYZ")
-    assert len(tagged) == 1
-    (ps, coeff), = tagged
+    ps, coeff = _dealt_word(params, "XYZ", 0.15 * 0.12 * 0.09)
     assert ps.letters() == "XXXXX" + "YYYYY" + "ZZZZZ"
     expected = 0.15 * 0.12 * 0.09 * 2.0**-12
     assert coeff == pytest.approx(expected)
@@ -184,12 +172,7 @@ def test_deal_worked_example_odd_width():
 def test_deal_worked_example_even_width():
     # six columns: X keeps the dealer column clear, Y and Z mark it with Z
     params = SchemeParams.relaxed(n=5, s=3)
-    from qsslab.audit import generic_tagged_secret
-
-    shared = deal(params, generic_tagged_secret(3))
-    tagged = _terms_tagged(shared.state, "XYZ")
-    assert len(tagged) == 1
-    (ps, coeff), = tagged
+    ps, coeff = _dealt_word(params, "XYZ", 0.15 * 0.12 * 0.09)
     assert ps.letters() == "IXXXXX" + "ZYYYYY" + "ZZZZZZ"
     expected = 0.15 * 0.12 * 0.09 * 2.0**-15
     assert coeff == pytest.approx(expected)
@@ -198,12 +181,7 @@ def test_deal_worked_example_even_width():
 def test_deal_worked_example_negative_y_sign():
     # four columns sit in the sign-flipping half of the period-four cycle
     params = SchemeParams.relaxed(n=3, s=1)
-    from qsslab.audit import generic_tagged_secret
-
-    shared = deal(params, generic_tagged_secret(1))
-    tagged = _terms_tagged(shared.state, "Y")
-    assert len(tagged) == 1
-    (ps, coeff), = tagged
+    ps, coeff = _dealt_word(params, "Y", 0.12)
     assert ps.letters() == "ZYYY"
     assert coeff == pytest.approx(-0.12 * 2.0**-3)
 
@@ -349,15 +327,13 @@ def test_transcript_bit_origins_follow_the_grid():
     assert all(o.gadget_id == 0 and o.triple == 0 for o in origins)
 
 
-def test_transcript_records_and_joint():
+def test_transcript_joint_distribution():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
     shared = deal(params, _basis_secret(3, 0))
     _, transcript = evaluate(shared, EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),)))
     joint = transcript.joint_distribution()
     assert sum(joint.values()) == pytest.approx(1.0)
-    records = transcript.records()
-    assert len(records) == 512 * 9
-    assert {r.participant for r in records} == {"alice", "p1", "p2"}
+    assert len(joint) == 512
 
 
 def test_toffoli_budget_is_consumed():
@@ -507,10 +483,10 @@ def test_equal_operators_with_different_corrections_stay_apart():
 
 
 def test_histories_share_one_operator_for_a_generic_secret():
-    from qsslab.audit import generic_tagged_secret
+    from qsslab.audit import generic_secret
 
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    shared = deal(params, generic_tagged_secret(3))
+    shared = deal(params, generic_secret(3))
     states, transcript = evaluate(shared, EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),)))
     assert len(states) == 512
     assert len({id(st.state) for st in states}) == 1
@@ -559,9 +535,9 @@ def test_canonical_secret_family():
 
 def test_parse_secret_amplitudes():
     op = parse_secret({"amplitudes": [1, 0, 0, 0]}, s=2)
-    assert op.letters_map() == pytest.approx(
-        {"II": 0.25, "IZ": 0.25, "ZI": 0.25, "ZZ": 0.25}
-    )
+    assert op.num_terms == 4
+    for word in ("II", "IZ", "ZI", "ZZ"):
+        assert op.coeff(word) == pytest.approx(0.25)
 
 
 def test_parse_secret_amplitudes_normalize_and_accept_pairs():
