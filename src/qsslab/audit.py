@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .circuits import ShareLayout
 from .dense import DENSE_CAP
 from .errors import ResourceError, UsageError
@@ -181,12 +183,13 @@ class AuditReport:
         }
 
 
-def _secret_rows(view: PauliOperator, s: int, width: int) -> list[PauliString]:
-    """Each view term restricted to the secret rows: the first s * width
-    qubits of the row-major view over ``width`` kept columns."""
-    size = s * width
-    mask = (1 << size) - 1
-    return [PauliString(size, x & mask, z & mask) for x, z in view.terms]
+def _secret_rows(
+    view: PauliOperator, s: int, width: int
+) -> tuple[list[PauliString], np.ndarray]:
+    """The view's words restricted to the secret rows, the first s * width
+    qubits of the row-major view over ``width`` kept columns: the distinct
+    restrictions and, per view term, the index of its restriction."""
+    return view.restricted_words(range(s * width))
 
 
 def secret_independence_check(
@@ -219,7 +222,9 @@ def secret_independence_check(
     shared = deal(params, generic_secret(params.s))
     view = adversary_view(shared, coalition)
     width = len(coalition.columns())
-    residuals = sum(1 for word in _secret_rows(view, params.s, width) if word.weight)
+    words, index = _secret_rows(view, params.s, width)
+    secret_dependent = np.array([word.weight > 0 for word in words], dtype=bool)
+    residuals = int(np.count_nonzero(secret_dependent[index]))
 
     max_td = 0.0
     view_qubits = view.num_qubits
@@ -309,8 +314,8 @@ def _data_row_patterns(
     The pattern of a term is its restriction to the secret rows, written row
     by row.
     """
-    words = _secret_rows(view, layout.s, len(columns))
-    return tuple(sorted({w.letters() for w in words}))
+    words, _ = _secret_rows(view, layout.s, len(columns))
+    return tuple(sorted(w.letters() for w in words))
 
 
 def parity_regime_check(

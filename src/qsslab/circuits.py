@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .errors import UnsupportedGateError, UsageError
 from .paulis import PauliString
@@ -135,18 +135,6 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def gates_to_lines(gates: Iterable[Gate]) -> str:
-    lines = []
-    for g in gates:
-        obj: dict = {"g": g.kind, "q": list(g.qubits)}
-        if g.classical_bit is not None:
-            obj["c"] = g.classical_bit
-        if g.condition is not None:
-            obj["cond"] = g.condition
-        lines.append(json.dumps(obj))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def gates_from_lines(text: str) -> list[Gate]:

@@ -16,9 +16,9 @@ stored maximally mixed — their outcomes live in the classical transcript,
 so the pair (state, transcript) loses nothing; this keeps term counts flat
 instead of letting each consumed triple multiply them by 2^(3(n+1)).
 Cliffords reach the engine in batches, since each
-conjugate_circuit call pays one unpack and one pack of the term keys:
-consecutive script Cliffords, and a gadget's gates between two
-measurements, run as one call per state.
+conjugate_circuit call pays one transpose of the term words into bit
+planes and one back: consecutive script Cliffords, and a gadget's gates
+between two measurements, run as one call per state.
 
 Exact evaluation enumerates all 2^(3(n+1)) bit histories of each gadget but
 merges the states they reach: histories that leave equal operators (same
@@ -326,22 +326,16 @@ def deal(params: SchemeParams, secret: object) -> SharedState:
 
     # secret block: each term's letter sits on the dealer's column of its
     # row, every other data qubit starts as I/2
-    fresh = 2.0 ** -(params.s * (m - 1))
-    entries = []
-    for ps, c in op.items():
-        spread = "".join(letter + "I" * (m - 1) for letter in ps.letters())
-        entries.append((PauliString.from_letters(spread), c * fresh))
-    block = PauliOperator.from_terms(params.s * m, entries)
+    def on_dealer_column(rows: PauliOperator) -> PauliOperator:
+        width = rows.num_qubits * m
+        fresh = 2.0 ** -(rows.num_qubits * (m - 1))
+        return rows.scaled(fresh).embedded(width, range(0, width, m))
+
+    block = on_dealer_column(op)
 
     # ancilla triples: one magic state per triple on the dealer's column
     if params.t:
-        magic = magic_state_operator()
-        fresh3 = 2.0 ** -(3 * (m - 1))
-        triple_entries = []
-        for ps, c in magic.items():
-            spread = "".join(letter + "I" * (m - 1) for letter in ps.letters())
-            triple_entries.append((PauliString.from_letters(spread), c * fresh3))
-        triple_block = PauliOperator.from_terms(3 * m, triple_entries)
+        triple_block = on_dealer_column(magic_state_operator())
         for _ in range(params.t // 3):
             block = block.tensor(triple_block)
 
@@ -644,7 +638,7 @@ def announce_distribution(
     runs.append(("secret", transcript))
     for label, other in family:
         other_op = _as_secret_operator(other, params.s)
-        if other_op.terms == primary.terms:
+        if other_op == primary:
             continue
         _, tr = evaluate(deal(params, other_op), script)
         runs.append((label, tr))

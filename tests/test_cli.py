@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from qsslab import cli
 from qsslab.cli import main
+from qsslab.paulis import PauliOperator, PauliString
 
 TOP_LEVEL_KEYS = [
     "tool",
@@ -54,6 +56,32 @@ def test_verify_ladder_symbolic_only_above_dense_cap(tmp_path):
     assert code == 0
     names = [c["name"] for c in payload["checks"]]
     assert names == ["ladder-symbolic-m14", "ladder-symbolic-m15"]
+
+
+def test_verify_ladder_looks_up_each_image_by_its_word(tmp_path, monkeypatch):
+    # regrouped storage (the image's rows reversed) cannot change the verdict,
+    # and a wrong phase on one expected image is exactly one mismatch
+    conjugate = PauliOperator.conjugate_circuit
+
+    def reversed_rows(op, gates):
+        image = conjugate(op, gates)
+        return PauliOperator(image.num_qubits, image.x[::-1], image.z[::-1], image.coeffs[::-1])
+
+    monkeypatch.setattr(PauliOperator, "conjugate_circuit", reversed_rows)
+    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "9..10")
+    assert code == 0
+    assert _check(payload, "ladder-symbolic-m9")["measured"] == 0
+
+    expected = cli.expected_ladder_pauli
+
+    def negated_y(m, sigma):
+        ps = expected(m, sigma)
+        return PauliString(ps.num_qubits, ps.x, ps.z, ps.phase + 2) if sigma == "Y" else ps
+
+    monkeypatch.setattr(cli, "expected_ladder_pauli", negated_y)
+    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "9..10")
+    assert code == 1
+    assert _check(payload, "ladder-symbolic-m10")["measured"] == 1
 
 
 @pytest.mark.parametrize("bad", ["5..2", "0..4", "2", "a..b"])

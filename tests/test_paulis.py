@@ -1,26 +1,44 @@
 """Symbolic Pauli algebra against dense-matrix oracles."""
 
-from collections.abc import Mapping
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qsslab.circuits import Gate
 from qsslab.dense import embedded_unitary, random_density_matrix
 from qsslab.errors import ProtocolError, ResourceError, UsageError
 from qsslab.paulis import (
+    PRUNE_TOL,
     SINGLE_QUBIT_CLIFFORDS,
     TWO_QUBIT_CLIFFORDS,
     PauliOperator,
     PauliString,
+    _toffoli_table,
 )
 
 
 def _random_operator(num_qubits, seed):
     rng = np.random.default_rng(seed)
     return PauliOperator.from_dense(random_density_matrix(num_qubits, rng).entries)
+
+
+def _words(masks, width):
+    return np.array(
+        [[(m >> (64 * w)) & (2**64 - 1) for w in range(width)] for m in masks], dtype=np.uint64
+    ).reshape(-1, width)
+
+
+def _operator(num_qubits, terms):
+    """The operator with exactly these {(x, z): coeff} terms, in this order,
+    nothing merged or pruned."""
+    width = max(1, -(-num_qubits // 64))
+    return PauliOperator(
+        num_qubits,
+        _words([x for x, _ in terms], width),
+        _words([z for _, z in terms], width),
+        np.array(list(terms.values()), dtype=complex),
+    )
 
 
 def _word(length):
@@ -162,6 +180,32 @@ def test_dense_round_trip():
     assert np.allclose(PauliOperator.from_dense(rho).to_dense(), rho)
 
 
+def test_embedded_places_each_qubit_at_its_position():
+    op = PauliOperator.from_terms(
+        2, [(PauliString.from_letters("XZ"), 0.5), (PauliString.from_letters("YI"), 0.25)]
+    )
+
+    def spread(letters):
+        word = ["I"] * 70
+        word[66], word[3] = letters
+        return PauliString.from_letters("".join(word))
+
+    want = PauliOperator.from_terms(70, [(spread("XZ"), 0.5), (spread("YI"), 0.25)])
+    assert op.embedded(70, [66, 3]) == want
+    with pytest.raises(UsageError):
+        op.embedded(70, [3, 3])
+    with pytest.raises(UsageError):
+        op.embedded(70, [3, 70])
+
+
+def test_restricted_words_follow_the_given_qubit_order():
+    words = ("XYZI", "XIZZ", "IYZX", "XYZY")
+    op = PauliOperator.from_terms(4, [(PauliString.from_letters(w), 1.0) for w in words])
+    restricted, index = op.restricted_words([2, 0, 1])
+    assert [w.letters() for w in restricted] == ["ZXY", "ZXI", "ZIY"]
+    assert index.tolist() == [0, 1, 2, 0]
+
+
 def test_from_dense_rejects_bad_shapes():
     with pytest.raises(UsageError):
         PauliOperator.from_dense(np.eye(3))
@@ -292,7 +336,7 @@ def _reference_conjugate(op, gate):
     for (x, z), c in op.terms.items():
         nx, nz, flip = rule(x, z, gate.qubits)
         terms[(nx, nz)] = -c if flip else c
-    return PauliOperator(op.num_qubits, terms)
+    return _operator(op.num_qubits, terms)
 
 
 def _reference_circuit(op, gates):
@@ -318,7 +362,7 @@ def _random_sparse_operator(num_qubits, num_terms, seed):
             continue
         re, im = rng.normal(size=2)
         terms[key] = float(re) if rng.random() < 0.2 else complex(re, im)
-    return PauliOperator(num_qubits, terms)
+    return _operator(num_qubits, terms)
 
 
 def _random_gates(num_qubits, count, rng, kinds=tuple(REFERENCE_RULES)):
@@ -385,16 +429,19 @@ def test_empty_operator_and_empty_gate_list_come_back_unchanged():
     _assert_identical(empty.conjugate_clifford(Gate("CZ", (2, 5))), empty)
 
 
-class _Untouchable(Mapping):
-    """Terms that fail the test if the kernel reads them."""
+class _Untouchable:
+    """Word or coefficient storage that fails the test if the kernel reads it."""
+
+    def __getattr__(self, name):
+        raise AssertionError("terms read before validation")
 
     def __getitem__(self, key):
         raise AssertionError("terms read before validation")
 
-    def __iter__(self):
+    def __len__(self):
         raise AssertionError("terms read before validation")
 
-    def __len__(self):
+    def __array__(self, *args, **kwargs):
         raise AssertionError("terms read before validation")
 
 
@@ -408,7 +455,7 @@ class _Untouchable(Mapping):
     ],
 )
 def test_bad_gate_raises_before_any_work(bad, match):
-    op = PauliOperator(4, _Untouchable())
+    op = PauliOperator(4, _Untouchable(), _Untouchable(), _Untouchable())
     with pytest.raises(UsageError, match=match):
         op.conjugate_circuit([Gate("H", (0,)), Gate("CZ", (1, 2)), bad])
     with pytest.raises(UsageError, match=match):
@@ -568,7 +615,7 @@ def test_project_z_matches_dense_projector():
 
 
 def test_project_z_rejects_complex_probability():
-    skew = PauliOperator(1, {(0, 0): 0.5 + 0.5j, (0, 1): 0.5})
+    skew = _operator(1, {(0, 0): 0.5 + 0.5j, (0, 1): 0.5})
     with pytest.raises(ProtocolError, match="not real"):
         skew.project_z(0, 0)
 
@@ -585,7 +632,7 @@ def test_measure_z_equals_project_scale_reset(num_qubits):
     op = _random_sparse_operator(num_qubits, 120, seed=num_qubits)
     terms = {k: 0.1 * 2.0**-num_qubits * complex(c).real for k, c in op.terms.items()}
     terms[(0, 0)] = 2.0**-num_qubits
-    op = PauliOperator(num_qubits, terms)
+    op = _operator(num_qubits, terms)
     for qubit in sorted({0, num_qubits // 2, num_qubits - 1}):
         for outcome, (p, state) in enumerate(op.measure_z(qubit)):
             want_p, want = _measured_by_composition(op, qubit, outcome)
@@ -610,23 +657,23 @@ def test_measure_z_matches_dense_projector():
 
 
 def test_measure_z_of_a_basis_state_has_no_second_state():
-    zero = PauliOperator(1, {(0, 0): 0.5, (0, 1): 0.5})
+    zero = _operator(1, {(0, 0): 0.5, (0, 1): 0.5})
     (p0, post0), (p1, post1) = zero.measure_z(0)
-    assert p0 == 1.0 and post0.terms == {(0, 0): 0.5}
+    assert p0 == 1.0 and post0 == PauliOperator.maximally_mixed(1)
     assert p1 == 0.0 and post1 is None
 
 
 def test_measure_z_prunes_a_tiny_identity_like_project_z():
     # the identity term falls under PRUNE_TOL relative to the X term, so
     # both paths read probability 0 for both outcomes
-    op = PauliOperator(2, {(0, 0): 1e-14, (0b10, 0): 1.0})
+    op = _operator(2, {(0, 0): 1e-14, (0b10, 0): 1.0})
     for outcome, (p, state) in enumerate(op.measure_z(0)):
         assert p == op.project_z(0, outcome)[0] == 0.0
         assert state is None
 
 
 def test_measure_z_rejects_complex_probability_and_bad_qubit():
-    skew = PauliOperator(1, {(0, 0): 0.5 + 0.5j, (0, 1): 0.5})
+    skew = _operator(1, {(0, 0): 0.5 + 0.5j, (0, 1): 0.5})
     with pytest.raises(ProtocolError, match="not real"):
         skew.measure_z(0)
     with pytest.raises(UsageError):
@@ -642,11 +689,225 @@ def test_trace_distance_of_sparse_operators():
 
 
 def test_approx_equal_is_relative_and_checks_words():
-    base = PauliOperator(2, {(0, 0): 0.25, (1, 0): 0.125})
+    base = _operator(2, {(0, 0): 0.25, (1, 0): 0.125})
     assert base.approx_equal(base.scaled(1 + 1e-13))
     assert not base.approx_equal(base.scaled(1 + 1e-11))
     # relative to the largest coefficient, so a tiny global scale still merges
     tiny = base.scaled(2.0**-60)
     assert tiny.approx_equal(tiny.scaled(1 + 1e-13))
-    assert not base.approx_equal(PauliOperator(2, {(0, 0): 0.25, (0, 1): 0.125}))
+    assert not base.approx_equal(_operator(2, {(0, 0): 0.25, (0, 1): 0.125}))
 
+
+
+# ---------------------------------------------------------------------------
+# array engine vs the dict engine it replaced
+# ---------------------------------------------------------------------------
+
+# The former dict bodies of _pruned, add, tensor, conjugate_toffoli,
+# partial_trace and measure_z, on {(x, z): coeff} maps. They accumulate term
+# by term, and are the reference the array operations must match.
+
+
+def _ref_pruned(terms):
+    if not terms:
+        return terms
+    biggest = max(abs(c) for c in terms.values())
+    if biggest == 0.0:
+        return {}
+    tol = PRUNE_TOL * biggest
+    return {k: c for k, c in terms.items() if abs(c) >= tol}
+
+
+def _ref_add(a, b):
+    terms = dict(a)
+    for k, c in b.items():
+        terms[k] = terms.get(k, 0j) + c
+    return _ref_pruned(terms)
+
+
+def _ref_tensor(shift, a, b):
+    terms = {}
+    for (xa, za), ca in a.items():
+        for (xb, zb), cb in b.items():
+            k = (xa | (xb << shift), za | (zb << shift))
+            terms[k] = terms.get(k, 0j) + ca * cb
+    return _ref_pruned(terms)
+
+
+def _ref_toffoli(terms_in, qubits):
+    counts, starts, bits, weights = _toffoli_table()
+    clear_x = clear_z = sum(1 << q for q in qubits)
+    terms = {}
+    for (x, z), c in terms_in.items():
+        code = 0
+        for q in qubits:
+            code = 4 * code + _bit(x, q) + 2 * _bit(z, q)
+        for e in range(starts[code], starts[code] + counts[code]):
+            nx, nz = x & ~clear_x, z & ~clear_z
+            for j, q in enumerate(qubits):
+                nx |= int(bits[e, 2 * j]) << q
+                nz |= int(bits[e, 2 * j + 1]) << q
+            terms[(nx, nz)] = terms.get((nx, nz), 0j) + c * complex(weights[e])
+    return _ref_pruned(terms)
+
+
+def _ref_partial_trace(num_qubits, terms_in, traced):
+    traced_set = set(traced)
+    kept = [q for q in range(num_qubits) if q not in traced_set]
+    kill = sum(1 << q for q in traced_set)
+    factor = 2.0 ** len(traced_set)
+    terms = {}
+    for (x, z), c in terms_in.items():
+        if (x | z) & kill:
+            continue
+        nx = nz = 0
+        for i, q in enumerate(kept):
+            nx |= _bit(x, q) << i
+            nz |= _bit(z, q) << i
+        terms[(nx, nz)] = terms.get((nx, nz), 0j) + c * factor
+    return _ref_pruned(terms)
+
+
+def _ref_measure_z(num_qubits, terms_in, qubit):
+    zbit = 1 << qubit
+    acc0, acc1 = {}, {}
+    for key, c in terms_in.items():
+        x, z = key
+        if x & zbit:
+            continue
+        if z & zbit:
+            k = (x, z ^ zbit)
+            c0, c1 = 1.0 * c / 2, -1.0 * c / 2
+        else:
+            k = key
+            c0 = c1 = c / 2
+        acc0[k] = acc0.get(k, 0j) + c0
+        acc1[k] = acc1.get(k, 0j) + c1
+    out = []
+    for acc in (acc0, acc1):
+        biggest = max(map(abs, acc.values()), default=0.0)
+        if biggest == 0.0:
+            out.append((0.0, None))
+            continue
+        tol = PRUNE_TOL * biggest
+        ident = acc.get((0, 0), 0j)
+        p = ((ident if abs(ident) >= tol else 0j) * 2**num_qubits).real
+        if p <= 0.0:
+            out.append((p, None))
+            continue
+        out.append((p, {k: c * (1 / p) for k, c in acc.items() if abs(c) >= tol}))
+    return out
+
+
+def _assert_matches(op, num_qubits, want, rel=0.0):
+    """The word set of ``want``; coefficients equal, or within ``rel`` of the
+    largest |coeff|."""
+    assert op.num_qubits == num_qubits
+    got = dict(op.terms)
+    assert got.keys() == want.keys()
+    tol = rel * max((abs(c) for c in want.values()), default=0.0)
+    for k, c in want.items():
+        assert got[k] == c if rel == 0.0 else abs(got[k] - c) <= tol, k
+
+
+ENGINE_WIDTHS = [1, 7, 63, 64, 65, 101]
+
+
+def _edges(num_qubits):
+    """The first and last qubit and the qubits on either side of a word boundary."""
+    return sorted({min(q, num_qubits - 1) for q in (0, 63, 64, num_qubits - 1)})
+
+
+def _hermitian_sparse(num_qubits, num_terms, seed):
+    """Real coefficients, small beside the identity, so Z outcomes have real
+    probabilities near 1/2."""
+    op = _random_sparse_operator(num_qubits, num_terms, seed)
+    terms = {k: 0.1 * complex(c).real for k, c in op.terms.items()}
+    terms[(0, 0)] = 1.0
+    return _operator(num_qubits, terms)
+
+
+@pytest.mark.parametrize("num_qubits", ENGINE_WIDTHS)
+def test_measure_z_matches_dict_engine(num_qubits):
+    op = _hermitian_sparse(num_qubits, 300, seed=num_qubits)
+    for qubit in _edges(num_qubits):
+        want = _ref_measure_z(num_qubits, op.terms, qubit)
+        for (p, state), (want_p, want_terms) in zip(op.measure_z(qubit), want):
+            assert p == want_p
+            assert (state is None) == (want_terms is None)
+            if state is not None:
+                _assert_matches(state, num_qubits, want_terms)
+
+
+@pytest.mark.parametrize("num_qubits", [n for n in ENGINE_WIDTHS if n >= 3])
+def test_conjugate_toffoli_matches_dict_engine(num_qubits):
+    # dense enough that the images of different terms land on common words
+    op = _random_sparse_operator(num_qubits, 400, seed=300 + num_qubits)
+    edges = _edges(num_qubits)
+    middle = num_qubits // 2
+    placements = {(0, num_qubits - 1, middle), (num_qubits - 1, middle, 0)}
+    placements |= {(a, b, 1 if 1 not in (a, b) else 2) for a in edges for b in edges if a != b}
+    for qubits in sorted(placements):
+        _assert_matches(
+            op.conjugate_toffoli(qubits), num_qubits, _ref_toffoli(op.terms, qubits), rel=1e-15
+        )
+    # a small register, where many of the 8 candidates per term collide
+    small = _random_sparse_operator(3, 64, seed=301)
+    want = _ref_toffoli(small.terms, (2, 0, 1))
+    _assert_matches(small.conjugate_toffoli((2, 0, 1)), 3, want, rel=1e-15)
+
+
+@pytest.mark.parametrize("num_qubits", ENGINE_WIDTHS)
+def test_partial_trace_matches_dict_engine(num_qubits):
+    # low-weight words, so that some survive tracing out several qubits
+    rng = np.random.default_rng(400 + num_qubits)
+    terms = {(0, 0): 1.0}
+    for _ in range(200):
+        qs = rng.choice(num_qubits, size=min(3, num_qubits), replace=False)
+        x = sum(int(rng.integers(2)) << int(q) for q in qs)
+        z = sum(int(rng.integers(2)) << int(q) for q in qs)
+        terms[(x, z)] = complex(*rng.normal(size=2))
+    op = _operator(num_qubits, terms)
+    edges = _edges(num_qubits)
+    choices = [[q] for q in edges] + [edges, list(range(0, num_qubits, 2))]
+    if num_qubits > 1:
+        choices.append(list(range(1, num_qubits)))
+    for traced in choices:
+        kept = num_qubits - len(set(traced))
+        _assert_matches(
+            op.partial_trace(traced), kept, _ref_partial_trace(num_qubits, op.terms, traced)
+        )
+
+
+@pytest.mark.parametrize("sizes", [(1, 7), (7, 63), (63, 1), (64, 1), (1, 64), (37, 64), (1, 100)])
+def test_tensor_matches_dict_engine(sizes):
+    na, nb = sizes
+    a = _random_sparse_operator(na, 30, seed=500 + na)
+    b = _random_sparse_operator(nb, 30, seed=600 + nb)
+    _assert_matches(a.tensor(b), na + nb, _ref_tensor(na, a.terms, b.terms))
+
+
+@pytest.mark.parametrize("num_qubits", ENGINE_WIDTHS)
+def test_add_and_pruned_match_dict_engine(num_qubits):
+    a = _random_sparse_operator(num_qubits, 100, seed=700 + num_qubits)
+    extra = _random_sparse_operator(num_qubits, 100, seed=800 + num_qubits)
+    # b shares half of a's words, cancelling some of them exactly
+    shared = {
+        k: (-c if i % 3 == 0 else 0.5 * c)
+        for i, (k, c) in enumerate(a.terms.items())
+        if i % 2 == 0
+    }
+    b = _operator(num_qubits, {**dict(extra.terms), **shared})
+    _assert_matches(a.add(b), num_qubits, _ref_add(a.terms, b.terms))
+    _assert_matches(b.add(a), num_qubits, _ref_add(b.terms, a.terms))
+    # coefficients around the relative cutoff
+    biggest = max(abs(c) for c in a.terms.values())
+    tiny = {
+        k: c * (PRUNE_TOL * biggest / abs(c)) * (0.5 if i % 8 == 5 else 1.0)
+        for i, (k, c) in enumerate(a.terms.items())
+        if i % 4 == 1
+    }
+    edge = _operator(num_qubits, {**dict(a.terms), **tiny})
+    _assert_matches(edge._pruned(), num_qubits, _ref_pruned(dict(edge.terms)))
+    want = _ref_pruned({k: c * -3.0 for k, c in edge.terms.items()})
+    _assert_matches(edge.scaled(-3.0), num_qubits, want)

@@ -17,7 +17,6 @@ from qsslab.protocol import (
     PROBABILITY_CUTOFF,
     EvaluationScript,
     SchemeParams,
-    Transcript,
     _Group,
     _run_gadget,
     announce_distribution,
@@ -255,7 +254,7 @@ def test_empty_script_is_identity():
     shared = deal(params, _basis_secret(2, 1))
     branches, transcript = evaluate(shared, EvaluationScript(2, ()))
     assert len(branches) == 1
-    assert branches[0].state.terms == shared.state.terms
+    assert branches[0].state == shared.state
     assert transcript.bit_origins == ()
     assert transcript.total_probability() == pytest.approx(1.0)
 
@@ -374,7 +373,7 @@ def test_sampled_mode_is_reproducible():
     second, tr2 = evaluate(shared, script, mode="sampled", seed=123)
     assert len(first) == len(second) == 1
     assert tr1.branches == tr2.branches
-    assert first[0].state.terms == second[0].state.terms
+    assert first[0].state == second[0].state
     assert first[0].branch_probability == pytest.approx(1 / 512)
     # the draws this seed has always made: merging must not change how the
     # generator is consumed
