@@ -40,6 +40,11 @@ from .protocol import (
 
 AUDIT_TOLERANCE = 1e-10
 
+FULL_COALITION_REFUSAL = (
+    "a full coalition holds every share and trivially reconstructs; "
+    "independence is only meaningful with at least one honest party"
+)
+
 # per-qubit factor (I + 0.30 X + 0.24 Y + 0.18 Z)/2 of the generic audit
 # secret: positive (Bloch norm < 1), trace 1, and every product word in the
 # s-qubit expansion gets a nonzero coefficient
@@ -146,6 +151,18 @@ def adversary_view(shared: SharedState, coalition: Coalition) -> PauliOperator:
     return shared.state.partial_trace(traced)
 
 
+def _generic_view(
+    params: SchemeParams, coalition: Coalition, dealt: SharedState | None
+) -> PauliOperator:
+    """The coalition's view of the generic secret as dealt under ``params``;
+    ``dealt`` is that deal, made here when the caller has none to share."""
+    if dealt is None:
+        dealt = deal(params, generic_secret(params.s))
+    elif dealt.layout != params.layout():
+        raise UsageError("the dealt state does not match the scheme parameters")
+    return adversary_view(dealt, coalition)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -196,6 +213,7 @@ def secret_independence_check(
     params: SchemeParams,
     coalition: Coalition,
     tolerance: float = AUDIT_TOLERANCE,
+    dealt: SharedState | None = None,
 ) -> AuditReport:
     """Deal a full-support generic secret and count the terms of the
     coalition's view with a non-identity letter on a secret row; zero means
@@ -205,13 +223,12 @@ def secret_independence_check(
     security argument does not cover (dealer absent, or no honest
     participant left) are still measured, with a note instead of an
     expectation. Small views get a dense cross-check: the trace distance
-    between views of two concrete secrets.
+    between views of two concrete secrets. ``dealt`` is the generic
+    secret's deal, ``deal(params, generic_secret(params.s))``, for callers
+    that audit several coalitions of one scheme; it is dealt here if omitted.
     """
     if coalition.is_full:
-        raise UsageError(
-            "a full coalition holds every share and trivially reconstructs; "
-            "independence is only meaningful with at least one honest party"
-        )
+        raise UsageError(FULL_COALITION_REFUSAL)
     notes = []
     if not coalition.covered_by_security_argument:
         notes.append(
@@ -219,8 +236,7 @@ def secret_independence_check(
             "residuals are reported descriptively, without a pass/fail claim "
             "from the security argument"
         )
-    shared = deal(params, generic_secret(params.s))
-    view = adversary_view(shared, coalition)
+    view = _generic_view(params, coalition, dealt)
     width = len(coalition.columns())
     words, index = _secret_rows(view, params.s, width)
     secret_dependent = np.array([word.weight > 0 for word in words], dtype=bool)
@@ -319,7 +335,7 @@ def _data_row_patterns(
 
 
 def parity_regime_check(
-    params: SchemeParams, coalition: Coalition
+    params: SchemeParams, coalition: Coalition, dealt: SharedState | None = None
 ) -> ParityRegimeReport:
     """Compare the view's surviving secret-row structure to the closed form.
 
@@ -329,12 +345,12 @@ def parity_regime_check(
     non-identity row letter puts a non-identity letter on the honest
     participant's column. The even-case shape bound (identity off the
     dealer's column, {I, Z} on it) is asserted on every survivor. Uncovered
-    coalitions get their patterns listed with no expectation.
+    coalitions get their patterns listed with no expectation. ``dealt`` is
+    as in secret_independence_check.
     """
     if coalition.is_full:
         raise UsageError("parity regimes concern proper coalitions only")
-    shared = deal(params, generic_secret(params.s))
-    view = adversary_view(shared, coalition)
+    view = _generic_view(params, coalition, dealt)
     layout = params.layout()
     columns = coalition.columns()
     patterns = _data_row_patterns(view, layout, columns)

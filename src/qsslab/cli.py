@@ -23,9 +23,11 @@ import numpy as np
 from . import __version__
 from .audit import (
     AUDIT_TOLERANCE,
+    FULL_COALITION_REFUSAL,
     Coalition,
     covered_coalitions,
     distinguishability,
+    generic_secret,
     parity_regime_check,
     secret_independence_check,
 )
@@ -251,6 +253,18 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
 _FANOUT_IMAGES = {"X": lambda m: "X" * m, "Y": lambda m: "Y" + "X" * (m - 1), "Z": lambda m: "Z" + "I" * (m - 1)}
 
 
+def _conjugation_error(u: np.ndarray, sigma: str, image: PauliString) -> float:
+    """max|U P U^dag - image| for P = sigma (x) I^(m-1), both Paulis kept as
+    signed permutations: U P gathers and signs U's columns, and the image
+    is subtracted at its own entries only."""
+    p = PauliString.from_letters(sigma + "I" * (image.num_qubits - 1))
+    rows, _, vals = p._signed_permutation()
+    diff = (u[:, rows] * vals) @ u.conj().T
+    rows, cols, vals = image._signed_permutation()
+    diff[rows, cols] -= vals
+    return float(np.max(np.abs(diff)))
+
+
 def cmd_verify_ladder(options: dict) -> Report:
     lo, hi = _parse_m_range(options.get("m_range", "2..16"))
     tol = options.get("tolerance", 1e-12)
@@ -273,19 +287,14 @@ def cmd_verify_ladder(options: dict) -> Report:
 
     for m in range(lo, dense_hi + 1):
         U = build_unitary(ladder_circuit(m))
-        worst = 0.0
-        for sigma in "IXYZ":
-            lhs = U @ PauliString.from_letters(sigma + "I" * (m - 1)).to_matrix() @ U.conj().T
-            rhs = expected_ladder_pauli(m, sigma).to_matrix()
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = max(_conjugation_error(U, sigma, expected_ladder_pauli(m, sigma)) for sigma in "IXYZ")
         report.add(f"ladder-dense-m{m}", worst, tol)
 
         A = build_unitary(ladder_fanout_circuit(m))
-        worst = 0.0
-        for sigma, image in _FANOUT_IMAGES.items():
-            lhs = A @ PauliString.from_letters(sigma + "I" * (m - 1)).to_matrix() @ A.conj().T
-            rhs = PauliString.from_letters(image(m)).to_matrix()
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = max(
+            _conjugation_error(A, sigma, PauliString.from_letters(image(m)))
+            for sigma, image in _FANOUT_IMAGES.items()
+        )
         report.add(f"fanout-lemma-m{m}", worst, tol)
 
     report.notes.extend(LADDER_NOTES)
@@ -405,9 +414,13 @@ def cmd_audit(options: dict) -> Report:
     else:
         coalitions = covered_coalitions(params.n)
 
+    if coalitions[0].is_full:  # refused before the deal
+        raise UsageError(FULL_COALITION_REFUSAL)
+    # the dealt state does not depend on the coalition: deal it once
+    dealt = deal(params, generic_secret(params.s))
     audit_dicts = []
     for coalition in coalitions:
-        audit = secret_independence_check(params, coalition, tolerance=tol)
+        audit = secret_independence_check(params, coalition, tolerance=tol, dealt=dealt)
         audit_dicts.append(audit.as_dict())
         covered = coalition.covered_by_security_argument
         report.add(
@@ -417,7 +430,7 @@ def cmd_audit(options: dict) -> Report:
             passed=(audit.verdict == "pass") if covered else None,
             detail={"max_trace_distance": audit.max_trace_distance},
         )
-        regime = parity_regime_check(params, coalition)
+        regime = parity_regime_check(params, coalition, dealt=dealt)
         report.add(
             f"parity-regime-{coalition.label()}",
             len(regime.surviving_patterns),

@@ -1,9 +1,11 @@
 """Exact small-scale simulator: the brute-force oracle for everything else.
 
-State vectors and density matrices up to a 12-qubit cap, gate application via
-tensor reshaping, unitary assembly for circuits, partial trace, trace
-distance, and exhaustive Z-measurement branching. Qubit 0 is the leftmost
-tensor factor / most significant index bit.
+State vectors and density matrices up to a 12-qubit cap, partial trace,
+trace distance, and exhaustive Z-measurement branching. One tensor-reshape
+kernel applies every gate: to a state vector, to both sides of a density
+matrix, and to the row axes of a circuit's running unitary, so a gate never
+becomes a full 2^n x 2^n matrix. Qubit 0 is the leftmost tensor factor /
+most significant index bit.
 """
 
 from __future__ import annotations
@@ -138,42 +140,22 @@ def apply_gate(state: StateVector | DensityMatrix, gate: "Gate | tuple[str, tupl
     return DensityMatrix(n, rho.reshape(2**n, 2**n))
 
 
-def embedded_unitary(num_qubits: int, kind: str, qubits: tuple[int, ...]) -> np.ndarray:
-    """The 2^n x 2^n matrix of a gate acting on the given qubits."""
-    _check_cap(num_qubits, "embedded_unitary")
-    mat = GATE_MATRICES[kind]
-    dim = 2**num_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    k = len(qubits)
-    for col in range(dim):
-        bits = [(col >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
-        sub = 0
-        for q in qubits:
-            sub = (sub << 1) | bits[q]
-        for sub_out in range(2**k):
-            amp = mat[sub_out, sub]
-            if amp == 0:
-                continue
-            nb = bits[:]
-            for j, q in enumerate(qubits):
-                nb[q] = (sub_out >> (k - 1 - j)) & 1
-            row = 0
-            for b in nb:
-                row = (row << 1) | b
-            out[row, col] += amp
-    return out
-
-
 def build_unitary(circuit: "Circuit") -> np.ndarray:
-    """Ordered product of the circuit's gate matrices, first gate rightmost."""
+    """Ordered product of the circuit's gate matrices, first gate rightmost.
+
+    Each gate acts on the running matrix as on a 2n-axis tensor whose first
+    n axes are the row index, so U <- G U costs O(4^n) per gate and no gate
+    is embedded into a full 2^n x 2^n matrix.
+    """
     _check_cap(circuit.num_qubits, "build_unitary")
-    dim = 2**circuit.num_qubits
-    u = np.eye(dim, dtype=complex)
+    n = circuit.num_qubits
+    dim = 2**n
+    u = np.eye(dim, dtype=complex).reshape(-1)
     for gate in circuit.gates:
         if gate.kind == "MEASURE_Z" or gate.condition is not None:
             raise UsageError("build_unitary requires a measurement-free circuit")
-        u = embedded_unitary(circuit.num_qubits, gate.kind, gate.qubits) @ u
-    return u
+        u = _apply_unitary_vec(u, 2 * n, GATE_MATRICES[gate.kind], gate.qubits)
+    return u.reshape(dim, dim)
 
 
 def partial_trace_dense(rho: DensityMatrix | np.ndarray, traced: Iterable[int]) -> np.ndarray:
@@ -222,24 +204,14 @@ def measure_z(state: StateVector | DensityMatrix, qubit: int):
             post = np.moveaxis(part, 0, qubit).reshape(-1) / np.sqrt(p)
             branches.append((b, p, StateVector(n, post)))
     else:
+        bit = (np.arange(2**n) >> (n - 1 - qubit)) & 1
         for b in (0, 1):
-            proj = np.diag([1 - b, b]).astype(complex)
-            pm = _embed_diag(n, qubit, proj)
-            post = pm @ state.entries @ pm
+            post = state.entries * np.outer(bit == b, bit == b)
             p = float(np.trace(post).real)
             if p < 1e-14:
                 continue
             branches.append((b, p, DensityMatrix(n, post / p)))
     return branches
-
-
-def _embed_diag(num_qubits: int, qubit: int, mat2: np.ndarray) -> np.ndarray:
-    ops = [np.eye(2, dtype=complex)] * num_qubits
-    ops[qubit] = mat2
-    out = np.eye(1, dtype=complex)
-    for o in ops:
-        out = np.kron(out, o)
-    return out
 
 
 def run_circuit(circuit: "Circuit", initial: StateVector) -> list[tuple[tuple[int, ...], float, StateVector]]:

@@ -50,7 +50,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
     from .circuits import Gate
 
-from .dense import DENSE_CAP
+from .dense import DENSE_CAP, GATE_MATRICES
 from .errors import ProtocolError, ResourceError, UsageError
 
 LETTERS = ("I", "X", "Y", "Z")
@@ -71,14 +71,8 @@ PRUNE_TOL = 1e-12
 #: of their biggest |coeff|
 EQUAL_TOL = 1e-12
 
-_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-# stacked basis for tensor-network style to/from_dense: _BASIS[l, a, b]
-_BASIS = np.stack([_MATS[l] for l in LETTERS])
+# stacked letter matrices for tensor-network style to/from_dense: _BASIS[l, a, b]
+_BASIS = np.stack([GATE_MATRICES[l] for l in LETTERS])
 
 # index into LETTERS of the letter with bits (x, z), looked up at x + 2 z
 _LETTER_INDEX = np.array([0, 1, 3, 2])
@@ -123,13 +117,6 @@ class PauliString:
             x |= xb << q
             z |= zb << q
         return PauliString(len(letters), x, z, phase)
-
-    @staticmethod
-    def single(num_qubits: int, qubit: int, letter: str, phase: int = 0) -> PauliString:
-        if not 0 <= qubit < num_qubits:
-            raise UsageError(f"qubit {qubit} out of range for {num_qubits}")
-        xb, zb = _BITS_OF[letter]
-        return PauliString(num_qubits, xb << qubit, zb << qubit, phase)
 
     def letter(self, q: int) -> str:
         return _LETTER_OF[(_bit(self.x, q), _bit(self.z, q))]
@@ -180,12 +167,32 @@ class PauliString:
     def phase_factor(self) -> complex:
         return 1j ** (self.phase % 4)
 
-    def to_matrix(self) -> np.ndarray:
+    def _signed_permutation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix's nonzero entries as (rows, cols, vals), one per column.
+
+        With Y = i X Z the string is i^(phase + |x & z|) X^x Z^z, so column c
+        (qubit 0 the most significant index bit) has its one entry in row
+        c ^ x, equal to i^(phase + |x & z|) (-1)^|z & c|.
+        """
         if self.num_qubits > DENSE_CAP:
             raise ResourceError(f"dense cap {DENSE_CAP} exceeded")
-        mats = [_MATS[self.letter(q)] for q in range(self.num_qubits)]
-        out = reduce(np.kron, mats, np.eye(1, dtype=complex))
-        return self.phase_factor() * out
+        n = self.num_qubits
+        cols = np.arange(2**n)
+        flip = 0
+        parity = np.zeros(2**n, dtype=np.intp)
+        for q in range(n):
+            bit = n - 1 - q
+            flip |= _bit(self.x, q) << bit
+            if _bit(self.z, q):
+                parity ^= (cols >> bit) & 1
+        unit = (1, 1j, -1, -1j)[(self.phase + (self.x & self.z).bit_count()) % 4]
+        return cols ^ flip, cols, unit * (1 - 2 * parity).astype(complex)
+
+    def to_matrix(self) -> np.ndarray:
+        rows, cols, vals = self._signed_permutation()
+        out = np.zeros((cols.size, cols.size), dtype=complex)
+        out[rows, cols] = vals
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sign = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.phase % 4]
@@ -403,15 +410,6 @@ class PauliOperator:
         return PauliOperator._merged(
             num_qubits, _words_of(xs, width), _words_of(zs, width), np.array(cs, dtype=complex)
         )._pruned()
-
-    @staticmethod
-    def from_string(ps: PauliString, coeff: complex = 1.0) -> PauliOperator:
-        return PauliOperator.from_terms(ps.num_qubits, [(ps, coeff)])
-
-    @staticmethod
-    def maximally_mixed(num_qubits: int) -> PauliOperator:
-        ident = np.zeros((1, _num_words(num_qubits)), dtype=np.uint64)
-        return PauliOperator(num_qubits, ident, ident, np.array([2.0**-num_qubits], dtype=complex))
 
     @staticmethod
     def _merged(num_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> PauliOperator:
@@ -897,7 +895,7 @@ def _toffoli_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     tof = np.eye(8, dtype=complex)
     tof[6:, 6:] = [[0, 1], [1, 0]]
     triples = list(product(LETTERS, repeat=3))
-    mats = [reduce(np.kron, [_MATS[letter] for letter in t]) for t in triples]
+    mats = [reduce(np.kron, [GATE_MATRICES[letter] for letter in t]) for t in triples]
     by_code = {}
     for triple, mat in zip(triples, mats):
         conj = tof @ mat @ tof

@@ -42,6 +42,8 @@ from qsslab.protocol import (
     reconstruct,
 )
 
+from reference import pauli_operator
+
 
 def _basis_secret(s, index):
     vec = np.zeros(2**s)
@@ -61,7 +63,7 @@ def test_c01_ladder_closed_form_for_every_width():
         circuit = ladder_circuit(m)
         assert len(circuit) == 2 * (m - 1)
         for sigma in "IXYZ":
-            op = PauliOperator.from_string(
+            op = pauli_operator(
                 PauliString.from_letters(sigma + "I" * (m - 1))
             )
             ((ps, coeff),) = op.conjugate_circuit(circuit.gates).items()

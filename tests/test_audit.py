@@ -29,6 +29,8 @@ from qsslab.protocol import (
     magic_state_operator,
 )
 
+from reference import maximally_mixed
+
 
 def _basis_secret(s, index):
     vec = np.zeros(2**s)
@@ -118,7 +120,7 @@ def test_adversary_view_of_full_coalition_is_everything():
 
 def test_adversary_view_reduces_to_kept_columns():
     params = SchemeParams.relaxed(n=2, s=2)
-    shared = deal(params, PauliOperator.maximally_mixed(2))
+    shared = deal(params, maximally_mixed(2))
     view = adversary_view(shared, Coalition.parse("alice,p2", n=2))
     assert view.num_qubits == 4
     assert view.num_terms == 1
@@ -211,7 +213,7 @@ def test_secret_row_terms_are_the_secret_dependent_terms():
     for n, s, budget in itertools.product(range(1, 6), range(1, 4), range(2)):
         params = SchemeParams.relaxed(n=n, s=s, budget=budget)
         generic = deal(params, generic_secret(s))
-        mixed = deal(params, PauliOperator.maximally_mixed(s))
+        mixed = deal(params, maximally_mixed(s))
         for coalition in _proper_coalitions(n):
             view = adversary_view(generic, coalition)
             diff = view.add(adversary_view(mixed, coalition).scaled(-1.0))
@@ -379,3 +381,13 @@ def test_eq16_report_shape():
         "verdict",
         "notes",
     }
+
+
+def test_checks_reject_a_deal_of_other_parameters():
+    dealt = deal(SchemeParams.relaxed(n=3, s=2, budget=1), generic_secret(2))
+    params = SchemeParams.relaxed(n=3, s=2, budget=0)
+    coalition = covered_coalitions(3)[0]
+    with pytest.raises(UsageError, match="does not match"):
+        secret_independence_check(params, coalition, dealt=dealt)
+    with pytest.raises(UsageError, match="does not match"):
+        parity_regime_check(params, coalition, dealt=dealt)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from qsslab import audit as audit_module
 from qsslab import cli
+from qsslab.audit import covered_coalitions, parity_regime_check, secret_independence_check
 from qsslab.cli import main
 from qsslab.paulis import PauliOperator, PauliString
 
@@ -236,9 +238,54 @@ def test_audit_uncovered_coalition_is_informational(tmp_path):
     assert any("descriptively" in note for note in payload["notes"])
 
 
-def test_audit_full_coalition_exits_two(tmp_path):
+@pytest.mark.parametrize("t", [None, 0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_audit_deals_once_and_matches_standalone_checks(n, t, monkeypatch):
+    options = {"n": n} if t is None else {"n": n, "t": t}
+    params = cli._params_from(options)
+    expected_audits = []
+    expected_checks = {}
+    for coalition in covered_coalitions(n):
+        audit = secret_independence_check(params, coalition)
+        regime = parity_regime_check(params, coalition)
+        expected_audits.append(audit.as_dict())
+        label = coalition.label()
+        expected_checks[f"independence-{label}"] = (
+            audit.tagged_residuals,
+            audit.verdict == "pass",
+            {"max_trace_distance": audit.max_trace_distance},
+        )
+        expected_checks[f"parity-regime-{label}"] = (
+            len(regime.surviving_patterns),
+            regime.verdict == "pass",
+            {"regime": regime.regime, "surviving_patterns": list(regime.surviving_patterns)},
+        )
+
+    generic_deals = []
+    real_generic = audit_module.generic_secret
+
+    def counted(s):
+        generic_deals.append(s)
+        return real_generic(s)
+
+    monkeypatch.setattr(audit_module, "generic_secret", counted)
+    monkeypatch.setattr(cli, "generic_secret", counted)
+    report = cli.cmd_audit(options)
+    assert generic_deals == [params.s]  # one deal for every coalition
+    assert report.extras["audits"] == expected_audits
+    got = {
+        c.name: (c.measured, c.passed, c.detail)
+        for c in report.checks
+        if c.name.startswith(("independence-", "parity-regime-"))
+    }
+    assert got == expected_checks
+
+
+def test_audit_full_coalition_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "deal", None)  # refused before anything is dealt
     code, _ = _run(tmp_path, "audit", "--coalition", "alice,p1,p2")
     assert code == 2
+    assert "trivially reconstructs" in capsys.readouterr().err
 
 
 def test_audit_bad_coalition_exits_two(tmp_path):

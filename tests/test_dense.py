@@ -10,7 +10,6 @@ from qsslab.dense import (
     StateVector,
     apply_gate,
     build_unitary,
-    embedded_unitary,
     measure_z,
     partial_trace_dense,
     random_density_matrix,
@@ -19,6 +18,8 @@ from qsslab.dense import (
     trace_distance,
 )
 from qsslab.errors import ResourceError, UsageError
+
+from reference import circuit_unitary, embedded_unitary
 
 _SQRT_HALF = 2.0**-0.5
 
@@ -71,6 +72,25 @@ def test_embedded_unitary_matches_apply_gate():
     psi = random_state_vector(3, rng)
     u = embedded_unitary(3, "CNOT", (2, 0))
     assert np.allclose(u @ psi.amplitudes, apply_gate(psi, ("CNOT", (2, 0))).amplitudes)
+
+
+def _placed(kind, n, rng):
+    """The gate kind on distinct random qubits, in random (unsorted) order."""
+    arity = GATE_MATRICES[kind].shape[0].bit_length() - 1
+    return kind, tuple(int(q) for q in rng.permutation(n)[:arity])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_build_unitary_equals_embedded_product_exactly(n):
+    # every gate kind that fits, after a random prefix so the running matrix
+    # is dense
+    rng = np.random.default_rng(100 + n)
+    kinds = [kind for kind, mat in sorted(GATE_MATRICES.items()) if mat.shape[0] <= 2**n]
+    for kind in kinds:
+        gates = [_placed(str(k), n, rng) for k in rng.choice(kinds, size=6)]
+        gates.append(_placed(kind, n, rng))
+        circuit = Circuit(n, 0, tuple(Gate(k, q) for k, q in gates))
+        assert np.array_equal(build_unitary(circuit), circuit_unitary(n, gates)), gates
 
 
 def test_build_unitary_of_empty_circuit():

@@ -1,12 +1,14 @@
 """Symbolic Pauli algebra against dense-matrix oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qsslab.circuits import Gate
-from qsslab.dense import embedded_unitary, random_density_matrix
+from qsslab.dense import random_density_matrix
 from qsslab.errors import ProtocolError, ResourceError, UsageError
 from qsslab.paulis import (
     PRUNE_TOL,
@@ -16,6 +18,8 @@ from qsslab.paulis import (
     PauliString,
     _toffoli_table,
 )
+
+from reference import embedded_unitary, kron_matrix, maximally_mixed, pauli_operator
 
 
 def _random_operator(num_qubits, seed):
@@ -89,7 +93,6 @@ def test_letters_round_trip():
     assert ps.letter(0) == "X"
     assert ps.letter(3) == "Y"
     assert ps.weight == 3
-    assert PauliString.single(4, 2, "Z") == PauliString.from_letters("IIZI")
 
 
 def test_unknown_letter_rejected():
@@ -128,6 +131,14 @@ def test_phase_wraps_mod_four():
     assert PauliString.from_letters("X").is_hermitian is True
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_to_matrix_equals_kron_reference_exactly(n):
+    for letters in itertools.product("IXYZ", repeat=n):
+        for phase in range(4):
+            ps = PauliString.from_letters("".join(letters), phase)
+            assert np.array_equal(ps.to_matrix(), kron_matrix(ps)), (letters, phase)
+
+
 def test_dense_cap_enforced():
     with pytest.raises(ResourceError):
         PauliString.identity(13).to_matrix()
@@ -139,7 +150,7 @@ def test_dense_cap_enforced():
 
 
 def test_maximally_mixed():
-    op = PauliOperator.maximally_mixed(3)
+    op = maximally_mixed(3)
     assert op.num_terms == 1
     assert op.trace() == pytest.approx(1.0)
     assert np.allclose(op.to_dense(), np.eye(8) / 8)
@@ -155,7 +166,7 @@ def test_from_terms_accumulates_and_prunes():
 
 def test_phase_folds_into_coefficient():
     ps = PauliString.from_letters("Z", phase=2)
-    op = PauliOperator.from_string(ps, 1.0)
+    op = pauli_operator(ps, 1.0)
     assert op.coeff("Z") == pytest.approx(-1.0)
 
 
@@ -464,7 +475,7 @@ def test_bad_gate_raises_before_any_work(bad, match):
 
 def test_conjugate_clifford_rejects_toffoli():
     with pytest.raises(UsageError, match="not Clifford"):
-        PauliOperator.maximally_mixed(3).conjugate_clifford(Gate("TOFFOLI", (0, 1, 2)))
+        maximally_mixed(3).conjugate_clifford(Gate("TOFFOLI", (0, 1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +498,7 @@ TOFFOLI_IMAGES = {
 
 @pytest.mark.parametrize("word,image", sorted(TOFFOLI_IMAGES.items()))
 def test_toffoli_conjugation_frozen_images(word, image):
-    op = PauliOperator.from_string(PauliString.from_letters(word))
+    op = pauli_operator(PauliString.from_letters(word))
     got = op.conjugate_toffoli((0, 1, 2))
     assert got.num_terms == len(image)
     for letters, coeff in image.items():
@@ -545,7 +556,7 @@ def test_partial_trace_keeps_qubit_order():
     plus = PauliOperator.from_terms(
         1, [(PauliString.from_letters("I"), 0.5), (PauliString.from_letters("X"), 0.5)]
     )
-    op = zero.tensor(plus).tensor(PauliOperator.maximally_mixed(1))
+    op = zero.tensor(plus).tensor(maximally_mixed(1))
     reduced = op.partial_trace([1])
     _assert_words(reduced, {"II": 0.25, "ZI": 0.25})
 
@@ -576,7 +587,7 @@ def test_reset_to_mixed_replaces_marginal():
 
 def test_reset_to_mixed_rejects_bad_qubit():
     with pytest.raises(UsageError):
-        PauliOperator.maximally_mixed(2).reset_to_mixed((2,))
+        maximally_mixed(2).reset_to_mixed((2,))
 
 
 @pytest.mark.parametrize(
@@ -659,7 +670,7 @@ def test_measure_z_matches_dense_projector():
 def test_measure_z_of_a_basis_state_has_no_second_state():
     zero = _operator(1, {(0, 0): 0.5, (0, 1): 0.5})
     (p0, post0), (p1, post1) = zero.measure_z(0)
-    assert p0 == 1.0 and post0 == PauliOperator.maximally_mixed(1)
+    assert p0 == 1.0 and post0 == maximally_mixed(1)
     assert p1 == 0.0 and post1 is None
 
 

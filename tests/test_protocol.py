@@ -32,6 +32,8 @@ from qsslab.protocol import (
     supported_logical_kinds,
 )
 
+from reference import maximally_mixed, pauli_operator
+
 
 def _basis_secret(s, index):
     vec = np.zeros(2**s)
@@ -187,7 +189,7 @@ def test_deal_worked_example_negative_y_sign():
 
 def test_deal_of_maximally_mixed_secret_is_trivial():
     params = SchemeParams.relaxed(n=3, s=2)
-    shared = deal(params, PauliOperator.maximally_mixed(2))
+    shared = deal(params, maximally_mixed(2))
     assert shared.state.num_terms == 1
     ((ps, _),) = shared.state.items()
     assert ps.weight == 0
@@ -198,9 +200,9 @@ def test_deal_validates_secret():
     with pytest.raises(UsageError):
         deal(params, _basis_secret(3, 0))  # wrong size
     with pytest.raises(UsageError):
-        deal(params, PauliOperator.maximally_mixed(2).scaled(2.0))  # trace 2
+        deal(params, maximally_mixed(2).scaled(2.0))  # trace 2
     with pytest.raises(UsageError):
-        deal(params, PauliOperator.from_string(PauliString.from_letters("XI"), 1j))
+        deal(params, pauli_operator(PauliString.from_letters("XI"), 1j))
 
 
 def test_magic_state_operator_shape():
