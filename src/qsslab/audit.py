@@ -1,16 +1,22 @@
-"""Adversary analysis on the dealt and evaluated states.
+"""Adversary analysis of the shared and evaluated states.
 
 The central argument is structural: deal() puts secret word w only on the
-secret rows and the encoder is a ladder inside each row, so a dealt word is
+secret rows and the encoder is a ladder inside each row, so a shared word is
 image(w) on the secret rows times the image of a resource term on the
 ancilla rows, with image(I) = I. A partial trace only drops terms, so a
 term of a coalition's view depends on the secret exactly when it has a
-non-identity letter on a secret row; counting those answers "does the view
-depend on the secret?" for all secrets at once (the stabilizer-code view of
-authorized sets, Cleve-Gottesman-Lo, PRL 83, 648 (1999)). One generic secret
-whose expansion touches every word covers the whole argument; dense trace
-distances between concrete secret pairs cross-check the conclusion at small
-sizes.
+non-identity letter on a secret row (the stabilizer-code view of authorized
+sets, Cleve-Gottesman-Lo, PRL 83, 648 (1999)).
+
+Because the ladder is row-local, which words survive is decided one row at
+a time. Let K_C be the letters whose ladder image is I on every honest
+column. The words w whose image the trace keeps are exactly K_C^s, and the
+kept resource words of a triple are the R_C magic-state words with all
+three letters in K_C. So the secret-dependent view terms number
+(|K_C|^s - 1) * R_C^budget, and the secret-row patterns of the view are the
+row-by-row images of K_C^s on the coalition's columns. These counts need
+no deal and no partial trace, so they stay exact at any s; dense trace
+distances between concrete secret pairs cross-check them at small sizes.
 
 Coalitions containing the dealer but missing at least one participant are
 the ones the security argument covers; anything else is measured and
@@ -23,12 +29,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .circuits import ShareLayout
+from .circuits import expected_ladder_pauli
 from .dense import DENSE_CAP
 from .errors import ResourceError, UsageError
-from .paulis import PauliOperator, PauliString
+from .paulis import PauliOperator
 from .protocol import (
     AnnouncementReport,
     SchemeParams,
@@ -36,30 +40,14 @@ from .protocol import (
     Transcript,
     canonical_secret_family,
     deal,
+    magic_state_operator,
 )
 
 AUDIT_TOLERANCE = 1e-10
 
-FULL_COALITION_REFUSAL = (
-    "a full coalition holds every share and trivially reconstructs; "
-    "independence is only meaningful with at least one honest party"
-)
-
-# per-qubit factor (I + 0.30 X + 0.24 Y + 0.18 Z)/2 of the generic audit
-# secret: positive (Bloch norm < 1), trace 1, and every product word in the
-# s-qubit expansion gets a nonzero coefficient
-_GENERIC_WEIGHTS = {"I": 0.5, "X": 0.15, "Y": 0.12, "Z": 0.09}
-
-
-def generic_secret(s: int) -> PauliOperator:
-    """Full-support product secret: every s-qubit word has a coefficient."""
-    entries = []
-    for word in itertools.product("IXYZ", repeat=s):
-        coeff = 1.0
-        for letter in word:
-            coeff *= _GENERIC_WEIGHTS[letter]
-        entries.append((PauliString.from_letters("".join(word)), coeff))
-    return PauliOperator.from_terms(s, entries)
+#: most secret-row patterns a parity check lists, |K_C|^s; only coalitions
+#: the security argument does not cover have more than one
+PATTERN_CAP = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +139,41 @@ def adversary_view(shared: SharedState, coalition: Coalition) -> PauliOperator:
     return shared.state.partial_trace(traced)
 
 
-def _generic_view(
-    params: SchemeParams, coalition: Coalition, dealt: SharedState | None
-) -> PauliOperator:
-    """The coalition's view of the generic secret as dealt under ``params``;
-    ``dealt`` is that deal, made here when the caller has none to share."""
-    if dealt is None:
-        dealt = deal(params, generic_secret(params.s))
-    elif dealt.layout != params.layout():
-        raise UsageError("the dealt state does not match the scheme parameters")
-    return adversary_view(dealt, coalition)
+def _row_kernel(params: SchemeParams, coalition: Coalition) -> dict[str, str]:
+    """K_C: each letter whose ladder image is I on every honest column,
+    mapped to its image's letters on the coalition's columns. The ladder is
+    row-local, so the s-row words the view keeps are exactly K_C^s."""
+    if coalition.n != params.n:
+        raise UsageError("coalition does not match the layout")
+    m, columns = params.n + 1, coalition.columns()
+    kernel = {}
+    for sigma in "IXYZ":
+        image = expected_ladder_pauli(m, sigma).letters()
+        if all(image[y - 1] == "I" for y in range(1, m + 1) if y not in columns):
+            kernel[sigma] = "".join(image[y - 1] for y in columns)
+    return kernel
+
+
+def _tagged_residuals(params: SchemeParams, coalition: Coalition) -> int:
+    """Secret-dependent terms of the coalition's view of a full-support
+    secret: the non-identity words of K_C^s times, per triple, the
+    magic-state words the view keeps."""
+    kernel = _row_kernel(params, coalition)
+    kept_resource = sum(
+        set(ps.letters()) <= kernel.keys() for ps, _ in magic_state_operator().items()
+    )
+    return (len(kernel) ** params.s - 1) * kept_resource**params.budget
+
+
+def _secret_row_patterns(params: SchemeParams, coalition: Coalition) -> tuple[str, ...]:
+    """The distinct secret-row letter patterns of the view's terms, each
+    written row by row over the coalition's columns, sorted."""
+    images = _row_kernel(params, coalition).values()
+    if len(images) ** params.s > PATTERN_CAP:
+        raise ResourceError(
+            f"{len(images)}^{params.s} secret-row patterns exceed the listing cap {PATTERN_CAP}"
+        )
+    return tuple(sorted("".join(rows) for rows in itertools.product(images, repeat=params.s)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,35 +213,26 @@ class AuditReport:
         }
 
 
-def _secret_rows(
-    view: PauliOperator, s: int, width: int
-) -> tuple[list[PauliString], np.ndarray]:
-    """The view's words restricted to the secret rows, the first s * width
-    qubits of the row-major view over ``width`` kept columns: the distinct
-    restrictions and, per view term, the index of its restriction."""
-    return view.restricted_words(range(s * width))
-
-
 def secret_independence_check(
     params: SchemeParams,
     coalition: Coalition,
     tolerance: float = AUDIT_TOLERANCE,
-    dealt: SharedState | None = None,
 ) -> AuditReport:
-    """Deal a full-support generic secret and count the terms of the
-    coalition's view with a non-identity letter on a secret row; zero means
-    the view is one fixed operator whatever the secret was.
+    """Count the terms of the coalition's view of a full-support secret
+    with a non-identity letter on a secret row, in closed form from K_C;
+    zero means the view is one fixed operator whatever the secret was.
 
     A full coalition is rejected (it reconstructs by design). Coalitions the
     security argument does not cover (dealer absent, or no honest
     participant left) are still measured, with a note instead of an
     expectation. Small views get a dense cross-check: the trace distance
-    between views of two concrete secrets. ``dealt`` is the generic
-    secret's deal, ``deal(params, generic_secret(params.s))``, for callers
-    that audit several coalitions of one scheme; it is dealt here if omitted.
+    between views of concrete secrets.
     """
     if coalition.is_full:
-        raise UsageError(FULL_COALITION_REFUSAL)
+        raise UsageError(
+            "a full coalition holds every share and trivially reconstructs; "
+            "independence is only meaningful with at least one honest party"
+        )
     notes = []
     if not coalition.covered_by_security_argument:
         notes.append(
@@ -236,14 +240,10 @@ def secret_independence_check(
             "residuals are reported descriptively, without a pass/fail claim "
             "from the security argument"
         )
-    view = _generic_view(params, coalition, dealt)
-    width = len(coalition.columns())
-    words, index = _secret_rows(view, params.s, width)
-    secret_dependent = np.array([word.weight > 0 for word in words], dtype=bool)
-    residuals = int(np.count_nonzero(secret_dependent[index]))
+    residuals = _tagged_residuals(params, coalition)
 
     max_td = 0.0
-    view_qubits = view.num_qubits
+    view_qubits = params.layout().rows * len(coalition.columns())
     if view_qubits <= 8:
         family = canonical_secret_family(params.s)
         views = [
@@ -322,21 +322,7 @@ class ParityRegimeReport:
         }
 
 
-def _data_row_patterns(
-    view: PauliOperator, layout: ShareLayout, columns: Sequence[int]
-) -> tuple[str, ...]:
-    """Distinct secret-row letter patterns among the view's terms.
-
-    The pattern of a term is its restriction to the secret rows, written row
-    by row.
-    """
-    words, _ = _secret_rows(view, layout.s, len(columns))
-    return tuple(sorted(w.letters() for w in words))
-
-
-def parity_regime_check(
-    params: SchemeParams, coalition: Coalition, dealt: SharedState | None = None
-) -> ParityRegimeReport:
+def parity_regime_check(params: SchemeParams, coalition: Coalition) -> ParityRegimeReport:
     """Compare the view's surviving secret-row structure to the closed form.
 
     For covered coalitions the only surviving secret-row pattern is all-I —
@@ -345,15 +331,13 @@ def parity_regime_check(
     non-identity row letter puts a non-identity letter on the honest
     participant's column. The even-case shape bound (identity off the
     dealer's column, {I, Z} on it) is asserted on every survivor. Uncovered
-    coalitions get their patterns listed with no expectation. ``dealt`` is
-    as in secret_independence_check.
+    coalitions get their patterns listed with no expectation.
     """
     if coalition.is_full:
         raise UsageError("parity regimes concern proper coalitions only")
-    view = _generic_view(params, coalition, dealt)
     layout = params.layout()
     columns = coalition.columns()
-    patterns = _data_row_patterns(view, layout, columns)
+    patterns = _secret_row_patterns(params, coalition)
     regime = _regime(params.n)
     notes = []
 

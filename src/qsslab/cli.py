@@ -23,11 +23,9 @@ import numpy as np
 from . import __version__
 from .audit import (
     AUDIT_TOLERANCE,
-    FULL_COALITION_REFUSAL,
     Coalition,
     covered_coalitions,
     distinguishability,
-    generic_secret,
     parity_regime_check,
     secret_independence_check,
 )
@@ -45,7 +43,6 @@ from .dense import (
     DENSE_CAP,
     StateVector,
     build_unitary,
-    partial_trace_dense,
     random_state_vector,
     run_circuit,
     trace_distance,
@@ -55,6 +52,7 @@ from .paulis import PauliOperator, PauliString
 from .protocol import (
     EvaluationScript,
     SchemeParams,
+    canonical_secret_family,
     deal,
     evaluate,
     load_secret,
@@ -327,9 +325,7 @@ def cmd_run(options: dict) -> Report:
     if options.get("secret"):
         secret = load_secret(options["secret"], params.s)
     else:
-        zero = np.zeros(2**params.s)
-        zero[0] = 1.0
-        secret = PauliOperator.from_dense(np.outer(zero, zero))
+        _, secret = canonical_secret_family(params.s)[0]
     if options.get("script"):
         script = EvaluationScript.from_lines(
             Path(options["script"]).read_text(encoding="utf-8"), params.s
@@ -414,13 +410,9 @@ def cmd_audit(options: dict) -> Report:
     else:
         coalitions = covered_coalitions(params.n)
 
-    if coalitions[0].is_full:  # refused before the deal
-        raise UsageError(FULL_COALITION_REFUSAL)
-    # the dealt state does not depend on the coalition: deal it once
-    dealt = deal(params, generic_secret(params.s))
     audit_dicts = []
     for coalition in coalitions:
-        audit = secret_independence_check(params, coalition, tolerance=tol, dealt=dealt)
+        audit = secret_independence_check(params, coalition, tolerance=tol)
         audit_dicts.append(audit.as_dict())
         covered = coalition.covered_by_security_argument
         report.add(
@@ -430,7 +422,7 @@ def cmd_audit(options: dict) -> Report:
             passed=(audit.verdict == "pass") if covered else None,
             detail={"max_trace_distance": audit.max_trace_distance},
         )
-        regime = parity_regime_check(params, coalition, dealt=dealt)
+        regime = parity_regime_check(params, coalition)
         report.add(
             f"parity-regime-{coalition.label()}",
             len(regime.surviving_patterns),
@@ -447,13 +439,8 @@ def cmd_audit(options: dict) -> Report:
 
     view_qubits = params.layout().rows * len(coalitions[0].columns())
     if view_qubits <= DENSE_CAP and coalitions[0].covered_by_security_argument:
-        zero = np.zeros(2**params.s)
-        zero[0] = 1.0
-        one = np.zeros(2**params.s)
-        one[-1] = 1.0
-        td = distinguishability(
-            params, coalitions[0], np.outer(zero, zero), np.outer(one, one)
-        )
+        (_, zero), (_, one), _ = canonical_secret_family(params.s)
+        td = distinguishability(params, coalitions[0], zero, one)
         report.add("distinguishability-basis-pair", td, tol)
     report.extras["audits"] = audit_dicts
     report.notes.append(BUDGET_NOTE)
@@ -485,10 +472,9 @@ def _plaintext_gadget_fidelity(initial: StateVector) -> float:
     for _, prob, post in run_circuit(circuit, full):
         if prob <= 1e-14:
             continue
-        rho = post.to_density().entries
-        data = partial_trace_dense(rho, (3, 4, 5))
-        fid = float(np.real(target.conj() @ data @ target))
-        worst = min(worst, fid)
+        # data qubits 0..2 index the rows, ancillas 3..5 the columns
+        overlaps = target.conj() @ post.amplitudes.reshape(8, 8)
+        worst = min(worst, float(np.sum(np.abs(overlaps) ** 2)))
     return worst
 
 

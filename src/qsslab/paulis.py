@@ -466,23 +466,6 @@ class PauliOperator:
     def is_hermitian(self) -> bool:
         return bool(np.all(np.abs(self.coeffs.imag) <= PRUNE_TOL))
 
-    def restricted_words(self, qubits: Sequence[int]) -> tuple[list[PauliString], np.ndarray]:
-        """Each term's word restricted to ``qubits`` (in that order): the
-        distinct restrictions in order of first appearance, and for each term
-        the index of its restriction among them."""
-        qubits = list(qubits)
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise UsageError(f"qubit {q} out of range")
-        x = _select(self.x, self.num_qubits, qubits)
-        z = _select(self.z, self.num_qubits, qubits)
-        first, inverse = _group(x, z)
-        words = [
-            PauliString(len(qubits), wx, wz)
-            for wx, wz in zip(_masks_of(x[first]), _masks_of(z[first]))
-        ]
-        return words, inverse
-
     @cached_property
     def _canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Words and coefficients sorted by word, for order-blind comparison."""

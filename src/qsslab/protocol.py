@@ -249,7 +249,7 @@ class Transcript:
 
 @dataclass(frozen=True)
 class SharedState:
-    """One branch of the dealt-and-evaluated global state.
+    """One branch of the global state after dealing and evaluation.
 
     ``state`` spans the whole grid; qubits measured by a past gadget are
     stored maximally mixed with their outcomes in ``classical_transcript``.
@@ -276,10 +276,11 @@ def encoding_circuit(layout: ShareLayout) -> Circuit:
     """The ladder over each row's columns (empty for the 1-column layout)."""
     if layout.columns == 1:
         return Circuit(layout.num_qubits, 0, ())
+    ladder = ladder_circuit(layout.columns).gates
     gates: list[Gate] = []
     for x in range(1, layout.rows + 1):
         row = layout.row_qubits(x)
-        for g in ladder_circuit(layout.columns).gates:
+        for g in ladder:
             gates.append(Gate(g.kind, tuple(row[q] for q in g.qubits)))
     return Circuit(layout.num_qubits, 0, tuple(gates))
 
@@ -317,8 +318,8 @@ def _as_secret_operator(secret: object, s: int) -> PauliOperator:
 
 
 def deal(params: SchemeParams, secret: object) -> SharedState:
-    """Encode and distribute: the dealt global state. Secret word w lands
-    only on the secret rows, so after the row-local ladder a dealt term has
+    """Encode and distribute: the shared global state. Secret word w lands
+    only on the secret rows, so after the row-local ladder a shared term has
     a non-identity letter on a secret row exactly when its w is not I."""
     op = _as_secret_operator(secret, params.s)
     layout = params.layout()

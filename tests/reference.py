@@ -2,9 +2,11 @@
 
 Each helper builds its result entry by entry or factor by factor, with no
 shared kernel, so a test can compare the package's output with it exactly.
-The operator helpers stand in for constructors only the tests need.
+The operator helpers stand in for constructors only the tests need, and
+generic_secret is the input of the audit's enumeration oracle.
 """
 
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -61,3 +63,20 @@ def pauli_operator(ps, coeff=1.0):
 def maximally_mixed(num_qubits):
     """I / 2^n as a one-term operator."""
     return pauli_operator(PauliString.identity(num_qubits), 2.0**-num_qubits)
+
+
+# per-qubit factor (I + 0.30 X + 0.24 Y + 0.18 Z)/2 of the generic secret:
+# positive (Bloch norm < 1), trace 1, and every product word in the s-qubit
+# expansion gets a nonzero coefficient
+_GENERIC_WEIGHTS = {"I": 0.5, "X": 0.15, "Y": 0.12, "Z": 0.09}
+
+
+def generic_secret(s):
+    """Full-support product secret: every s-qubit word has a coefficient."""
+    entries = []
+    for word in itertools.product("IXYZ", repeat=s):
+        coeff = 1.0
+        for letter in word:
+            coeff *= _GENERIC_WEIGHTS[letter]
+        entries.append((PauliString.from_letters("".join(word)), coeff))
+    return PauliOperator.from_terms(s, entries)

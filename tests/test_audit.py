@@ -1,4 +1,5 @@
-"""Partial-trace security audits of the dealt state."""
+"""Security audits of the dealt state: the closed-form leak count against
+its partial-trace enumeration, dense cross-checks and honest views."""
 
 import itertools
 
@@ -9,13 +10,14 @@ from qsslab.circuits import Gate
 from qsslab.errors import ResourceError, UsageError
 from qsslab.audit import (
     AUDIT_TOLERANCE,
+    PATTERN_CAP,
     Coalition,
-    _secret_rows,
+    _secret_row_patterns,
+    _tagged_residuals,
     adversary_view,
     covered_coalitions,
     distinguishability,
     eq16_form_check,
-    generic_secret,
     parity_regime_check,
     secret_independence_check,
 )
@@ -29,7 +31,7 @@ from qsslab.protocol import (
     magic_state_operator,
 )
 
-from reference import maximally_mixed
+from reference import generic_secret, maximally_mixed
 
 
 def _basis_secret(s, index):
@@ -206,22 +208,62 @@ def _proper_coalitions(n):
 
 
 def test_secret_row_terms_are_the_secret_dependent_terms():
-    # linearity oracle, blind to the row structure: the view of the generic
-    # secret minus the view of I/2^s keeps exactly the words that depend on
-    # the secret, and those must be the terms the audit counts
-    nonzero = 0
-    for n, s, budget in itertools.product(range(1, 6), range(1, 4), range(2)):
+    # enumeration oracle: deal the full-support generic secret, trace each
+    # proper coalition's view and read the secret rows, the first s * width
+    # view qubits, off every term; the closed form must give the same count
+    # and the same distinct patterns. Where n <= 5, s <= 3 and budget <= 1 a
+    # linearity oracle, blind to the row structure, also checks that the
+    # counted terms are the secret-dependent ones: the view of the generic
+    # secret minus the view of I/2^s keeps exactly those words.
+    configs = itertools.chain(
+        itertools.product(range(1, 9), range(1, 5), range(2)),
+        itertools.product(range(1, 5), range(1, 3), [2]),
+    )
+    checked = nonzero = 0
+    for n, s, budget in configs:
         params = SchemeParams.relaxed(n=n, s=s, budget=budget)
         generic = deal(params, generic_secret(s))
-        mixed = deal(params, maximally_mixed(s))
+        linear = n <= 5 and s <= 3 and budget <= 1
+        mixed = deal(params, maximally_mixed(s)) if linear else None
         for coalition in _proper_coalitions(n):
+            where = (n, s, budget, coalition.label())
             view = adversary_view(generic, coalition)
-            diff = view.add(adversary_view(mixed, coalition).scaled(-1.0))
-            words, index = _secret_rows(view, s, len(coalition.columns()))
-            counted = {key for key, i in zip(view.terms, index) if words[i].weight}
-            assert counted == diff.terms.keys(), (n, s, budget, coalition.label())
+            secret_qubits = s * len(coalition.columns())
+            counted, patterns = set(), set()
+            for ps, _ in view.items():
+                pattern = ps.letters()[:secret_qubits]
+                patterns.add(pattern)
+                if pattern != "I" * secret_qubits:
+                    counted.add((ps.x, ps.z))
+            assert len(counted) == _tagged_residuals(params, coalition), where
+            assert tuple(sorted(patterns)) == _secret_row_patterns(params, coalition), where
+            if linear:
+                diff = view.add(adversary_view(mixed, coalition).scaled(-1.0))
+                assert counted == diff.terms.keys(), where
+            checked += 1
             nonzero += bool(counted)
+    assert checked == 8032 + 104
     assert nonzero > 0
+
+
+def test_closed_form_counts_past_the_enumeration_wall():
+    # 4^40 words could never be dealt; at even m the dealer-less crowd keeps
+    # the {I, X} letters, so 2^40 - 1 secret words times the 7 {I, X}-only
+    # magic-state words leak
+    params = SchemeParams.relaxed(n=3, s=40, budget=1)
+    report = secret_independence_check(params, Coalition.parse("p1,p2,p3", n=3))
+    assert report.tagged_residuals == (2**40 - 1) * 7
+    assert report.verdict == "fail"
+    assert any("skipped" in note for note in report.notes)
+
+
+def test_parity_regime_refuses_to_list_past_the_cap():
+    params = SchemeParams.relaxed(n=3, s=17)
+    assert 2**17 > PATTERN_CAP
+    with pytest.raises(ResourceError, match="listing cap"):
+        parity_regime_check(params, Coalition.parse("p1,p2,p3", n=3))
+    covered = parity_regime_check(params, covered_coalitions(3)[0])
+    assert covered.surviving_patterns == ("I" * 17 * 3,)
 
 
 def test_independence_note_mentions_dense_cross_check_policy():
@@ -381,13 +423,3 @@ def test_eq16_report_shape():
         "verdict",
         "notes",
     }
-
-
-def test_checks_reject_a_deal_of_other_parameters():
-    dealt = deal(SchemeParams.relaxed(n=3, s=2, budget=1), generic_secret(2))
-    params = SchemeParams.relaxed(n=3, s=2, budget=0)
-    coalition = covered_coalitions(3)[0]
-    with pytest.raises(UsageError, match="does not match"):
-        secret_independence_check(params, coalition, dealt=dealt)
-    with pytest.raises(UsageError, match="does not match"):
-        parity_regime_check(params, coalition, dealt=dealt)

@@ -209,14 +209,6 @@ def test_embedded_places_each_qubit_at_its_position():
         op.embedded(70, [3, 70])
 
 
-def test_restricted_words_follow_the_given_qubit_order():
-    words = ("XYZI", "XIZZ", "IYZX", "XYZY")
-    op = PauliOperator.from_terms(4, [(PauliString.from_letters(w), 1.0) for w in words])
-    restricted, index = op.restricted_words([2, 0, 1])
-    assert [w.letters() for w in restricted] == ["ZXY", "ZXI", "ZIY"]
-    assert index.tolist() == [0, 1, 2, 0]
-
-
 def test_from_dense_rejects_bad_shapes():
     with pytest.raises(UsageError):
         PauliOperator.from_dense(np.eye(3))

@@ -7,6 +7,7 @@ from qsslab.circuits import (
     Circuit,
     Gate,
     evaluate_condition,
+    ladder_circuit,
     toffoli_gadget,
     transversal_expand,
 )
@@ -22,6 +23,7 @@ from qsslab.protocol import (
     announce_distribution,
     canonical_secret_family,
     deal,
+    encoding_circuit,
     evaluate,
     load_secret,
     logical_unitary,
@@ -32,7 +34,7 @@ from qsslab.protocol import (
     supported_logical_kinds,
 )
 
-from reference import maximally_mixed, pauli_operator
+from reference import generic_secret, maximally_mixed, pauli_operator
 
 
 def _basis_secret(s, index):
@@ -137,6 +139,18 @@ def test_logical_unitary_row_order():
 # ---------------------------------------------------------------------------
 # dealing
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_encoding_circuit_is_the_ladder_on_every_row(n):
+    layout = SchemeParams.relaxed(n=n, s=2, budget=1).layout()
+    ladder = ladder_circuit(n + 1).gates
+    gates = encoding_circuit(layout).gates
+    assert len(gates) == layout.rows * len(ladder)
+    for x in range(1, layout.rows + 1):
+        row = layout.row_qubits(x)
+        block = gates[(x - 1) * len(ladder) : x * len(ladder)]
+        assert block == tuple(Gate(g.kind, tuple(row[q] for q in g.qubits)) for g in ladder)
 
 
 def test_deal_produces_trace_one_grid_state():
@@ -484,8 +498,6 @@ def test_equal_operators_with_different_corrections_stay_apart():
 
 
 def test_histories_share_one_operator_for_a_generic_secret():
-    from qsslab.audit import generic_secret
-
     params = SchemeParams.strict(n=2, k=1, kprime=1)
     shared = deal(params, generic_secret(3))
     states, transcript = evaluate(shared, EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),)))
