@@ -20,26 +20,18 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
+from .dense import GATE_MATRICES
 from .errors import UnsupportedGateError, UsageError
-from .paulis import PauliString
+from .paulis import SINGLE_QUBIT_CLIFFORDS, TWO_QUBIT_CLIFFORDS, PauliString
 
 GATE_ARITY = {
-    "I": 1,
-    "H": 1,
-    "S": 1,
-    "Sdg": 1,
-    "X": 1,
-    "Y": 1,
-    "Z": 1,
-    "CNOT": 2,
-    "CZ": 2,
-    "TOFFOLI": 3,
-    "MEASURE_Z": 1,
-}
+    kind: mat.shape[0].bit_length() - 1 for kind, mat in GATE_MATRICES.items()
+} | {"MEASURE_Z": 1}
 
-CLIFFORD_KINDS = ("H", "S", "Sdg", "X", "Y", "Z", "CNOT", "CZ")
+CLIFFORD_KINDS = SINGLE_QUBIT_CLIFFORDS + TWO_QUBIT_CLIFFORDS
 
 _COND_RE = re.compile(r"^b\d+(\^b\d+)*$")
 
@@ -296,30 +288,42 @@ _EVEN_UNSUPPORTED = (
 )
 
 
-def _column_letters(kind: str, m: int) -> list[str]:
-    """Per-column gate kinds realizing a 1-qubit logical Clifford on a row.
+@cache
+def column_kinds(kind: str, m: int) -> tuple[str, ...]:
+    """The gate each of the m columns applies, on its qubits of the row (or
+    of both rows for CNOT and CZ), to realize a logical Clifford; "I" marks
+    a column left alone. The one parity rule of column-local evaluation:
 
-    Uniform copies are only correct where the encoded operators make them
-    so; the parity-aware table below was fixed against the dense oracle:
-
-      odd m:  H -> H^m; S -> S^m (m=1 mod 4) or Sdg^m (m=3 mod 4, where the
-              encoded Y flips sign); Paulis -> uniform copies.
-      even m: X -> I (x) X^(m-1), Y -> Z (x) Y^(m-1), Z -> Z^m (the encoded
-              operators themselves); H and S have no column-local form.
+      I, X, Y, Z: the letters of expected_ladder_pauli(m, kind) at every m,
+              since an encoded Pauli is its ladder image (signs are global);
+      CNOT:   a uniform copy at every m: the ladder is the same GF(2)-linear
+              map on every row, so a column-wise XOR of rows commutes with it;
+      H, S, Sdg, CZ: uniform copies at odd m, with S and Sdg swapped at
+              m = 3 (mod 4), where the encoded Y flips sign. Even m has none:
+              see _EVEN_UNSUPPORTED.
     """
-    if m % 2 == 1:
-        if kind == "S" and m % 4 == 3:
-            return ["Sdg"] * m
-        if kind == "Sdg" and m % 4 == 3:
-            return ["S"] * m
-        return [kind] * m
-    if kind == "X":
-        return ["I"] + ["X"] * (m - 1)
-    if kind == "Y":
-        return ["Z"] + ["Y"] * (m - 1)
-    if kind == "Z":
-        return ["Z"] * m
-    raise UnsupportedGateError(_EVEN_UNSUPPORTED.format(kind=kind))
+    if kind in ("I", "X", "Y", "Z"):
+        return tuple(expected_ladder_pauli(m, kind).letters())
+    if kind not in CLIFFORD_KINDS:
+        raise UsageError(f"{kind} is not a logical Clifford gate")
+    if kind != "CNOT":
+        if m % 2 == 0:
+            raise UnsupportedGateError(_EVEN_UNSUPPORTED.format(kind=kind))
+        if m % 4 == 3:
+            kind = {"S": "Sdg", "Sdg": "S"}.get(kind, kind)
+    return (kind,) * m
+
+
+def _row_gates(
+    kind: str, rows: Sequence[int], layout: ShareLayout, condition: str | None = None
+) -> list[Gate]:
+    """Column-local gates realizing logical ``kind`` on the given rows, each
+    carrying ``condition``; identity columns emit nothing."""
+    return [
+        Gate(col_kind, tuple(layout.index_of(r, y) for r in rows), condition=condition)
+        for y, col_kind in enumerate(column_kinds(kind, layout.columns), start=1)
+        if col_kind != "I"
+    ]
 
 
 def transversal_expand(logical_gate: Gate, layout: ShareLayout) -> Circuit:
@@ -331,49 +335,16 @@ def transversal_expand(logical_gate: Gate, layout: ShareLayout) -> Circuit:
     kind = logical_gate.kind
     if kind == "TOFFOLI":
         raise UsageError("TOFFOLI is not transversal here; use toffoli_gadget")
-    if kind == "MEASURE_Z" or not (kind in CLIFFORD_KINDS or kind == "I"):
-        raise UsageError(f"{kind} is not a logical Clifford gate")
     rows = logical_gate.qubits
     for r in rows:
         if not 1 <= r <= layout.s:
             raise UsageError(f"logical row {r} out of range 1..{layout.s}")
-    m = layout.columns
-    if kind == "I":
-        return Circuit(layout.num_qubits, 0, ())
-    gates: list[Gate] = []
-    if kind in ("CNOT", "CZ"):
-        if kind == "CZ" and m % 2 == 0:
-            raise UnsupportedGateError(_EVEN_UNSUPPORTED.format(kind=kind))
-        r1, r2 = rows
-        for y in range(1, m + 1):
-            gates.append(Gate(kind, (layout.index_of(r1, y), layout.index_of(r2, y))))
-    else:
-        (r,) = rows
-        for y, col_kind in enumerate(_column_letters(kind, m), start=1):
-            if col_kind != "I":
-                gates.append(Gate(col_kind, (layout.index_of(r, y),)))
-    return Circuit(layout.num_qubits, 0, tuple(gates))
+    return Circuit(layout.num_qubits, 0, tuple(_row_gates(kind, rows, layout)))
 
 
 # ---------------------------------------------------------------------------
 # the Toffoli gadget
 # ---------------------------------------------------------------------------
-
-
-def _transversal_between_rows(kind: str, layout: ShareLayout, r1: int, r2: int) -> list[Gate]:
-    return [
-        Gate(kind, (layout.index_of(r1, y), layout.index_of(r2, y)))
-        for y in range(1, layout.columns + 1)
-    ]
-
-
-def _row_pauli_gates(kind: str, layout: ShareLayout, row: int, condition: str) -> list[Gate]:
-    m = layout.columns
-    gates = []
-    for y, col_kind in enumerate(_column_letters(kind, m), start=1):
-        if col_kind != "I":
-            gates.append(Gate(col_kind, (layout.index_of(row, y),), condition=condition))
-    return gates
 
 
 def toffoli_gadget(
@@ -403,10 +374,10 @@ def toffoli_gadget(
     are exact on every measurement branch.
     """
     m = layout.columns
-    if m % 2 == 0:
-        raise UnsupportedGateError(
-            _EVEN_UNSUPPORTED.format(kind="CZ (the gadget's correction step)")
-        )
+    try:
+        column_kinds("CZ", m)
+    except UnsupportedGateError as exc:
+        raise UnsupportedGateError(f"the gadget's CZ correction step: {exc}") from None
     c1, c2, t = data_rows
     a1, a2, a3 = ancilla_rows
     if len({c1, c2, t, a1, a2, a3}) != 6:
@@ -418,10 +389,9 @@ def toffoli_gadget(
         if not layout.s < r <= layout.rows:
             raise UsageError(f"ancilla row {r} out of range {layout.s + 1}..{layout.rows}")
 
-    gates: list[Gate] = []
-    gates += _transversal_between_rows("CNOT", layout, a1, c1)
-    gates += _transversal_between_rows("CNOT", layout, a2, c2)
-    gates += _transversal_between_rows("CNOT", layout, t, a3)
+    gates = _row_gates("CNOT", (a1, c1), layout)
+    gates += _row_gates("CNOT", (a2, c2), layout)
+    gates += _row_gates("CNOT", (t, a3), layout)
     # X-basis readout of row t: rotate each qubit, then measure everything
     for y in range(1, m + 1):
         gates.append(Gate("H", (layout.index_of(t, y),)))
@@ -434,22 +404,17 @@ def toffoli_gadget(
             bit += 1
     cond = {row: "^".join(f"b{b}" for b in xor_bits[row]) for row in (c1, c2, t)}
 
-    gates += _row_pauli_gates("X", layout, a1, cond[c1])
-    for g in _transversal_between_rows("CNOT", layout, a2, a3):
-        gates.append(Gate(g.kind, g.qubits, condition=cond[c1]))
-    gates += _row_pauli_gates("X", layout, a2, cond[c2])
-    for g in _transversal_between_rows("CNOT", layout, a1, a3):
-        gates.append(Gate(g.kind, g.qubits, condition=cond[c2]))
-    gates += _row_pauli_gates("Z", layout, a3, cond[t])
-    for y in range(1, m + 1):
-        gates.append(
-            Gate("CZ", (layout.index_of(a1, y), layout.index_of(a2, y)), condition=cond[t])
-        )
+    gates += _row_gates("X", (a1,), layout, cond[c1])
+    gates += _row_gates("CNOT", (a2, a3), layout, cond[c1])
+    gates += _row_gates("X", (a2,), layout, cond[c2])
+    gates += _row_gates("CNOT", (a1, a3), layout, cond[c2])
+    gates += _row_gates("Z", (a3,), layout, cond[t])
+    gates += _row_gates("CZ", (a1, a2), layout, cond[t])
     # swap the teleported rows back onto the data rows
     for anc, dat in ((a1, c1), (a2, c2), (a3, t)):
-        gates += _transversal_between_rows("CNOT", layout, anc, dat)
-        gates += _transversal_between_rows("CNOT", layout, dat, anc)
-        gates += _transversal_between_rows("CNOT", layout, anc, dat)
+        gates += _row_gates("CNOT", (anc, dat), layout)
+        gates += _row_gates("CNOT", (dat, anc), layout)
+        gates += _row_gates("CNOT", (anc, dat), layout)
     return Circuit(layout.num_qubits, 3 * m, tuple(gates))
 
 

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import ResourceError, UsageError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .circuits import Circuit, Gate
+    from .circuits import Circuit
 
-#: dense materialization refuses above this many qubits unless overridden
+#: dense materialization refuses above this many qubits
 DENSE_CAP = 12
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -111,14 +111,10 @@ def _apply_unitary_vec(amps: np.ndarray, num_qubits: int, mat: np.ndarray, qubit
     return moved.reshape(-1)
 
 
-def apply_gate(state: StateVector | DensityMatrix, gate: "Gate | tuple[str, tuple[int, ...]]"):
-    """Apply a unitary gate; measurements belong to measure_z/run_circuit."""
-    if isinstance(gate, tuple):
-        kind, qubits = gate
-    else:
-        kind, qubits = gate.kind, gate.qubits
-        if gate.condition is not None:
-            raise UsageError("conditioned gates are handled by run_circuit")
+def apply_gate(state: StateVector | DensityMatrix, gate: tuple[str, tuple[int, ...]]):
+    """Apply a unitary ``(kind, qubits)`` gate; measurements and conditions
+    belong to measure_z/run_circuit."""
+    kind, qubits = gate
     if kind == "MEASURE_Z":
         raise UsageError("measurements are handled by measure_z, not apply_gate")
     try:

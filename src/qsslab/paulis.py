@@ -804,10 +804,10 @@ class PauliOperator:
 
     # -- dense bridge --------------------------------------------------------
 
-    def to_dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        if self.num_qubits > cap:
+    def to_dense(self) -> np.ndarray:
+        if self.num_qubits > DENSE_CAP:
             raise ResourceError(
-                f"to_dense refused: {self.num_qubits} qubits exceeds cap {cap}"
+                f"to_dense refused: {self.num_qubits} qubits exceeds cap {DENSE_CAP}"
             )
         n = self.num_qubits
         if n == 0:
@@ -827,14 +827,14 @@ class PauliOperator:
         return out.transpose(perm).reshape(2**n, 2**n)
 
     @staticmethod
-    def from_dense(rho: np.ndarray, cap: int = DENSE_CAP) -> PauliOperator:
+    def from_dense(rho: np.ndarray) -> PauliOperator:
         """Expansion with coefficient 2^-N tr(P rho) per word P."""
         dim = rho.shape[0]
         n = int(dim).bit_length() - 1
         if rho.shape != (dim, dim) or 2**n != dim:
             raise UsageError("density matrix shape must be (2^N, 2^N)")
-        if n > cap:
-            raise ResourceError(f"from_dense refused: {n} qubits exceeds cap {cap}")
+        if n > DENSE_CAP:
+            raise ResourceError(f"from_dense refused: {n} qubits exceeds cap {DENSE_CAP}")
         t = np.ascontiguousarray(rho.T).reshape((2,) * (2 * n))
         # interleave to (r0, c0, r1, c1, ...)
         perm: list[int] = []

@@ -39,9 +39,11 @@ import numpy as np
 
 from .circuits import (
     CLIFFORD_KINDS,
+    GATE_ARITY,
     Circuit,
     Gate,
     ShareLayout,
+    column_kinds,
     evaluate_condition,
     gates_from_lines,
     ladder_circuit,
@@ -50,7 +52,7 @@ from .circuits import (
     transversal_expand,
 )
 from .dense import StateVector, build_unitary, run_circuit
-from .errors import ProtocolError, ResourceError, UsageError
+from .errors import ProtocolError, ResourceError, UnsupportedGateError, UsageError
 from .paulis import PauliOperator, PauliString
 
 PROBABILITY_CUTOFF = 1e-14
@@ -128,14 +130,17 @@ LOGICAL_KINDS = CLIFFORD_KINDS + ("I", "TOFFOLI")
 
 
 def supported_logical_kinds(m: int) -> tuple[str, ...]:
-    """Logical gate kinds with a column-local realization at column count m.
-
-    Odd m supports the full generating set; even m only the Paulis and CNOT
-    (H, S and CZ provably have no column-local form there).
-    """
-    if m % 2 == 1:
-        return ("H", "S", "Sdg", "X", "Y", "Z", "CNOT", "CZ")
-    return ("X", "Y", "Z", "CNOT")
+    """Logical Clifford kinds with a column-local realization at column
+    count m, in CLIFFORD_KINDS order: those circuits.column_kinds accepts
+    (every kind at odd m; only the Paulis and CNOT at even m)."""
+    kinds = []
+    for kind in CLIFFORD_KINDS:
+        try:
+            column_kinds(kind, m)
+        except UnsupportedGateError:
+            continue
+        kinds.append(kind)
+    return tuple(kinds)
 
 
 @dataclass(frozen=True)
@@ -180,9 +185,10 @@ def random_clifford_script(
     gates = []
     for _ in range(length):
         kind = str(rng.choice(kinds))
-        arity = 2 if kind in ("CNOT", "CZ") else 1
+        arity = GATE_ARITY[kind]
         if arity > num_rows:
-            kind, arity = "H" if m % 2 else "X", 1
+            # the first supported kind acts on one qubit (H or X)
+            kind, arity = kinds[0], 1
         rows = rng.choice(np.arange(1, num_rows + 1), size=arity, replace=False)
         gates.append(Gate(kind, tuple(int(r) for r in rows)))
     return EvaluationScript(num_rows, tuple(gates))
@@ -290,18 +296,26 @@ def magic_state_operator() -> PauliOperator:
     """Pauli expansion of the 3-qubit gadget resource state."""
     branches = run_circuit(magic_state_circuit(), StateVector.basis(3, 0))
     ((_, _, state),) = branches
-    return PauliOperator.from_dense(state.to_density().entries)
+    return _pure_operator(state)
+
+
+def _pure_operator(vec: StateVector) -> PauliOperator:
+    """Expansion of |a><a| for a validated (normalized) state vector a; the
+    outer product is a state by construction, so DensityMatrix's Hermitian,
+    trace and eigvalsh checks are skipped."""
+    a = vec.amplitudes
+    return PauliOperator.from_dense(np.outer(a, a.conj()))
 
 
 def _as_secret_operator(secret: object, s: int) -> PauliOperator:
     if isinstance(secret, PauliOperator):
         op = secret
     elif isinstance(secret, StateVector):
-        op = PauliOperator.from_dense(secret.to_density().entries)
+        op = _pure_operator(secret)
     elif isinstance(secret, np.ndarray):
         arr = np.asarray(secret, dtype=complex)
         if arr.ndim == 1:
-            op = PauliOperator.from_dense(StateVector(s, arr).to_density().entries)
+            op = _pure_operator(StateVector(s, arr))
         else:
             op = PauliOperator.from_dense(arr)
     elif hasattr(secret, "entries"):  # DensityMatrix duck type
@@ -521,19 +535,19 @@ def evaluate(
             anc = layout.ancilla_triple_rows(triple)
             gadget = toffoli_gadget(tuple(gate.qubits), anc, layout)
             base = len(groups[0].histories[0][0])
-            for local in range(gadget.num_classical_bits):
-                row = gate.qubits[local // m]
-                col = local % m + 1
-                origins.append(
-                    BitOrigin(
-                        slot=base + local,
-                        gadget_id=gi,
-                        triple=triple,
-                        row=row,
-                        column=col,
-                        participant=layout.owner(col),
+            for g in gadget.gates:
+                if g.kind == "MEASURE_Z":
+                    row, col = divmod(g.qubits[0], m)
+                    origins.append(
+                        BitOrigin(
+                            slot=base + g.classical_bit,
+                            gadget_id=gi,
+                            triple=triple,
+                            row=row + 1,
+                            column=col + 1,
+                            participant=layout.owner(col + 1),
+                        )
                     )
-                )
             groups = _run_gadget(gadget, groups, mode, rng, branch_cap, gi)
             consumed.add(triple)
         else:
@@ -700,8 +714,7 @@ def parse_secret(obj: dict, s: int | None = None) -> PauliOperator:
         norm = np.linalg.norm(amps)
         if norm < 1e-12:
             raise UsageError("amplitudes cannot all vanish")
-        vec = StateVector(num, amps / norm)
-        op = PauliOperator.from_dense(vec.to_density().entries)
+        op = _pure_operator(StateVector(num, amps / norm))
     elif "pauli" in obj:
         words = obj["pauli"]
         if not isinstance(words, dict) or not words:

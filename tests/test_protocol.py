@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsslab.circuits import (
+    GATE_ARITY,
     Circuit,
     Gate,
     evaluate_condition,
@@ -128,6 +129,23 @@ def test_random_clifford_script_respects_parity():
     assert len(script) == 20
     assert {g.kind for g in script} <= set(supported_logical_kinds(4))
     assert script.toffoli_count == 0
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_every_supported_kind_acts_logically(m):
+    """Each kind supported at m, alone on a random mixed 2-row secret,
+    reconstructs to its logical action: both even classes, and odd m on
+    both sides of the S/Sdg swap (m = 1 and 3 mod 4)."""
+    params = SchemeParams.relaxed(n=m - 1, s=2)
+    rng = np.random.default_rng(800 + m)
+    secret = random_density_matrix(2, rng).entries
+    shared = deal(params, secret)
+    for kind in supported_logical_kinds(m):
+        script = EvaluationScript(2, (Gate(kind, (2, 1)[: GATE_ARITY[kind]]),))
+        (branch,), _ = evaluate(shared, script)
+        u = logical_unitary(script)
+        got = reconstruct(branch).to_dense()
+        assert trace_distance(got, u @ secret @ u.conj().T) < 1e-10, kind
 
 
 def test_logical_unitary_row_order():
@@ -398,8 +416,9 @@ def test_sampled_mode_is_reproducible():
     assert prob == pytest.approx(0.0019531249999999991, rel=1e-15)
 
 
-def test_sampled_branch_matches_logical_action():
-    params = SchemeParams.strict(n=2, k=1, kprime=2)
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_sampled_branch_matches_logical_action(n):
+    params = SchemeParams.strict(n=n, k=1, kprime=2)
     secret = _basis_secret(3, 0b011)
     script = EvaluationScript(
         3, (Gate("H", (1,)), Gate("TOFFOLI", (1, 2, 3)), Gate("TOFFOLI", (3, 2, 1)))
