@@ -88,11 +88,6 @@ class Coalition:
                 raise UsageError(f"cannot read coalition member {token!r}")
         return cls(n, frozenset(members))
 
-    @classmethod
-    def of_columns(cls, n: int, columns: Sequence[int]) -> Coalition:
-        names = {"alice" if c == 1 else f"p{c - 1}" for c in columns}
-        return cls(n, frozenset(names))
-
     @property
     def includes_alice(self) -> bool:
         return "alice" in self.members

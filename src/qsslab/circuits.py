@@ -78,10 +78,6 @@ class Gate:
         if self.condition is not None:
             parse_condition(self.condition)
 
-    @property
-    def is_clifford(self) -> bool:
-        return self.kind in CLIFFORD_KINDS
-
 
 @dataclass(frozen=True)
 class Circuit:

@@ -41,6 +41,7 @@ from .circuits import (
 )
 from .dense import (
     DENSE_CAP,
+    PROBABILITY_CUTOFF,
     StateVector,
     build_unitary,
     random_state_vector,
@@ -470,7 +471,7 @@ def _plaintext_gadget_fidelity(initial: StateVector) -> float:
     )
     worst = 1.0
     for _, prob, post in run_circuit(circuit, full):
-        if prob <= 1e-14:
+        if prob <= PROBABILITY_CUTOFF:
             continue
         # data qubits 0..2 index the rows, ancillas 3..5 the columns
         overlaps = target.conj() @ post.amplitudes.reshape(8, 8)

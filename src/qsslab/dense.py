@@ -23,6 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: dense materialization refuses above this many qubits
 DENSE_CAP = 12
 
+#: a measurement outcome of probability at or below this is dropped, by
+#: this oracle, the sparse evaluation and the gadget fidelity alike
+PROBABILITY_CUTOFF = 1e-14
+
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.diag([1, 1j]).astype(complex)
 _TOF = np.eye(8, dtype=complex)
@@ -182,7 +186,8 @@ def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray)
 def measure_z(state: StateVector | DensityMatrix, qubit: int):
     """Exhaustive Z-measurement branches: [(outcome, probability, post-state)].
 
-    Zero-probability branches are omitted; post-states are normalized.
+    Branches of probability at most PROBABILITY_CUTOFF are omitted;
+    post-states are normalized.
     """
     n = state.num_qubits
     if not 0 <= qubit < n:
@@ -195,7 +200,7 @@ def measure_z(state: StateVector | DensityMatrix, qubit: int):
             part = np.zeros_like(t)
             part[b] = t[b]
             p = float(np.sum(np.abs(part) ** 2))
-            if p < 1e-14:
+            if p <= PROBABILITY_CUTOFF:
                 continue
             post = np.moveaxis(part, 0, qubit).reshape(-1) / np.sqrt(p)
             branches.append((b, p, StateVector(n, post)))
@@ -204,7 +209,7 @@ def measure_z(state: StateVector | DensityMatrix, qubit: int):
         for b in (0, 1):
             post = state.entries * np.outer(bit == b, bit == b)
             p = float(np.trace(post).real)
-            if p < 1e-14:
+            if p <= PROBABILITY_CUTOFF:
                 continue
             branches.append((b, p, DensityMatrix(n, post / p)))
     return branches

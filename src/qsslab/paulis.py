@@ -24,13 +24,16 @@ coefficients. Every operation is a handful of whole-array steps:
   XOR/AND operations on the planes it touches plus a sign plane, and
   transposes back once; a Clifford relabels words bijectively, so the word
   order is kept and coefficients are only negated;
-- the branching operations (Toffoli conjugation, Z projection and
-  measurement, add, from_terms) emit candidate rows and merge equal words in
-  one grouping pass: a stable lexsort, then per-group sums in candidate
-  order, so each output word accumulates its contributions in the order a
-  term-by-term loop would;
+- the merging operations (Z projection and measurement, add, from_terms)
+  emit candidate rows and merge equal words in one grouping pass: a stable
+  lexsort, then per-group sums in candidate order, so each output word
+  accumulates its contributions in the order a term-by-term loop would;
 - partial_trace is a mask test plus a bit compaction, which is injective on
   the surviving words, so nothing is summed; tensor is a broadcast.
+
+These are the Gottesman-Knill operations: the engine has no non-Clifford
+gate. A logical Toffoli reaches the shares only as the measured magic-state
+gadget, a Clifford circuit with Z measurements.
 
 Words are kept in order of first appearance, the order a term-by-term loop
 filling a dict would produce; equality (``==``, approx_equal) compares word
@@ -40,8 +43,7 @@ sets and does not depend on that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
-from itertools import product
+from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -127,42 +129,6 @@ class PauliString:
     @property
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase % 2 == 0
-
-    def _check_len(self, other: PauliString) -> None:
-        if self.num_qubits != other.num_qubits:
-            raise UsageError(
-                f"length mismatch: {self.num_qubits} vs {other.num_qubits}"
-            )
-
-    def __mul__(self, other: PauliString) -> PauliString:
-        """Operator product, with the exact accumulated i^k phase.
-
-        Per qubit, writing a letter as i^(x&z) X^x Z^z, the product picks up
-        i^(x1z1 + x2z2 - x3z3) * (-1)^(z1x2) with (x3, z3) = (x1^x2, z1^z2);
-        summed over qubits via popcounts.
-        """
-        self._check_len(other)
-        x3 = self.x ^ other.x
-        z3 = self.z ^ other.z
-        k = (
-            (self.x & self.z).bit_count()
-            + (other.x & other.z).bit_count()
-            - (x3 & z3).bit_count()
-            + 2 * (self.z & other.x).bit_count()
-        )
-        return PauliString(self.num_qubits, x3, z3, (self.phase + other.phase + k) % 4)
-
-    def tensor(self, other: PauliString) -> PauliString:
-        return PauliString(
-            self.num_qubits + other.num_qubits,
-            self.x | (other.x << self.num_qubits),
-            self.z | (other.z << self.num_qubits),
-            self.phase + other.phase,
-        )
 
     def phase_factor(self) -> complex:
         return 1j ** (self.phase % 4)
@@ -568,17 +534,10 @@ class PauliOperator:
         return self._conjugate_cliffords((gate,))
 
     def conjugate_circuit(self, gates: Iterable["Gate"]) -> PauliOperator:
-        """Conjugate by a gate list: each maximal run of Cliffords goes to the
-        bit-plane kernel in one call, each TOFFOLI to conjugate_toffoli."""
-        op = self
-        run: list[Gate] = []
-        for g in gates:
-            if g.kind == "TOFFOLI":
-                op = op._conjugate_cliffords(run).conjugate_toffoli(g.qubits)
-                run = []
-            else:
-                run.append(g)
-        return op._conjugate_cliffords(run)
+        """Conjugate by a list of Clifford gates in one bit-plane kernel call.
+        A TOFFOLI is refused: on shares a logical Toffoli runs only as the
+        measured magic-state gadget (circuits.toffoli_gadget)."""
+        return self._conjugate_cliffords(list(gates))
 
     def _conjugate_cliffords(self, gates: Sequence["Gate"]) -> PauliOperator:
         """Conjugate by a run of Clifford gates on bit planes.
@@ -594,7 +553,10 @@ class PauliOperator:
         n = self.num_qubits
         for g in gates:
             if g.kind == "TOFFOLI":
-                raise UsageError("TOFFOLI is not Clifford; use conjugate_toffoli")
+                raise UsageError(
+                    "TOFFOLI is not Clifford; a logical Toffoli runs on shares as the "
+                    "measured gadget (circuits.toffoli_gadget)"
+                )
             if g.kind not in _CLIFFORD_KINDS:
                 raise UsageError(f"unsupported Clifford kind {g.kind!r}")
             for q in g.qubits:
@@ -642,43 +604,6 @@ class PauliOperator:
             bitorder="little",
         ).view(bool)
         return PauliOperator(n, new_x, new_z, np.where(flip, -self.coeffs, self.coeffs))
-
-    # -- Toffoli conjugation ------------------------------------------------
-
-    def conjugate_toffoli(self, qubits: tuple[int, int, int]) -> PauliOperator:
-        """Conjugate by the doubly-controlled NOT on (c1, c2, t).
-
-        Non-Clifford: each word maps to a sum of at most 8 words (table
-        precomputed once from the dense 8x8 oracle; coefficients are exact
-        dyadic rationals). Every term looks up its letter triple at once and
-        emits its candidate words, term by term in table order; equal words
-        are then summed in that order. Trace and Hermiticity are preserved;
-        near-zero cancellations are pruned.
-        """
-        c1, c2, t = qubits
-        if len({c1, c2, t}) != 3:
-            raise UsageError("Toffoli qubits must be distinct")
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise UsageError(f"qubit {q} out of range")
-        counts, starts, out_bits, weights = _toffoli_table()
-        cols = [_column(q) for q in qubits]
-        code = np.zeros(self.num_terms, dtype=np.intp)
-        for w, bit in cols:
-            xb = (self.x[:, w] & bit) != 0
-            zb = (self.z[:, w] & bit) != 0
-            code = 4 * code + xb + 2 * zb
-        fanout = counts[code]
-        rep = np.repeat(np.arange(self.num_terms), fanout)
-        offsets = np.arange(rep.size) - np.repeat(np.cumsum(fanout) - fanout, fanout)
-        entry = starts[code][rep] + offsets
-        x = self.x[rep]
-        z = self.z[rep]
-        for j, (w, bit) in enumerate(cols):
-            for words, plane in ((x, out_bits[entry, 2 * j]), (z, out_bits[entry, 2 * j + 1])):
-                words[:, w] = (words[:, w] & ~bit) | np.where(plane, bit, np.uint64(0))
-        coeffs = _product(self.coeffs[rep], weights[entry])
-        return PauliOperator._merged(self.num_qubits, x, z, coeffs)._pruned()
 
     # -- partial trace / measurement ----------------------------------------
 
@@ -864,41 +789,3 @@ SINGLE_QUBIT_CLIFFORDS = ("H", "S", "Sdg", "X", "Y", "Z")
 TWO_QUBIT_CLIFFORDS = ("CNOT", "CZ")
 _CLIFFORD_KINDS = frozenset(SINGLE_QUBIT_CLIFFORDS + TWO_QUBIT_CLIFFORDS)
 
-
-@cache
-def _toffoli_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Toffoli conjugation of each 3-qubit letter triple, as flat arrays.
-
-    A triple is indexed by its code sum_j 4^(2-j) (x_j + 2 z_j). Returned:
-    per code the entry count and first entry; per entry the output bits
-    (x1, z1, x2, z2, x3, z3) and the weight, outputs in I, X, Y, Z order.
-    Built once from the dense 8x8 matrix; the doubly-controlled NOT is real
-    orthogonal, so Hermitian words map to real combinations.
-    """
-    tof = np.eye(8, dtype=complex)
-    tof[6:, 6:] = [[0, 1], [1, 0]]
-    triples = list(product(LETTERS, repeat=3))
-    mats = [reduce(np.kron, [GATE_MATRICES[letter] for letter in t]) for t in triples]
-    by_code = {}
-    for triple, mat in zip(triples, mats):
-        conj = tof @ mat @ tof
-        entries = [
-            ([b for letter in out for b in _BITS_OF[letter]], complex(w))
-            for out, basis in zip(triples, mats)
-            if abs(w := np.trace(basis @ conj) / 8) > 1e-13
-        ]
-        if not 1 <= len(entries) <= 8:
-            raise ProtocolError(
-                f"Toffoli conjugation of {''.join(triple)} gave {len(entries)} words, "
-                "expected 1..8"
-            )
-        code = 0
-        for letter in triple:
-            xb, zb = _BITS_OF[letter]
-            code = 4 * code + xb + 2 * zb
-        by_code[code] = entries
-    counts = np.array([len(by_code[code]) for code in range(64)], dtype=np.intp)
-    rows = [entry for code in range(64) for entry in by_code[code]]
-    bits = np.array([b for b, _ in rows], dtype=bool)
-    weights = np.array([w for _, w in rows], dtype=complex)
-    return counts, np.cumsum(counts) - counts, bits, weights

@@ -51,11 +51,10 @@ from .circuits import (
     toffoli_gadget,
     transversal_expand,
 )
-from .dense import StateVector, build_unitary, run_circuit
+from .dense import DENSE_CAP, PROBABILITY_CUTOFF, StateVector, build_unitary, run_circuit
 from .errors import ProtocolError, ResourceError, UnsupportedGateError, UsageError
 from .paulis import PauliOperator, PauliString
 
-PROBABILITY_CUTOFF = 1e-14
 DEFAULT_BRANCH_CAP = 4096
 
 
@@ -581,7 +580,14 @@ def evaluate(
 
 
 def canonical_secret_family(s: int) -> list[tuple[str, PauliOperator]]:
-    """All-zero, all-one and all-plus product secrets on s qubits."""
+    """All-zero, all-one and all-plus product secrets on s qubits.
+
+    They are built densely, so s above the dense cap is refused before the
+    2^s x 2^s outer products are allocated."""
+    if s > DENSE_CAP:
+        raise ResourceError(
+            f"canonical secrets refused above the dense cap ({s} > {DENSE_CAP} qubits)"
+        )
     dim = 2**s
     zero = np.zeros(dim)
     zero[0] = 1.0
@@ -632,30 +638,25 @@ def announce_distribution(
     params: SchemeParams,
     script: EvaluationScript,
     secret: object,
-    family: Sequence[tuple[str, object]] | None = None,
 ) -> AnnouncementReport:
     """Exact statistics of the broadcast bits.
 
     Reports each bit's marginal probability, the worst deviation from 1/2,
-    and — across the given secret plus a comparison family (all-zero,
-    all-one, all-plus products by default) — the worst variation of both the
+    and — across the given secret plus canonical_secret_family (all-zero,
+    all-one, all-plus products) — the worst variation of both the
     marginals and the full joint announcement distribution. A Clifford-only
     script announces nothing and yields an empty report.
     """
     if script.toffoli_count == 0:
         return AnnouncementReport((), (), 0.0, 0.0, 0.0, ())
-    if family is None:
-        family = canonical_secret_family(params.s)
-
     runs: list[tuple[str, Transcript]] = []
     primary = _as_secret_operator(secret, params.s)
     _, transcript = evaluate(deal(params, primary), script)
     runs.append(("secret", transcript))
-    for label, other in family:
-        other_op = _as_secret_operator(other, params.s)
-        if other_op == primary:
+    for label, other in canonical_secret_family(params.s):
+        if other == primary:
             continue
-        _, tr = evaluate(deal(params, other_op), script)
+        _, tr = evaluate(deal(params, other), script)
         runs.append((label, tr))
 
     origins = runs[0][1].bit_origins

@@ -61,11 +61,6 @@ def test_coalition_parse_rejects_garbage():
         Coalition.parse("", n=2)
 
 
-def test_coalition_of_columns():
-    got = Coalition.of_columns(3, [1, 3])
-    assert got.members == frozenset({"alice", "p2"})
-
-
 def test_coalition_properties():
     c = Coalition.parse("alice,p1", n=2)
     assert c.includes_alice

@@ -69,11 +69,6 @@ def test_gate_validation():
         Gate("MEASURE_Z", (0,), classical_bit=0, condition="b0")
 
 
-def test_gate_is_clifford():
-    assert Gate("CZ", (0, 1)).is_clifford
-    assert not Gate("TOFFOLI", (0, 1, 2)).is_clifford
-
-
 def test_circuit_rejects_out_of_range_qubit():
     with pytest.raises(UsageError):
         Circuit(1, 0, (Gate("CNOT", (0, 1)),))

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qsslab import audit as audit_module
@@ -189,6 +190,17 @@ def test_run_exact_branch_explosion_exits_three(tmp_path):
     )
     code, _ = _run(tmp_path, "run", "--script", script, "--t", "6")
     assert code == 3
+
+
+def test_run_default_secret_above_the_dense_cap_exits_three(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated before the dense cap refused")
+
+    monkeypatch.setattr(np, "outer", forbidden)
+    monkeypatch.setattr(cli, "deal", forbidden)
+    code, payload = _run(tmp_path, "run", "--s", "13", "--t", "0")
+    assert code == 3
+    assert payload is None
 
 
 def test_run_rejects_nonpositive_tolerance(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from qsslab.circuits import Circuit, Gate, ladder_circuit
 from qsslab.dense import (
     GATE_MATRICES,
+    PROBABILITY_CUTOFF,
     DensityMatrix,
     StateVector,
     apply_gate,
@@ -158,6 +159,31 @@ def test_measure_z_branches_are_complete():
 def test_measure_z_skips_impossible_outcome():
     branches = measure_z(StateVector.basis(2, 0b00), 0)
     assert [b for b, _, _ in branches] == [0]
+
+
+def _amplitudes_at_cutoff():
+    """Two amplitudes whose squares sum, in measure_z's order, to
+    PROBABILITY_CUTOFF exactly. No float squares to 1e-14 itself, so the
+    first is the square root of the cutoff, rounded below it, and the second
+    is searched among the np.nextafter neighbours of the square root of what
+    the first leaves."""
+    a = np.sqrt(PROBABILITY_CUTOFF)
+    while a * a >= PROBABILITY_CUTOFF:
+        a = np.nextafter(a, 0.0)
+    below = above = np.sqrt(PROBABILITY_CUTOFF - a * a)
+    for _ in range(64):
+        for b in (below, above):
+            if a * a + b * b == PROBABILITY_CUTOFF:
+                return a, b
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+    raise AssertionError("no amplitudes reach the cutoff")
+
+
+def test_measure_z_drops_an_outcome_at_the_cutoff_exactly():
+    a, b = _amplitudes_at_cutoff()
+    psi = StateVector(2, np.array([np.sqrt(1.0 - PROBABILITY_CUTOFF), 0.0, a, b]))
+    for state in (psi, psi.to_density()):
+        assert [outcome for outcome, _, _ in measure_z(state, 0)] == [0]
 
 
 def test_measure_z_density_matrix_route():

@@ -552,6 +552,15 @@ def test_announcement_bits_are_uniform_and_secret_blind():
     assert report.secrets_compared == ("secret", "|111>", "|+++>")
 
 
+def test_canonical_secret_family_refuses_above_the_dense_cap(monkeypatch):
+    def no_outer(*args, **kwargs):
+        raise AssertionError("np.outer called above the dense cap")
+
+    monkeypatch.setattr(np, "outer", no_outer)
+    with pytest.raises(ResourceError, match="dense cap"):
+        canonical_secret_family(13)
+
+
 def test_canonical_secret_family():
     family = canonical_secret_family(2)
     assert [label for label, _ in family] == ["|00>", "|11>", "|++>"]
