@@ -412,19 +412,3 @@ def toffoli_gadget(
         gates += _row_gates("CNOT", (dat, anc), layout)
         gates += _row_gates("CNOT", (anc, dat), layout)
     return Circuit(layout.num_qubits, 3 * m, tuple(gates))
-
-
-def column_of(layout: ShareLayout, qubit: int) -> int:
-    """1-based column owning a flat qubit index."""
-    if not 0 <= qubit < layout.num_qubits:
-        raise UsageError(f"qubit {qubit} out of range")
-    return qubit % layout.columns + 1
-
-
-def is_column_local(circuit: Circuit, layout: ShareLayout) -> bool:
-    """True iff no gate touches two different columns."""
-    for g in circuit.gates:
-        cols = {column_of(layout, q) for q in g.qubits}
-        if len(cols) > 1:
-            return False
-    return True

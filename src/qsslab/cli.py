@@ -1,10 +1,13 @@
 """Command-line front end: verification workflows with JSON reports.
 
-Four subcommands — verify-ladder, run, audit, gadget — share one options
-vocabulary (config file plus flag overrides). Every command builds a Report
-with a stable field order: tool, version, command, timestamp, seed, config,
-checks, notes, verdict. Each check carries its measured value and tolerance.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 resource
+Four subcommands — verify-ladder, run, audit, gadget — each take only the
+flags they read (see _COMMANDS), plus --config, --tolerance and --out. A
+config file's keys are the command's own flags: its entries become flag
+tokens that the command's parser reads before the explicit flags, which win.
+Every command builds a Report with a stable field order: tool, version,
+command, timestamp, seed, config, checks, notes, verdict. Each check carries
+its measured value and tolerance. Exit codes: 0 all checks pass, 1 a check
+failed, 2 usage error (unreadable or unwritable paths included), 3 resource
 limit.
 """
 
@@ -157,13 +160,10 @@ def _emit(report: Report, out_path: str | None) -> int:
 # configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "n", "k", "kprime", "s", "t", "m_range", "coalition", "mode", "seed",
-    "strict", "tolerance", "out", "secret", "script",
-}
 
-
-def _load_config_file(path: str) -> dict:
+def _config_tokens(path: str, keys: Sequence[str]) -> list[str]:
+    """A config file's entries as ``--key=value`` flag tokens. Keys are the
+    command's own flag names; ``--strict`` is emitted only when true."""
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -184,50 +184,31 @@ def _load_config_file(path: str) -> dict:
                 raise UsageError(f"config {path} line {ln}: expected key=value")
             key, _, value = raw.partition("=")
             items.append((key.strip(), value.strip()))
-    config = {}
+    tokens = []
     for key, value in items:
         key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise UsageError(f"unknown config key {key!r}")
-        config[key] = value
-    return config
-
-
-def _coerce(key: str, value: object) -> object:
-    if key in ("n", "k", "kprime", "s", "t", "seed"):
-        return int(value)
-    if key == "tolerance":
-        return float(value)
-    if key == "strict":
-        if isinstance(value, bool):
-            return value
-        return str(value).lower() in ("1", "true", "yes")
-    return value
-
-
-def _merge_options(args: argparse.Namespace) -> dict:
-    options: dict = {}
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            options[key] = _coerce(key, value)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            options[key] = value
-    return options
+        flag = "--" + key.replace("_", "-")
+        if key != "strict":
+            tokens.append(f"{flag}={value}")
+        elif str(value).lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+        elif str(value).lower() not in ("0", "false", "no"):
+            raise UsageError(f"config key 'strict' must be true or false, not {value!r}")
+    return tokens
 
 
 def _params_from(options: dict) -> SchemeParams:
     n = options.get("n", 2)
-    if "k" in options or "kprime" in options or options.get("strict"):
+    if "k" in options or "kprime" in options:
+        if "s" in options or "t" in options:
+            raise UsageError("size the scheme by --k/--kprime or by --s/--t, not both")
         k = options.get("k", 1)
-        kprime = options.get("kprime", k)
-        return SchemeParams.strict(n=n, k=k, kprime=kprime)
-    s = options.get("s", 3)
-    t = options.get("t", 3)
-    if t % 3 != 0:
-        raise UsageError("t must be a multiple of 3 (ancilla triples)")
-    return SchemeParams.relaxed(n=n, s=s, budget=t // 3)
+        return SchemeParams.strict(n=n, k=k, kprime=options.get("kprime", k))
+    return SchemeParams(
+        n=n, s=options.get("s", 3), t=options.get("t", 3), strict_mode=options.get("strict", False)
+    )
 
 
 def _parse_m_range(spec: str) -> tuple[int, int]:
@@ -546,6 +527,27 @@ def cmd_gadget(options: dict) -> Report:
 # ---------------------------------------------------------------------------
 
 
+_SIZE_FLAGS = ("n", "k", "kprime", "s", "t", "strict")
+# each command with the flags it reads besides --config, --tolerance and --out
+_COMMANDS = {
+    "verify-ladder": (cmd_verify_ladder, ("m_range",)),
+    "run": (cmd_run, _SIZE_FLAGS + ("mode", "seed", "secret", "script")),
+    "audit": (cmd_audit, _SIZE_FLAGS + ("coalition",)),
+    "gadget": (cmd_gadget, ("seed",)),
+}
+# argparse settings of the flags that do not take a plain string
+_FLAG_SETTINGS = {
+    "tolerance": {"type": float},
+    "strict": {"action": "store_true"},
+    "mode": {"choices": ("exact", "sampled")},
+    **dict.fromkeys(("n", "k", "kprime", "s", "t", "seed"), {"type": int}),
+}
+
+
+def _config_keys(command: str) -> tuple[str, ...]:
+    return ("tolerance", "out") + _COMMANDS[command][1]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsslab",
@@ -553,49 +555,42 @@ def _build_parser() -> argparse.ArgumentParser:
         "quantum secret-sharing scheme",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify-ladder", "run", "audit", "gadget"):
-        p = sub.add_parser(name)
+    for name in _COMMANDS:
+        # no abbreviations: gadget would read --t as --tolerance
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="key=value lines or a JSON object")
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--kprime", type=int)
-        p.add_argument("--s", type=int)
-        p.add_argument("--t", type=int)
-        p.add_argument("--m-range", dest="m_range")
-        p.add_argument("--coalition")
-        p.add_argument("--mode", choices=("exact", "sampled"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--strict", action="store_true", default=False)
-        p.add_argument("--tolerance", type=float)
-        p.add_argument("--out")
-        p.add_argument("--secret")
-        p.add_argument("--script")
+        for key in _config_keys(name):
+            p.add_argument("--" + key.replace("_", "-"), **_FLAG_SETTINGS.get(key, {}))
     return parser
 
 
-_COMMANDS = {
-    "verify-ladder": cmd_verify_ladder,
-    "run": cmd_run,
-    "audit": cmd_audit,
-    "gadget": cmd_gadget,
-}
+def _parse_options(argv: list[str]) -> tuple[str, dict]:
+    """The command and its set options. A config file's tokens go between
+    the command and the explicit flags, so the explicit flags win."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        tokens = _config_tokens(args.config, _config_keys(args.command))
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
+    options = {
+        key: value for key, value in vars(args).items() if value is not None and value is not False
+    }
+    return options.pop("command"), options
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        options = _merge_options(args)
+        command, options = _parse_options(argv)
         if options.get("mode") == "sampled" and options.get("seed") is None:
             raise UsageError("sampled mode requires --seed")
         if options.get("tolerance") is not None and options["tolerance"] <= 0:
             raise UsageError("tolerance must be positive")
-        report = _COMMANDS[args.command](options)
+        report = _COMMANDS[command][0](options)
         return _emit(report, options.get("out"))
-    except UsageError as exc:
+    except SystemExit as exc:  # argparse has printed its message or --help
+        return 2 if exc.code not in (0, None) else 0
+    except (UsageError, OSError, UnicodeDecodeError) as exc:  # a path unreadable as text
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

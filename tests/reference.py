@@ -2,8 +2,9 @@
 
 Each helper builds its result entry by entry or factor by factor, with no
 shared kernel, so a test can compare the package's output with it exactly.
-The operator helpers stand in for constructors only the tests need, and
-generic_secret is the input of the audit's enumeration oracle.
+The operator helpers stand in for constructors only the tests need,
+is_column_local is the locality check the circuit tests hold expansions
+to, and generic_secret is the input of the audit's enumeration oracle.
 """
 
 import itertools
@@ -53,6 +54,18 @@ def kron_matrix(ps):
     """i^phase times the Kronecker product of the letter matrices."""
     mats = [GATE_MATRICES[ps.letter(q)] for q in range(ps.num_qubits)]
     return ps.phase_factor() * reduce(np.kron, mats, np.eye(1, dtype=complex))
+
+
+def column_of(layout, qubit):
+    """1-based column owning a flat qubit index (qubits are row-major)."""
+    if not 0 <= qubit < layout.num_qubits:
+        raise ValueError(f"qubit {qubit} out of range")
+    return qubit % layout.columns + 1
+
+
+def is_column_local(circuit, layout):
+    """True iff no gate touches two different columns."""
+    return all(len({column_of(layout, q) for q in g.qubits}) <= 1 for g in circuit.gates)
 
 
 def pauli_operator(ps, coeff=1.0):

@@ -10,7 +10,6 @@ from qsslab.circuits import (
     evaluate_condition,
     expected_ladder_pauli,
     gates_from_lines,
-    is_column_local,
     ladder_circuit,
     ladder_fanout_circuit,
     magic_state_circuit,
@@ -22,7 +21,7 @@ from qsslab.dense import StateVector, build_unitary, run_circuit
 from qsslab.errors import UnsupportedGateError, UsageError
 from qsslab.paulis import PauliString
 
-from reference import pauli_operator
+from reference import is_column_local, pauli_operator
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,28 @@ def test_audit_bad_coalition_exits_two(tmp_path):
     assert code == 2
 
 
+def test_audit_strict_sizes_by_s_and_t(tmp_path):
+    code, payload = _run(tmp_path, "audit", "--strict", "--s", "6", "--t", "6")
+    assert code == 0
+    assert (payload["config"]["s"], payload["config"]["t"]) == (6, 6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--k", "1", "--s", "3"),
+        ("--kprime", "2", "--t", "6"),
+        ("--strict", "--s", "6", "--t", "3"),  # k'/k = 1/2
+        ("--strict", "--s", "4"),  # s is not 3k
+        ("--t", "4"),  # ancilla rows come in triples
+    ],
+)
+def test_audit_refuses_inconsistent_sizes(tmp_path, argv):
+    code, payload = _run(tmp_path, "audit", *argv)
+    assert code == 2
+    assert payload is None
+
+
 # ---------------------------------------------------------------------------
 # gadget
 # ---------------------------------------------------------------------------
@@ -366,6 +388,97 @@ def test_config_rejects_unknown_keys(tmp_path):
     config.write_text(json.dumps({"rows": 5}))
     code, _ = _run(tmp_path, "verify-ladder", "--config", str(config))
     assert code == 2
+
+
+# each subcommand's flags besides --config, --tolerance and --out
+OWN_FLAGS = {
+    "verify-ladder": {"m_range"},
+    "run": {"n", "k", "kprime", "s", "t", "strict", "mode", "seed", "secret", "script"},
+    "audit": {"n", "k", "kprime", "s", "t", "strict", "coalition"},
+    "gadget": {"seed"},
+}
+FLAG_VALUES = {
+    "n": "3", "k": "1", "kprime": "1", "s": "3", "t": "3", "strict": None,
+    "m_range": "2..3", "coalition": "alice,p1", "mode": "exact", "seed": "1",
+    "secret": "secret.json", "script": "script.jsonl",
+}
+UNREAD = [
+    (command, key)
+    for command, own in OWN_FLAGS.items()
+    for key in FLAG_VALUES
+    if key not in own
+]
+
+
+@pytest.mark.parametrize("command,key", UNREAD)
+def test_subcommand_refuses_flags_it_does_not_read(tmp_path, command, key):
+    _write_secret(tmp_path, {"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]})
+    _write_script(tmp_path, {"g": "H", "q": [1]})
+    value = FLAG_VALUES[key]
+    flag = ["--" + key.replace("_", "-")]
+    if value is not None:
+        flag.append(str(tmp_path / value) if key in ("secret", "script") else value)
+    code, payload = _run(tmp_path, command, *flag)
+    assert code == 2
+    assert payload is None
+
+    config = tmp_path / "config.cfg"
+    config.write_text(f"{key} = {'true' if value is None else flag[1]}\n")
+    code, payload = _run(tmp_path, command, "--config", str(config))
+    assert code == 2
+    assert payload is None
+
+
+def test_parser_declares_each_commands_own_flags():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    declared = {
+        name: {a.dest for a in p._actions if a.option_strings} - {"help"}
+        for name, p in sub.choices.items()
+    }
+    assert declared == {
+        name: own | {"config", "tolerance", "out"} for name, own in OWN_FLAGS.items()
+    }
+    assert sum(len(flags) for flags in declared.values()) == 31
+
+
+@pytest.mark.parametrize(
+    "line", ["n = abc", "mode = bogus", "seed = 1.5", "tolerance = tight", "strict = maybe"]
+)
+def test_config_values_are_checked_like_flags(tmp_path, line, capsys):
+    config = tmp_path / "config.cfg"
+    config.write_text(line + "\n")
+    code, payload = _run(tmp_path, "run", "--config", str(config))
+    assert code == 2
+    assert payload is None
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_strict_and_sizes(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"strict": True, "s": 6, "t": 6, "n": 3}))
+    code, payload = _run(tmp_path, "audit", "--config", str(config), "--n", "2")
+    assert code == 0
+    assert [payload["config"][key] for key in ("n", "s", "t")] == [2, 6, 6]
+    config.write_text(json.dumps({"strict": False, "s": 2, "t": 0}))
+    code, payload = _run(tmp_path, "audit", "--config", str(config))
+    assert code == 0
+    assert (payload["config"]["s"], payload["config"]["t"]) == (2, 0)
+
+
+@pytest.mark.parametrize("flag", ["--secret", "--script", "--config", "--out"])
+def test_unreadable_paths_exit_two(tmp_path, flag, capsys):
+    missing = str(tmp_path / "missing" / "file")
+    assert main(["run", flag, missing]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--secret", "--script", "--config"])
+def test_files_that_are_not_utf8_exit_two(tmp_path, flag, capsys):
+    path = tmp_path / "latin1"
+    path.write_bytes(b'{"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]} # \xff\n')
+    assert main(["run", flag, str(path)]) == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two():
