@@ -22,7 +22,6 @@ from .protocol import (
     SchemeParams,
     SharedState,
     Transcript,
-    announce_distribution,
     deal,
     evaluate,
     load_secret,
@@ -45,7 +44,6 @@ __all__ = [
     "Transcript",
     "UnsupportedGateError",
     "UsageError",
-    "announce_distribution",
     "deal",
     "evaluate",
     "expected_ladder_pauli",

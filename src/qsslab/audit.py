@@ -27,17 +27,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .circuits import expected_ladder_pauli
 from .dense import DENSE_CAP
 from .errors import ResourceError, UsageError
 from .paulis import PauliOperator
 from .protocol import (
-    AnnouncementReport,
     SchemeParams,
     SharedState,
-    Transcript,
     canonical_secret_family,
     deal,
     magic_state_operator,
@@ -368,98 +365,6 @@ def parity_regime_check(params: SchemeParams, coalition: Coalition) -> ParityReg
         expected,
         "pass" if ok else "fail",
         tuple(notes),
-    )
-
-
-# ---------------------------------------------------------------------------
-# post-evaluation structure
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HonestViewReport:
-    honest: str
-    branches_checked: int
-    max_mixedness_deviation: float
-    max_bit_half_deviation: float | None
-    verdict: str
-    notes: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "honest": self.honest,
-            "branches_checked": self.branches_checked,
-            "max_mixedness_deviation": self.max_mixedness_deviation,
-            "max_bit_half_deviation": self.max_bit_half_deviation,
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-        }
-
-
-def eq16_form_check(
-    branches: Sequence[SharedState],
-    honest_participant: int | str,
-    transcript: Transcript | None = None,
-    announcement: AnnouncementReport | None = None,
-    tolerance: float = AUDIT_TOLERANCE,
-) -> HonestViewReport:
-    """Testable consequences of the post-evaluation form: in every branch
-    the honest participant's unmeasured qubits are maximally mixed, and the
-    broadcast bits are uniform (checked from the transcript, or from a
-    richer announcement report when provided).
-    """
-    if not branches:
-        raise UsageError("no branches to check")
-    layout = branches[0].layout
-    if isinstance(honest_participant, str):
-        name = honest_participant.lower()
-        if not (name.startswith("p") and name[1:].isdigit()):
-            raise UsageError("honest party must be a participant, e.g. 'p2'")
-        y = int(name[1:]) + 1
-    else:
-        y = honest_participant + 1
-    if not 2 <= y <= layout.columns:
-        raise UsageError("honest participant out of range")
-
-    worst = 0.0
-    for br in branches:
-        dead_rows = set()
-        for triple in br.consumed_ancillas:
-            dead_rows.update(br.layout.ancilla_triple_rows(triple))
-        live = [
-            br.layout.index_of(x, y)
-            for x in range(1, br.layout.rows + 1)
-            if x not in dead_rows
-        ]
-        reduced = br.state.partial_trace(
-            [q for q in range(br.layout.num_qubits) if q not in live]
-        )
-        expected = 2.0 ** -len(live)
-        for ps, c in reduced.items():
-            if ps.weight == 0:
-                worst = max(worst, abs(c - expected))
-            else:
-                worst = max(worst, abs(c))
-
-    notes = []
-    bit_dev: float | None = None
-    if announcement is not None and not announcement.empty:
-        bit_dev = announcement.max_half_deviation
-    elif transcript is not None and transcript.bit_origins:
-        bit_dev = max(
-            abs(transcript.marginal(o.slot) - 0.5) for o in transcript.bit_origins
-        )
-    else:
-        notes.append("no announcements: bit uniformity vacuously satisfied")
-
-    ok = worst <= tolerance and (bit_dev is None or bit_dev <= tolerance)
-    return HonestViewReport(
-        honest=f"p{y - 1}",
-        branches_checked=len(branches),
-        max_mixedness_deviation=worst,
-        max_bit_half_deviation=bit_dev,
-        verdict="pass" if ok else "fail",
-        notes=tuple(notes),
     )
 
 

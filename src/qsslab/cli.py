@@ -558,6 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         # no abbreviations: gadget would read --t as --tolerance
         p = sub.add_parser(name, allow_abbrev=False)
+        p.set_defaults(parser=p)
         p.add_argument("--config", help="key=value lines or a JSON object")
         for key in _config_keys(name):
             p.add_argument("--" + key.replace("_", "-"), **_FLAG_SETTINGS.get(key, {}))
@@ -568,13 +569,17 @@ def _parse_options(argv: list[str]) -> tuple[str, dict]:
     """The command and its set options. A config file's tokens go between
     the command and the explicit flags, so the explicit flags win."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
+    args, unknown = parser.parse_known_args(argv)
+    if args.config and not unknown:
         tokens = _config_tokens(args.config, _config_keys(args.command))
-        args = parser.parse_args(argv[:1] + tokens + argv[1:])
-    options = {
-        key: value for key, value in vars(args).items() if value is not None and value is not False
-    }
+        args, unknown = parser.parse_known_args(argv[:1] + tokens + argv[1:])
+    options = vars(args)
+    subparser = options.pop("parser")
+    if unknown:
+        # argparse hands a subcommand's unknown flags back to the top-level
+        # parser, whose message would show the top-level usage line
+        subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    options = {key: value for key, value in options.items() if value is not None and value is not False}
     return options.pop("command"), options
 
 

@@ -1,11 +1,10 @@
 """Exact small-scale simulator: the brute-force oracle for everything else.
 
-State vectors and density matrices up to a 12-qubit cap, partial trace,
-trace distance, and exhaustive Z-measurement branching. One tensor-reshape
-kernel applies every gate: to a state vector, to both sides of a density
-matrix, and to the row axes of a circuit's running unitary, so a gate never
-becomes a full 2^n x 2^n matrix. Qubit 0 is the leftmost tensor factor /
-most significant index bit.
+State vectors up to a 12-qubit cap, circuit unitaries, trace distance,
+and exhaustive Z-measurement branching. One tensor-reshape kernel applies
+every gate: to a state vector and to the row axes of a circuit's running
+unitary, so a gate never becomes a full 2^n x 2^n matrix. Qubit 0 is the
+leftmost tensor factor / most significant index bit.
 """
 
 from __future__ import annotations
@@ -76,34 +75,6 @@ class StateVector:
         amps[index] = 1.0
         return StateVector(num_qubits, amps)
 
-    def amplitude(self, bits: str | int) -> complex:
-        if isinstance(bits, str):
-            bits = int(bits, 2)
-        return complex(self.amplitudes[bits])
-
-    def to_density(self) -> DensityMatrix:
-        return DensityMatrix(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    num_qubits: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_cap(self.num_qubits, "DensityMatrix")
-        m = np.asarray(self.entries, dtype=complex)
-        dim = 2**self.num_qubits
-        if m.shape != (dim, dim):
-            raise UsageError("density matrix has wrong shape")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise UsageError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise UsageError("density matrix trace is not 1")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-9:
-            raise UsageError("density matrix is not positive semidefinite")
-        object.__setattr__(self, "entries", m)
-
 
 def _apply_unitary_vec(amps: np.ndarray, num_qubits: int, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """Apply mat on the given qubits of an amplitude tensor."""
@@ -115,7 +86,7 @@ def _apply_unitary_vec(amps: np.ndarray, num_qubits: int, mat: np.ndarray, qubit
     return moved.reshape(-1)
 
 
-def apply_gate(state: StateVector | DensityMatrix, gate: tuple[str, tuple[int, ...]]):
+def apply_gate(state: StateVector, gate: tuple[str, tuple[int, ...]]) -> StateVector:
     """Apply a unitary ``(kind, qubits)`` gate; measurements and conditions
     belong to measure_z/run_circuit."""
     kind, qubits = gate
@@ -131,13 +102,7 @@ def apply_gate(state: StateVector | DensityMatrix, gate: tuple[str, tuple[int, .
             raise UsageError(f"qubit {q} out of range")
     if len(set(qubits)) != len(qubits) or len(qubits) != int(np.log2(mat.shape[0])):
         raise UsageError(f"gate {kind} takes distinct qubits of matching arity")
-    if isinstance(state, StateVector):
-        return StateVector(n, _apply_unitary_vec(state.amplitudes, n, mat, tuple(qubits)))
-    rho = state.entries.reshape(-1)
-    # U rho U^dag: act on the row indices with U and column indices with U*
-    rho = _apply_unitary_vec(rho, 2 * n, mat, tuple(qubits))
-    rho = _apply_unitary_vec(rho, 2 * n, mat.conj(), tuple(q + n for q in qubits))
-    return DensityMatrix(n, rho.reshape(2**n, 2**n))
+    return StateVector(n, _apply_unitary_vec(state.amplitudes, n, mat, tuple(qubits)))
 
 
 def build_unitary(circuit: "Circuit") -> np.ndarray:
@@ -158,8 +123,9 @@ def build_unitary(circuit: "Circuit") -> np.ndarray:
     return u.reshape(dim, dim)
 
 
-def partial_trace_dense(rho: DensityMatrix | np.ndarray, traced: Iterable[int]) -> np.ndarray:
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+# stays for perfbench/tracing.py, which wraps it by name, until the tracer is retargeted
+def partial_trace_dense(rho: np.ndarray, traced: Iterable[int]) -> np.ndarray:
+    m = np.asarray(rho, dtype=complex)
     n = int(m.shape[0]).bit_length() - 1
     traced_sorted = sorted(set(traced), reverse=True)
     cur = m
@@ -173,9 +139,8 @@ def partial_trace_dense(rho: DensityMatrix | np.ndarray, traced: Iterable[int]) 
     return cur
 
 
-def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
-    ma = a.entries if isinstance(a, DensityMatrix) else np.asarray(a)
-    mb = b.entries if isinstance(b, DensityMatrix) else np.asarray(b)
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    ma, mb = np.asarray(a), np.asarray(b)
     if ma.shape != mb.shape:
         raise UsageError("trace_distance requires equal dimensions")
     diff = ma - mb
@@ -183,7 +148,7 @@ def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def measure_z(state: StateVector | DensityMatrix, qubit: int):
+def measure_z(state: StateVector, qubit: int) -> list[tuple[int, float, StateVector]]:
     """Exhaustive Z-measurement branches: [(outcome, probability, post-state)].
 
     Branches of probability at most PROBABILITY_CUTOFF are omitted;
@@ -193,25 +158,15 @@ def measure_z(state: StateVector | DensityMatrix, qubit: int):
     if not 0 <= qubit < n:
         raise UsageError(f"qubit {qubit} out of range")
     branches = []
-    if isinstance(state, StateVector):
-        t = state.amplitudes.reshape((2,) * n)
-        t = np.moveaxis(t, qubit, 0)
-        for b in (0, 1):
-            part = np.zeros_like(t)
-            part[b] = t[b]
-            p = float(np.sum(np.abs(part) ** 2))
-            if p <= PROBABILITY_CUTOFF:
-                continue
-            post = np.moveaxis(part, 0, qubit).reshape(-1) / np.sqrt(p)
-            branches.append((b, p, StateVector(n, post)))
-    else:
-        bit = (np.arange(2**n) >> (n - 1 - qubit)) & 1
-        for b in (0, 1):
-            post = state.entries * np.outer(bit == b, bit == b)
-            p = float(np.trace(post).real)
-            if p <= PROBABILITY_CUTOFF:
-                continue
-            branches.append((b, p, DensityMatrix(n, post / p)))
+    t = np.moveaxis(state.amplitudes.reshape((2,) * n), qubit, 0)
+    for b in (0, 1):
+        part = np.zeros_like(t)
+        part[b] = t[b]
+        p = float(np.sum(np.abs(part) ** 2))
+        if p <= PROBABILITY_CUTOFF:
+            continue
+        post = np.moveaxis(part, 0, qubit).reshape(-1) / np.sqrt(p)
+        branches.append((b, p, StateVector(n, post)))
     return branches
 
 
@@ -252,12 +207,3 @@ def random_state_vector(num_qubits: int, rng: np.random.Generator) -> StateVecto
     _check_cap(num_qubits, "random_state_vector")
     v = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     return StateVector(num_qubits, v / np.linalg.norm(v))
-
-
-def random_density_matrix(num_qubits: int, rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank random mixed state via the Ginibre construction G G^dag / tr."""
-    _check_cap(num_qubits, "random_density_matrix")
-    d = 2**num_qubits
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return DensityMatrix(num_qubits, rho / np.trace(rho).real)

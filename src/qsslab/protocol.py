@@ -39,11 +39,9 @@ import numpy as np
 
 from .circuits import (
     CLIFFORD_KINDS,
-    GATE_ARITY,
     Circuit,
     Gate,
     ShareLayout,
-    column_kinds,
     evaluate_condition,
     gates_from_lines,
     ladder_circuit,
@@ -52,7 +50,7 @@ from .circuits import (
     transversal_expand,
 )
 from .dense import DENSE_CAP, PROBABILITY_CUTOFF, StateVector, build_unitary, run_circuit
-from .errors import ProtocolError, ResourceError, UnsupportedGateError, UsageError
+from .errors import ProtocolError, ResourceError, UsageError
 from .paulis import PauliOperator, PauliString
 
 DEFAULT_BRANCH_CAP = 4096
@@ -128,20 +126,6 @@ class SchemeParams:
 LOGICAL_KINDS = CLIFFORD_KINDS + ("I", "TOFFOLI")
 
 
-def supported_logical_kinds(m: int) -> tuple[str, ...]:
-    """Logical Clifford kinds with a column-local realization at column
-    count m, in CLIFFORD_KINDS order: those circuits.column_kinds accepts
-    (every kind at odd m; only the Paulis and CNOT at even m)."""
-    kinds = []
-    for kind in CLIFFORD_KINDS:
-        try:
-            column_kinds(kind, m)
-        except UnsupportedGateError:
-            continue
-        kinds.append(kind)
-    return tuple(kinds)
-
-
 @dataclass(frozen=True)
 class EvaluationScript:
     """Ordered logical gates over rows 1..num_rows (Cliffords and TOFFOLIs)."""
@@ -173,24 +157,6 @@ class EvaluationScript:
     @classmethod
     def from_lines(cls, text: str, num_rows: int) -> EvaluationScript:
         return cls(num_rows, tuple(gates_from_lines(text)))
-
-
-def random_clifford_script(
-    m: int, num_rows: int, length: int, rng: np.random.Generator
-) -> EvaluationScript:
-    """Random Clifford-only script drawn from the kinds supported at column
-    count m (seeded by the caller's generator)."""
-    kinds = supported_logical_kinds(m)
-    gates = []
-    for _ in range(length):
-        kind = str(rng.choice(kinds))
-        arity = GATE_ARITY[kind]
-        if arity > num_rows:
-            # the first supported kind acts on one qubit (H or X)
-            kind, arity = kinds[0], 1
-        rows = rng.choice(np.arange(1, num_rows + 1), size=arity, replace=False)
-        gates.append(Gate(kind, tuple(int(r) for r in rows)))
-    return EvaluationScript(num_rows, tuple(gates))
 
 
 def logical_unitary(script: EvaluationScript) -> np.ndarray:
@@ -228,23 +194,11 @@ class Transcript:
     bit_origins: tuple[BitOrigin, ...] = ()
     branches: tuple[tuple[tuple[int, ...], float], ...] = ()
 
-    @property
-    def slots(self) -> tuple[int, ...]:
-        return tuple(o.slot for o in self.bit_origins)
-
     def total_probability(self) -> float:
         return float(sum(p for _, p in self.branches))
 
     def marginal(self, slot: int) -> float:
         return float(sum(p for bits, p in self.branches if bits[slot]))
-
-    def joint_distribution(self) -> dict[tuple[int, ...], float]:
-        slots = self.slots
-        dist: dict[tuple[int, ...], float] = {}
-        for bits, p in self.branches:
-            key = tuple(bits[s] for s in slots)
-            dist[key] = dist.get(key, 0.0) + p
-        return dist
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +254,8 @@ def magic_state_operator() -> PauliOperator:
 
 def _pure_operator(vec: StateVector) -> PauliOperator:
     """Expansion of |a><a| for a validated (normalized) state vector a; the
-    outer product is a state by construction, so DensityMatrix's Hermitian,
-    trace and eigvalsh checks are skipped."""
+    outer product is a state by construction, so it needs no Hermitian,
+    trace or eigvalsh check."""
     a = vec.amplitudes
     return PauliOperator.from_dense(np.outer(a, a.conj()))
 
@@ -309,16 +263,8 @@ def _pure_operator(vec: StateVector) -> PauliOperator:
 def _as_secret_operator(secret: object, s: int) -> PauliOperator:
     if isinstance(secret, PauliOperator):
         op = secret
-    elif isinstance(secret, StateVector):
-        op = _pure_operator(secret)
     elif isinstance(secret, np.ndarray):
-        arr = np.asarray(secret, dtype=complex)
-        if arr.ndim == 1:
-            op = _pure_operator(StateVector(s, arr))
-        else:
-            op = PauliOperator.from_dense(arr)
-    elif hasattr(secret, "entries"):  # DensityMatrix duck type
-        op = PauliOperator.from_dense(secret.entries)
+        op = PauliOperator.from_dense(np.asarray(secret, dtype=complex))
     else:
         raise UsageError(f"cannot interpret {type(secret).__name__} as a secret")
     if op.num_qubits != s:
@@ -575,7 +521,7 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# announcement statistics
+# canonical secrets
 # ---------------------------------------------------------------------------
 
 
@@ -599,93 +545,6 @@ def canonical_secret_family(s: int) -> list[tuple[str, PauliOperator]]:
         ("|" + "1" * s + ">", PauliOperator.from_dense(np.outer(one, one))),
         ("|" + "+" * s + ">", PauliOperator.from_dense(np.outer(plus, plus))),
     ]
-
-
-@dataclass(frozen=True)
-class AnnouncementReport:
-    bit_origins: tuple[BitOrigin, ...]
-    marginals: tuple[float, ...]
-    max_half_deviation: float
-    max_marginal_variation: float
-    max_joint_variation: float
-    secrets_compared: tuple[str, ...]
-
-    @property
-    def empty(self) -> bool:
-        return not self.bit_origins
-
-    def as_dict(self) -> dict:
-        return {
-            "bits": [
-                {
-                    "slot": o.slot,
-                    "gadget": o.gadget_id,
-                    "row": o.row,
-                    "column": o.column,
-                    "participant": o.participant,
-                    "marginal": self.marginals[i],
-                }
-                for i, o in enumerate(self.bit_origins)
-            ],
-            "max_half_deviation": self.max_half_deviation,
-            "max_marginal_variation": self.max_marginal_variation,
-            "max_joint_variation": self.max_joint_variation,
-            "secrets_compared": list(self.secrets_compared),
-        }
-
-
-def announce_distribution(
-    params: SchemeParams,
-    script: EvaluationScript,
-    secret: object,
-) -> AnnouncementReport:
-    """Exact statistics of the broadcast bits.
-
-    Reports each bit's marginal probability, the worst deviation from 1/2,
-    and — across the given secret plus canonical_secret_family (all-zero,
-    all-one, all-plus products) — the worst variation of both the
-    marginals and the full joint announcement distribution. A Clifford-only
-    script announces nothing and yields an empty report.
-    """
-    if script.toffoli_count == 0:
-        return AnnouncementReport((), (), 0.0, 0.0, 0.0, ())
-    runs: list[tuple[str, Transcript]] = []
-    primary = _as_secret_operator(secret, params.s)
-    _, transcript = evaluate(deal(params, primary), script)
-    runs.append(("secret", transcript))
-    for label, other in canonical_secret_family(params.s):
-        if other == primary:
-            continue
-        _, tr = evaluate(deal(params, other), script)
-        runs.append((label, tr))
-
-    origins = runs[0][1].bit_origins
-    marginals = tuple(runs[0][1].marginal(o.slot) for o in origins)
-    max_half = max(abs(p - 0.5) for p in marginals)
-
-    max_marg = 0.0
-    max_joint = 0.0
-    joints = []
-    for _, tr in runs:
-        margs = tuple(tr.marginal(o.slot) for o in origins)
-        max_marg = max(
-            max_marg, max(abs(a - b) for a, b in zip(margs, marginals))
-        )
-        joints.append(tr.joint_distribution())
-    for i in range(len(joints)):
-        for j in range(i + 1, len(joints)):
-            keys = set(joints[i]) | set(joints[j])
-            for key in keys:
-                diff = abs(joints[i].get(key, 0.0) - joints[j].get(key, 0.0))
-                max_joint = max(max_joint, diff)
-    return AnnouncementReport(
-        bit_origins=origins,
-        marginals=marginals,
-        max_half_deviation=max_half,
-        max_marginal_variation=max_marg,
-        max_joint_variation=max_joint,
-        secrets_compared=tuple(label for label, _ in runs),
-    )
 
 
 # ---------------------------------------------------------------------------

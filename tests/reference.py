@@ -1,19 +1,30 @@
-"""Plain reference forms the tests hold the package's fast paths to.
+"""Plain reference forms and checkers the tests hold the package to.
 
-Each helper builds its result entry by entry or factor by factor, with no
-shared kernel, so a test can compare the package's output with it exactly.
-The operator helpers stand in for constructors only the tests need,
-is_column_local is the locality check the circuit tests hold expansions
-to, and generic_secret is the input of the audit's enumeration oracle.
+The matrix helpers build their result entry by entry or factor by factor,
+with no shared kernel, so a test can compare the package's output with
+them exactly. The operator helpers stand in for constructors only the
+tests need, is_column_local is the locality check the circuit tests hold
+expansions to, and generic_secret is the input of the audit's enumeration
+oracle.
+random_density_matrix, supported_logical_kinds and random_clifford_script
+draw the random secrets and Clifford scripts of the logical-action tests.
+announce_distribution (criterion c10) and eq16_form_check (the form of
+Eq. 16 after a Toffoli) are acceptance checks of the scheme that no
+command runs.
 """
 
 import itertools
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
+from qsslab.audit import AUDIT_TOLERANCE, Coalition
+from qsslab.circuits import CLIFFORD_KINDS, GATE_ARITY, Gate, column_kinds
 from qsslab.dense import GATE_MATRICES
+from qsslab.errors import UnsupportedGateError, UsageError
 from qsslab.paulis import PauliOperator, PauliString
+from qsslab.protocol import EvaluationScript, canonical_secret_family, deal, evaluate
 
 
 def embedded_unitary(num_qubits, kind, qubits):
@@ -73,6 +84,13 @@ def pauli_operator(ps, coeff=1.0):
     return PauliOperator.from_terms(ps.num_qubits, [(ps, coeff)])
 
 
+def basis_secret(s, index):
+    """The computational basis state |index><index| on s qubits."""
+    vec = np.zeros(2**s)
+    vec[index] = 1.0
+    return PauliOperator.from_dense(np.outer(vec, vec))
+
+
 def maximally_mixed(num_qubits):
     """I / 2^n as a one-term operator."""
     return pauli_operator(PauliString.identity(num_qubits), 2.0**-num_qubits)
@@ -93,3 +111,124 @@ def generic_secret(s):
             coeff *= _GENERIC_WEIGHTS[letter]
         entries.append((PauliString.from_letters("".join(word)), coeff))
     return PauliOperator.from_terms(s, entries)
+
+
+def random_density_matrix(num_qubits, rng):
+    """Full-rank random mixed state via the Ginibre construction G G^dag / tr."""
+    d = 2**num_qubits
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def supported_logical_kinds(m):
+    """Logical Clifford kinds with a column-local realization at column
+    count m, in CLIFFORD_KINDS order: those circuits.column_kinds accepts."""
+    kinds = []
+    for kind in CLIFFORD_KINDS:
+        try:
+            column_kinds(kind, m)
+        except UnsupportedGateError:
+            continue
+        kinds.append(kind)
+    return tuple(kinds)
+
+
+def random_clifford_script(m, num_rows, length, rng):
+    """Random Clifford-only script drawn from the kinds supported at column
+    count m (seeded by the caller's generator)."""
+    kinds = supported_logical_kinds(m)
+    gates = []
+    for _ in range(length):
+        kind = str(rng.choice(kinds))
+        arity = GATE_ARITY[kind]
+        if arity > num_rows:
+            # the first supported kind acts on one qubit (H or X)
+            kind, arity = kinds[0], 1
+        rows = rng.choice(np.arange(1, num_rows + 1), size=arity, replace=False)
+        gates.append(Gate(kind, tuple(int(r) for r in rows)))
+    return EvaluationScript(num_rows, tuple(gates))
+
+
+def joint_distribution(transcript):
+    """Probability of each tuple of broadcast bits, in bit_origins order."""
+    slots = [o.slot for o in transcript.bit_origins]
+    dist = {}
+    for bits, p in transcript.branches:
+        key = tuple(bits[s] for s in slots)
+        dist[key] = dist.get(key, 0.0) + p
+    return dist
+
+
+class Announcements(NamedTuple):
+    marginals: tuple
+    max_half_deviation: float
+    max_marginal_variation: float
+    max_joint_variation: float
+    secrets_compared: tuple
+
+
+def announce_distribution(params, script, secret):
+    """Exact statistics of the broadcast bits: each bit's marginal for the
+    secret, its worst deviation from 1/2, and, across the secret and the
+    canonical_secret_family members that differ from it, the worst variation
+    of the marginals and of the joint distribution. A Clifford-only script
+    announces nothing."""
+    if script.toffoli_count == 0:
+        return Announcements((), 0.0, 0.0, 0.0, ())
+    runs = [("secret", secret)]
+    runs += [(label, op) for label, op in canonical_secret_family(params.s) if op != secret]
+    transcripts = [evaluate(deal(params, op), script)[1] for _, op in runs]
+    slots = [o.slot for o in transcripts[0].bit_origins]
+    marginals = tuple(transcripts[0].marginal(slot) for slot in slots)
+    pairs = itertools.combinations([joint_distribution(tr) for tr in transcripts], 2)
+    return Announcements(
+        marginals,
+        max(abs(p - 0.5) for p in marginals),
+        max(abs(tr.marginal(slot) - p) for tr in transcripts for slot, p in zip(slots, marginals)),
+        max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for a, b in pairs for k in a.keys() | b.keys()),
+        tuple(label for label, _ in runs),
+    )
+
+
+class HonestView(NamedTuple):
+    honest: str
+    branches_checked: int
+    max_mixedness_deviation: float
+    max_bit_half_deviation: float | None
+    verdict: str
+    notes: tuple
+
+
+def eq16_form_check(branches, honest, transcript=None, announcement=None):
+    """Testable consequences of the post-evaluation form: in every branch
+    the honest participant's unmeasured qubits are maximally mixed, and the
+    broadcast bits are uniform (read from the announcement statistics when
+    given, else from the transcript)."""
+    if not branches:
+        raise UsageError("no branches to check")
+    layout = branches[0].layout
+    columns = Coalition.parse(str(honest), layout.n).columns()
+    if len(columns) != 1 or columns[0] == 1:
+        raise UsageError("honest party must be one participant, e.g. 'p2'")
+    (y,) = columns
+
+    worst = 0.0
+    for br in branches:
+        dead_rows = {x for t in br.consumed_ancillas for x in layout.ancilla_triple_rows(t)}
+        live = [layout.index_of(x, y) for x in range(1, layout.rows + 1) if x not in dead_rows]
+        reduced = br.state.partial_trace([q for q in range(layout.num_qubits) if q not in live])
+        for ps, c in reduced.items():
+            expected = 2.0 ** -len(live) if ps.x == ps.z == 0 else 0.0
+            worst = max(worst, abs(c - expected))
+
+    notes = ()
+    if announcement is not None and announcement.marginals:
+        bit_dev = announcement.max_half_deviation
+    elif transcript is not None and transcript.bit_origins:
+        bit_dev = max(abs(transcript.marginal(o.slot) - 0.5) for o in transcript.bit_origins)
+    else:
+        bit_dev = None
+        notes = ("no announcements: bit uniformity vacuously satisfied",)
+    ok = worst <= AUDIT_TOLERANCE and (bit_dev is None or bit_dev <= AUDIT_TOLERANCE)
+    return HonestView(f"p{y - 1}", len(branches), worst, bit_dev, "pass" if ok else "fail", notes)

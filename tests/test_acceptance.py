@@ -25,34 +25,28 @@ from qsslab.cli import _plaintext_gadget_fidelity, cmd_verify_ladder
 from qsslab.dense import (
     StateVector,
     build_unitary,
-    random_density_matrix,
     random_state_vector,
     run_circuit,
     trace_distance,
 )
-from qsslab.paulis import PauliOperator, PauliString
+from qsslab.paulis import PauliString
 from qsslab.protocol import (
     EvaluationScript,
     SchemeParams,
-    announce_distribution,
     deal,
     evaluate,
     logical_unitary,
-    random_clifford_script,
     reconstruct,
 )
 
-from reference import pauli_operator
-
-
-def _basis_secret(s, index):
-    vec = np.zeros(2**s)
-    vec[index] = 1.0
-    return PauliOperator.from_dense(np.outer(vec, vec))
-
-
-def _dense_distance(op, target):
-    return trace_distance(op.to_dense(), target)
+from reference import (
+    announce_distribution,
+    basis_secret,
+    kron_matrix,
+    pauli_operator,
+    random_clifford_script,
+    random_density_matrix,
+)
 
 
 def test_c01_ladder_closed_form_for_every_width():
@@ -84,10 +78,10 @@ def test_c02_ladder_closed_form_against_dense_unitaries():
         for sigma in "IXYZ":
             lhs = (
                 u
-                @ PauliString.from_letters(sigma + "I" * (m - 1)).to_matrix()
+                @ kron_matrix(PauliString.from_letters(sigma + "I" * (m - 1)))
                 @ u.conj().T
             )
-            rhs = expected_ladder_pauli(m, sigma).to_matrix()
+            rhs = kron_matrix(expected_ladder_pauli(m, sigma))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     elapsed = time.monotonic() - start
     assert worst <= 1e-12
@@ -106,12 +100,12 @@ def test_c03_fanout_half_lemma_and_reported_resolution():
         for sigma, word in images.items():
             lhs = (
                 a
-                @ PauliString.from_letters(sigma + "I" * (m - 1)).to_matrix()
+                @ kron_matrix(PauliString.from_letters(sigma + "I" * (m - 1)))
                 @ a.conj().T
             )
             worst = max(
                 worst,
-                float(np.max(np.abs(lhs - PauliString.from_letters(word).to_matrix()))),
+                float(np.max(np.abs(lhs - kron_matrix(PauliString.from_letters(word))))),
             )
     assert worst <= 1e-12
 
@@ -137,7 +131,7 @@ def test_c04_round_trip_for_every_party_count():
         for params in configs:
             rng = np.random.default_rng(1000 * n + params.s)
             for _ in range(20):
-                secret = random_density_matrix(params.s, rng).entries
+                secret = random_density_matrix(params.s, rng)
                 got = reconstruct(deal(params, secret))
                 worst = max(worst, trace_distance(got.to_dense(), secret))
     elapsed = time.monotonic() - start
@@ -197,7 +191,7 @@ def test_c07_random_clifford_scripts_act_logically():
         script = random_clifford_script(
             params.n + 1, 3, int(rng.integers(1, 11)), rng
         )
-        secret = random_density_matrix(3, rng).entries
+        secret = random_density_matrix(3, rng)
         (branch,), _ = evaluate(deal(params, secret), script)
         u = logical_unitary(script)
         got = reconstruct(branch).to_dense()
@@ -234,16 +228,16 @@ def test_c09_share_level_gadget_exact_branches():
     the Toffoli output within 1e-9 and consumes exactly one triple."""
     start = time.monotonic()
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    shared = deal(params, _basis_secret(3, 0b110))
+    shared = deal(params, basis_secret(3, 0b110))
     assert shared.available_triples == (0,)
     script = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),))
     branches, transcript = evaluate(shared, script)
-    target = _basis_secret(3, 0b111).to_dense()
+    target = basis_secret(3, 0b111).to_dense()
     worst = 0.0
     for branch in branches:
         assert branch.consumed_ancillas == frozenset({0})
         assert branch.available_triples == ()
-        worst = max(worst, _dense_distance(reconstruct(branch), target))
+        worst = max(worst, trace_distance(reconstruct(branch).to_dense(), target))
     elapsed = time.monotonic() - start
     assert len(branches) == 512
     assert worst <= 1e-9
@@ -259,7 +253,7 @@ def test_c10_announcements_are_uniform_and_secret_independent():
     distribution is identical across the all-zero/all-one/all-plus secrets."""
     params = SchemeParams.strict(n=2, k=1, kprime=1)
     script = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),))
-    report = announce_distribution(params, script, _basis_secret(3, 0))
+    report = announce_distribution(params, script, basis_secret(3, 0))
     assert len(report.marginals) == 9
     assert report.max_half_deviation <= 1e-10
     assert report.max_marginal_variation <= 1e-10

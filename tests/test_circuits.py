@@ -21,7 +21,7 @@ from qsslab.dense import StateVector, build_unitary, run_circuit
 from qsslab.errors import UnsupportedGateError, UsageError
 from qsslab.paulis import PauliString
 
-from reference import is_column_local, pauli_operator
+from reference import is_column_local, kron_matrix, pauli_operator
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +193,8 @@ def test_ladder_conjugation_matches_closed_form(m):
 def test_ladder_conjugation_matches_dense(m):
     u = build_unitary(ladder_circuit(m))
     for sigma in "XYZ":
-        lhs = u @ PauliString.from_letters(sigma + "I" * (m - 1)).to_matrix() @ u.conj().T
-        assert np.allclose(lhs, expected_ladder_pauli(m, sigma).to_matrix(), atol=1e-12)
+        lhs = u @ kron_matrix(PauliString.from_letters(sigma + "I" * (m - 1))) @ u.conj().T
+        assert np.allclose(lhs, kron_matrix(expected_ladder_pauli(m, sigma)), atol=1e-12)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -204,8 +204,8 @@ def test_fanout_half_action(m):
     a = build_unitary(ladder_fanout_circuit(m))
     images = {"X": "X" * m, "Y": "Y" + "X" * (m - 1), "Z": "Z" + "I" * (m - 1)}
     for sigma, word in images.items():
-        lhs = a @ PauliString.from_letters(sigma + "I" * (m - 1)).to_matrix() @ a.conj().T
-        assert np.allclose(lhs, PauliString.from_letters(word).to_matrix(), atol=1e-12)
+        lhs = a @ kron_matrix(PauliString.from_letters(sigma + "I" * (m - 1))) @ a.conj().T
+        assert np.allclose(lhs, kron_matrix(PauliString.from_letters(word)), atol=1e-12)
 
 
 def test_magic_state_amplitudes():

@@ -411,7 +411,7 @@ UNREAD = [
 
 
 @pytest.mark.parametrize("command,key", UNREAD)
-def test_subcommand_refuses_flags_it_does_not_read(tmp_path, command, key):
+def test_subcommand_refuses_flags_it_does_not_read(tmp_path, capsys, command, key):
     _write_secret(tmp_path, {"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]})
     _write_script(tmp_path, {"g": "H", "q": [1]})
     value = FLAG_VALUES[key]
@@ -421,6 +421,8 @@ def test_subcommand_refuses_flags_it_does_not_read(tmp_path, command, key):
     code, payload = _run(tmp_path, command, *flag)
     assert code == 2
     assert payload is None
+    # the message lists the flags this command does take
+    assert capsys.readouterr().err.startswith(f"usage: qsslab {command} ")
 
     config = tmp_path / "config.cfg"
     config.write_text(f"{key} = {'true' if value is None else flag[1]}\n")

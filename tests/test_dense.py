@@ -1,4 +1,4 @@
-"""Dense state-vector and density-matrix reference simulator."""
+"""Dense state-vector reference simulator."""
 
 import numpy as np
 import pytest
@@ -7,22 +7,24 @@ from qsslab.circuits import Circuit, Gate, ladder_circuit
 from qsslab.dense import (
     GATE_MATRICES,
     PROBABILITY_CUTOFF,
-    DensityMatrix,
     StateVector,
     apply_gate,
     build_unitary,
     measure_z,
     partial_trace_dense,
-    random_density_matrix,
     random_state_vector,
     run_circuit,
     trace_distance,
 )
 from qsslab.errors import ResourceError, UsageError
 
-from reference import circuit_unitary, embedded_unitary
+from reference import circuit_unitary, embedded_unitary, random_density_matrix
 
 _SQRT_HALF = 2.0**-0.5
+
+
+def _density(psi):
+    return np.outer(psi.amplitudes, psi.amplitudes.conj())
 
 
 @pytest.mark.parametrize("kind", sorted(GATE_MATRICES))
@@ -39,24 +41,16 @@ def test_hadamard_makes_plus_state():
 def test_cnot_on_basis_states():
     # qubit 0 is the most significant bit of the basis index
     out = apply_gate(StateVector.basis(2, 0b10), ("CNOT", (0, 1)))
-    assert out.amplitude("11") == pytest.approx(1.0)
+    assert out.amplitudes[0b11] == pytest.approx(1.0)
     out = apply_gate(StateVector.basis(2, 0b01), ("CNOT", (0, 1)))
-    assert out.amplitude("01") == pytest.approx(1.0)
+    assert out.amplitudes[0b01] == pytest.approx(1.0)
 
 
 def test_toffoli_flips_only_when_both_controls_set():
     out = apply_gate(StateVector.basis(3, 0b110), ("TOFFOLI", (0, 1, 2)))
-    assert out.amplitude("111") == pytest.approx(1.0)
+    assert out.amplitudes[0b111] == pytest.approx(1.0)
     out = apply_gate(StateVector.basis(3, 0b100), ("TOFFOLI", (0, 1, 2)))
-    assert out.amplitude("100") == pytest.approx(1.0)
-
-
-def test_apply_gate_on_density_matrix_matches_vector_route():
-    rng = np.random.default_rng(5)
-    psi = random_state_vector(2, rng)
-    via_vec = apply_gate(psi, ("CZ", (0, 1))).to_density().entries
-    via_rho = apply_gate(psi.to_density(), ("CZ", (0, 1))).entries
-    assert np.allclose(via_vec, via_rho)
+    assert out.amplitudes[0b100] == pytest.approx(1.0)
 
 
 def test_apply_gate_rejects_measurement_and_bad_qubits():
@@ -112,17 +106,17 @@ def test_ladder_unitary_on_basis_state():
 
 
 def test_partial_trace_of_bell_pair():
-    bell = apply_gate(
-        apply_gate(StateVector.basis(2, 0), ("H", (0,))), ("CNOT", (0, 1))
-    ).to_density()
+    bell = _density(
+        apply_gate(apply_gate(StateVector.basis(2, 0), ("H", (0,))), ("CNOT", (0, 1)))
+    )
     assert np.allclose(partial_trace_dense(bell, [0]), np.eye(2) / 2)
     assert np.allclose(partial_trace_dense(bell, [1]), np.eye(2) / 2)
 
 
 def test_partial_trace_of_product_state():
     rng = np.random.default_rng(7)
-    a = random_density_matrix(1, rng).entries
-    b = random_density_matrix(2, rng).entries
+    a = random_density_matrix(1, rng)
+    b = random_density_matrix(2, rng)
     assert np.allclose(partial_trace_dense(np.kron(a, b), [1, 2]), a)
 
 
@@ -134,15 +128,15 @@ def test_partial_trace_of_product_state():
     ],
 )
 def test_trace_distance_of_basis_states(pair, expected):
-    a = StateVector.basis(1, pair[0]).to_density()
-    b = StateVector.basis(1, pair[1]).to_density()
+    a = _density(StateVector.basis(1, pair[0]))
+    b = _density(StateVector.basis(1, pair[1]))
     assert trace_distance(a, b) == pytest.approx(expected)
 
 
 def test_trace_distance_zero_plus():
     zero = StateVector.basis(1, 0)
     plus = apply_gate(zero, ("H", (0,)))
-    got = trace_distance(zero.to_density(), plus.to_density())
+    got = trace_distance(_density(zero), _density(plus))
     assert got == pytest.approx(0.7071067811865476)
 
 
@@ -182,17 +176,7 @@ def _amplitudes_at_cutoff():
 def test_measure_z_drops_an_outcome_at_the_cutoff_exactly():
     a, b = _amplitudes_at_cutoff()
     psi = StateVector(2, np.array([np.sqrt(1.0 - PROBABILITY_CUTOFF), 0.0, a, b]))
-    for state in (psi, psi.to_density()):
-        assert [outcome for outcome, _, _ in measure_z(state, 0)] == [0]
-
-
-def test_measure_z_density_matrix_route():
-    plus = apply_gate(StateVector.basis(1, 0), ("H", (0,))).to_density()
-    branches = measure_z(plus, 0)
-    assert [(b, pytest.approx(p)) for b, p, _ in branches] == [
-        (0, pytest.approx(0.5)),
-        (1, pytest.approx(0.5)),
-    ]
+    assert [outcome for outcome, _, _ in measure_z(psi, 0)] == [0]
 
 
 def test_run_circuit_without_measurements():
@@ -201,8 +185,8 @@ def test_run_circuit_without_measurements():
     ((bits, prob, state),) = branches
     assert bits == ()
     assert prob == pytest.approx(1.0)
-    assert state.amplitude("00") == pytest.approx(_SQRT_HALF)
-    assert state.amplitude("11") == pytest.approx(_SQRT_HALF)
+    assert state.amplitudes[0b00] == pytest.approx(_SQRT_HALF)
+    assert state.amplitudes[0b11] == pytest.approx(_SQRT_HALF)
 
 
 def test_run_circuit_conditioned_correction():
@@ -222,7 +206,7 @@ def test_run_circuit_conditioned_correction():
     assert sorted(bits[0] for bits, _, _ in branches) == [0, 1]
     for bits, prob, state in branches:
         assert prob == pytest.approx(0.5)
-        assert abs(state.amplitude("0")) == pytest.approx(1.0)
+        assert abs(state.amplitudes[0]) == pytest.approx(1.0)
 
 
 def test_run_circuit_xor_condition():
@@ -243,7 +227,7 @@ def test_run_circuit_xor_condition():
         assert prob == pytest.approx(0.25)
         flipped = bits[0] ^ bits[1]
         top = bits[0] ^ flipped
-        assert abs(state.amplitude(f"{top}{bits[1]}")) == pytest.approx(1.0)
+        assert abs(state.amplitudes[2 * top + bits[1]]) == pytest.approx(1.0)
 
 
 def test_state_vector_validation():
@@ -251,13 +235,6 @@ def test_state_vector_validation():
         StateVector(1, np.array([1.0, 1.0]))
     with pytest.raises(UsageError):
         StateVector(2, np.array([1.0, 0.0]))
-
-
-def test_density_matrix_validation():
-    with pytest.raises(UsageError):
-        DensityMatrix(1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))
-    with pytest.raises(UsageError):
-        DensityMatrix(1, np.eye(2))
 
 
 def test_dense_cap_guard():
@@ -274,6 +251,6 @@ def test_random_state_vector_is_normalized():
 
 def test_random_density_matrix_is_a_state():
     rng = np.random.default_rng(10)
-    rho = random_density_matrix(3, rng).entries
+    rho = random_density_matrix(3, rng)
     assert np.trace(rho).real == pytest.approx(1.0)
     assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12

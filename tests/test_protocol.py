@@ -12,7 +12,7 @@ from qsslab.circuits import (
     toffoli_gadget,
     transversal_expand,
 )
-from qsslab.dense import random_density_matrix, trace_distance
+from qsslab.dense import trace_distance
 from qsslab.errors import ProtocolError, ResourceError, UsageError
 from qsslab.paulis import PauliOperator, PauliString
 from qsslab.protocol import (
@@ -21,7 +21,6 @@ from qsslab.protocol import (
     SchemeParams,
     _Group,
     _run_gadget,
-    announce_distribution,
     canonical_secret_family,
     deal,
     encoding_circuit,
@@ -30,18 +29,20 @@ from qsslab.protocol import (
     logical_unitary,
     magic_state_operator,
     parse_secret,
-    random_clifford_script,
     reconstruct,
-    supported_logical_kinds,
 )
 
-from reference import generic_secret, maximally_mixed, pauli_operator
-
-
-def _basis_secret(s, index):
-    vec = np.zeros(2**s)
-    vec[index] = 1.0
-    return PauliOperator.from_dense(np.outer(vec, vec))
+from reference import (
+    announce_distribution,
+    basis_secret,
+    generic_secret,
+    joint_distribution,
+    maximally_mixed,
+    pauli_operator,
+    random_clifford_script,
+    random_density_matrix,
+    supported_logical_kinds,
+)
 
 
 def _operator_distance(a, b):
@@ -138,7 +139,7 @@ def test_every_supported_kind_acts_logically(m):
     both sides of the S/Sdg swap (m = 1 and 3 mod 4)."""
     params = SchemeParams.relaxed(n=m - 1, s=2)
     rng = np.random.default_rng(800 + m)
-    secret = random_density_matrix(2, rng).entries
+    secret = random_density_matrix(2, rng)
     shared = deal(params, secret)
     for kind in supported_logical_kinds(m):
         script = EvaluationScript(2, (Gate(kind, (2, 1)[: GATE_ARITY[kind]]),))
@@ -173,7 +174,7 @@ def test_encoding_circuit_is_the_ladder_on_every_row(n):
 
 def test_deal_produces_trace_one_grid_state():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    shared = deal(params, _basis_secret(3, 0))
+    shared = deal(params, basis_secret(3, 0))
     assert shared.state.num_qubits == 18
     assert shared.state.trace() == pytest.approx(1.0)
     assert shared.available_triples == (0,)
@@ -189,7 +190,7 @@ def _dealt_word(params, word, coeff):
     )
     shared = deal(params, secret)
     assert shared.state.num_terms == 2
-    ((ps, c),) = [(ps, c) for ps, c in shared.state.items() if ps.weight]
+    ((ps, c),) = [(ps, c) for ps, c in shared.state.items() if ps.x | ps.z]
     return ps, c
 
 
@@ -224,13 +225,13 @@ def test_deal_of_maximally_mixed_secret_is_trivial():
     shared = deal(params, maximally_mixed(2))
     assert shared.state.num_terms == 1
     ((ps, _),) = shared.state.items()
-    assert ps.weight == 0
+    assert ps == PauliString.identity(8)
 
 
 def test_deal_validates_secret():
     params = SchemeParams.relaxed(n=2, s=2)
     with pytest.raises(UsageError):
-        deal(params, _basis_secret(3, 0))  # wrong size
+        deal(params, basis_secret(3, 0))  # wrong size
     with pytest.raises(UsageError):
         deal(params, maximally_mixed(2).scaled(2.0))  # trace 2
     with pytest.raises(UsageError):
@@ -258,19 +259,19 @@ def test_magic_state_operator_shape():
 def test_round_trip_random_secret(n):
     rng = np.random.default_rng(100 + n)
     params = SchemeParams.relaxed(n=n, s=2)
-    secret = PauliOperator.from_dense(random_density_matrix(2, rng).entries)
+    secret = PauliOperator.from_dense(random_density_matrix(2, rng))
     assert _operator_distance(reconstruct(deal(params, secret)), secret) < 1e-12
 
 
 def test_round_trip_with_ancillas():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    secret = _basis_secret(3, 5)
+    secret = basis_secret(3, 5)
     assert _operator_distance(reconstruct(deal(params, secret)), secret) < 1e-12
 
 
 def test_reconstruct_requires_every_column():
     params = SchemeParams.relaxed(n=2, s=1)
-    shared = deal(params, _basis_secret(1, 0))
+    shared = deal(params, basis_secret(1, 0))
     assert reconstruct(shared, columns=[1, 2, 3]).num_qubits == 1
     with pytest.raises(ProtocolError):
         reconstruct(shared, columns=[1, 2])
@@ -285,7 +286,7 @@ def test_reconstruct_requires_every_column():
 
 def test_empty_script_is_identity():
     params = SchemeParams.relaxed(n=2, s=2)
-    shared = deal(params, _basis_secret(2, 1))
+    shared = deal(params, basis_secret(2, 1))
     branches, transcript = evaluate(shared, EvaluationScript(2, ()))
     assert len(branches) == 1
     assert branches[0].state == shared.state
@@ -295,7 +296,7 @@ def test_empty_script_is_identity():
 
 def test_evaluate_checks_script_and_mode():
     params = SchemeParams.relaxed(n=2, s=2)
-    shared = deal(params, _basis_secret(2, 0))
+    shared = deal(params, basis_secret(2, 0))
     with pytest.raises(UsageError):
         evaluate(shared, EvaluationScript(3, ()))
     with pytest.raises(UsageError):
@@ -306,7 +307,7 @@ def test_evaluate_checks_script_and_mode():
 
 def test_single_clifford_matches_logical_action():
     params = SchemeParams.relaxed(n=2, s=3)
-    secret = _basis_secret(3, 0)
+    secret = basis_secret(3, 0)
     script = EvaluationScript(3, (Gate("H", (1,)),))
     (branch,), _ = evaluate(deal(params, secret), script)
     got = reconstruct(branch).to_dense()
@@ -317,15 +318,15 @@ def test_single_clifford_matches_logical_action():
 def test_cnot_at_even_width():
     params = SchemeParams.relaxed(n=3, s=2)
     script = EvaluationScript(2, (Gate("CNOT", (1, 2)),))
-    (branch,), _ = evaluate(deal(params, _basis_secret(2, 0b10)), script)
-    assert _operator_distance(reconstruct(branch), _basis_secret(2, 0b11)) < 1e-12
+    (branch,), _ = evaluate(deal(params, basis_secret(2, 0b10)), script)
+    assert _operator_distance(reconstruct(branch), basis_secret(2, 0b11)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_clifford_scripts_compose(n):
     rng = np.random.default_rng(7 * n)
     params = SchemeParams.relaxed(n=n, s=3)
-    secret = PauliOperator.from_dense(random_density_matrix(3, rng).entries)
+    secret = PauliOperator.from_dense(random_density_matrix(3, rng))
     script = random_clifford_script(params.n + 1, 3, 5, rng)
     (branch,), _ = evaluate(deal(params, secret), script)
     u = logical_unitary(script)
@@ -335,11 +336,11 @@ def test_clifford_scripts_compose(n):
 
 def test_toffoli_on_basis_input():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    shared = deal(params, _basis_secret(3, 0b110))
+    shared = deal(params, basis_secret(3, 0b110))
     script = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),))
     branches, transcript = evaluate(shared, script)
     assert len(branches) == 512
-    target = _basis_secret(3, 0b111)
+    target = basis_secret(3, 0b111)
     for branch in branches:
         assert branch.branch_probability == pytest.approx(1 / 512)
         assert branch.consumed_ancillas == frozenset({0})
@@ -351,7 +352,7 @@ def test_toffoli_on_basis_input():
 
 def test_transcript_bit_origins_follow_the_grid():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    shared = deal(params, _basis_secret(3, 0))
+    shared = deal(params, basis_secret(3, 0))
     script = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),))
     _, transcript = evaluate(shared, script)
     origins = transcript.bit_origins
@@ -362,16 +363,16 @@ def test_transcript_bit_origins_follow_the_grid():
 
 def test_transcript_joint_distribution():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    shared = deal(params, _basis_secret(3, 0))
+    shared = deal(params, basis_secret(3, 0))
     _, transcript = evaluate(shared, EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),)))
-    joint = transcript.joint_distribution()
+    joint = joint_distribution(transcript)
     assert sum(joint.values()) == pytest.approx(1.0)
     assert len(joint) == 512
 
 
 def test_toffoli_budget_is_consumed():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    shared = deal(params, _basis_secret(3, 0))
+    shared = deal(params, basis_secret(3, 0))
     double = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)), Gate("TOFFOLI", (1, 2, 3))))
     with pytest.raises(ProtocolError):
         evaluate(shared, double)
@@ -382,7 +383,7 @@ def test_toffoli_budget_is_consumed():
 
 def test_second_triple_is_available_after_the_first():
     params = SchemeParams.strict(n=2, k=1, kprime=2)
-    shared = deal(params, _basis_secret(3, 0))
+    shared = deal(params, basis_secret(3, 0))
     assert shared.available_triples == (0, 1)
     branches, _ = evaluate(
         shared, EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),)), mode="sampled", seed=4
@@ -393,7 +394,7 @@ def test_second_triple_is_available_after_the_first():
 
 def test_exact_branch_cap_raises():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    shared = deal(params, _basis_secret(3, 0))
+    shared = deal(params, basis_secret(3, 0))
     script = EvaluationScript(3, (Gate("H", (1,)), Gate("TOFFOLI", (1, 2, 3))))
     with pytest.raises(ResourceError, match=r"reached 512 bit histories.* cap of 256.* script gate 1"):
         evaluate(shared, script, branch_cap=256)
@@ -401,7 +402,7 @@ def test_exact_branch_cap_raises():
 
 def test_sampled_mode_is_reproducible():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
-    shared = deal(params, _basis_secret(3, 0b101))
+    shared = deal(params, basis_secret(3, 0b101))
     script = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)), Gate("H", (2,))))
     first, tr1 = evaluate(shared, script, mode="sampled", seed=123)
     second, tr2 = evaluate(shared, script, mode="sampled", seed=123)
@@ -419,7 +420,7 @@ def test_sampled_mode_is_reproducible():
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_sampled_branch_matches_logical_action(n):
     params = SchemeParams.strict(n=n, k=1, kprime=2)
-    secret = _basis_secret(3, 0b011)
+    secret = basis_secret(3, 0b011)
     script = EvaluationScript(
         3, (Gate("H", (1,)), Gate("TOFFOLI", (1, 2, 3)), Gate("TOFFOLI", (3, 2, 1)))
     )
@@ -470,11 +471,11 @@ def _per_history_evaluate(shared, script):
 def test_merged_evaluate_matches_per_history_oracle(case):
     params = SchemeParams.strict(n=2, k=1, kprime=1)
     if case == "basis":
-        secret = _basis_secret(3, 0b110)
+        secret = basis_secret(3, 0b110)
         script = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),))
     else:
         rng = np.random.default_rng(5)
-        secret = PauliOperator.from_dense(random_density_matrix(3, rng).entries)
+        secret = PauliOperator.from_dense(random_density_matrix(3, rng))
         assert secret.num_terms == 64
         script = EvaluationScript(
             3,
@@ -534,16 +535,16 @@ def test_histories_share_one_operator_for_a_generic_secret():
 def test_clifford_only_script_announces_nothing():
     params = SchemeParams.relaxed(n=2, s=3)
     report = announce_distribution(
-        params, EvaluationScript(3, (Gate("H", (1,)),)), _basis_secret(3, 0)
+        params, EvaluationScript(3, (Gate("H", (1,)),)), basis_secret(3, 0)
     )
-    assert report.empty
+    assert report.marginals == ()
     assert report.secrets_compared == ()
 
 
 def test_announcement_bits_are_uniform_and_secret_blind():
     params = SchemeParams.strict(n=2, k=1, kprime=1)
     script = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),))
-    report = announce_distribution(params, script, _basis_secret(3, 0))
+    report = announce_distribution(params, script, basis_secret(3, 0))
     assert len(report.marginals) == 9
     assert report.max_half_deviation < 1e-12
     assert report.max_marginal_variation < 1e-12
