@@ -209,6 +209,7 @@ def secret_independence_check(
     params: SchemeParams,
     coalition: Coalition,
     tolerance: float = AUDIT_TOLERANCE,
+    dealt: list[SharedState] | None = None,
 ) -> AuditReport:
     """Count the terms of the coalition's view of a full-support secret
     with a non-identity letter on a secret row, in closed form from K_C;
@@ -218,7 +219,10 @@ def secret_independence_check(
     security argument does not cover (dealer absent, or no honest
     participant left) are still measured, with a note instead of an
     expectation. Small views get a dense cross-check: the trace distance
-    between views of concrete secrets.
+    between views of concrete secrets. Their deals do not depend on the
+    coalition, so a caller checking several coalitions of one scheme passes
+    one ``dealt`` list to every call: the first small view deals the
+    canonical family into it, and later ones reuse it.
     """
     if coalition.is_full:
         raise UsageError(
@@ -237,10 +241,13 @@ def secret_independence_check(
     max_td = 0.0
     view_qubits = params.layout().rows * len(coalition.columns())
     if view_qubits <= 8:
-        family = canonical_secret_family(params.s)
-        views = [
-            adversary_view(deal(params, op), coalition) for _, op in family
-        ]
+        if dealt is None:
+            dealt = []
+        if not dealt:
+            dealt.extend(deal(params, op) for _, op in canonical_secret_family(params.s))
+        elif dealt[0].layout != params.layout():
+            raise UsageError("the dealt secrets belong to another share layout")
+        views = [adversary_view(shared, coalition) for shared in dealt]
         for i in range(len(views)):
             for j in range(i + 1, len(views)):
                 max_td = max(max_td, views[i].trace_distance(views[j]))

@@ -153,6 +153,14 @@ def gates_from_lines(text: str) -> list[Gate]:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _ladder_cnots(j: int) -> tuple[Gate, Gate]:
+    """Column j's fan-out CNOT (0 -> j) and fan-in CNOT (j -> 0). Every
+    ladder of more than j columns holds the same two gates, so each is built
+    once and shared across widths."""
+    return Gate("CNOT", (0, j)), Gate("CNOT", (j, 0))
+
+
 def ladder_circuit(m: int) -> Circuit:
     """Per-row encoding unitary on m qubits: CNOT fan-out from qubit 0 to
     each other qubit, then CNOT fan-in from each back onto qubit 0 —
@@ -161,16 +169,15 @@ def ladder_circuit(m: int) -> Circuit:
     """
     if m < 2:
         raise UsageError("the ladder needs at least 2 qubits")
-    gates = [Gate("CNOT", (0, j)) for j in range(1, m)]
-    gates += [Gate("CNOT", (j, 0)) for j in range(1, m)]
-    return Circuit(m, 0, tuple(gates))
+    fan_out, fan_in = zip(*(_ladder_cnots(j) for j in range(1, m)))
+    return Circuit(m, 0, fan_out + fan_in)
 
 
 def ladder_fanout_circuit(m: int) -> Circuit:
     """The fan-out half alone (used by the lemma checks)."""
     if m < 2:
         raise UsageError("the ladder needs at least 2 qubits")
-    return Circuit(m, 0, tuple(Gate("CNOT", (0, j)) for j in range(1, m)))
+    return Circuit(m, 0, tuple(_ladder_cnots(j)[0] for j in range(1, m)))
 
 
 def expected_ladder_pauli(m: int, sigma: str) -> PauliString:

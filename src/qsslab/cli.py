@@ -52,7 +52,7 @@ from .dense import (
     trace_distance,
 )
 from .errors import ProtocolError, ResourceError, UsageError
-from .paulis import PauliOperator, PauliString
+from .paulis import PauliOperator, PauliString, _num_words
 from .protocol import (
     EvaluationScript,
     SchemeParams,
@@ -245,6 +245,16 @@ def _conjugation_error(u: np.ndarray, sigma: str, image: PauliString) -> float:
     return float(np.max(np.abs(diff)))
 
 
+def _letters_on_qubit_0(m: int) -> PauliOperator:
+    """I, X, Y and Z on qubit 0 of m, each with coefficient 1, written as
+    word rows: only bit 0 of the first mask word is ever set."""
+    x = np.zeros((4, _num_words(m)), dtype=np.uint64)
+    z = np.zeros_like(x)
+    x[:, 0] = (0, 1, 1, 0)
+    z[:, 0] = (0, 0, 1, 1)
+    return PauliOperator(m, x, z, np.ones(4, dtype=complex))
+
+
 def cmd_verify_ladder(options: dict) -> Report:
     lo, hi = _parse_m_range(options.get("m_range", "2..16"))
     tol = options.get("tolerance", 1e-12)
@@ -254,15 +264,15 @@ def cmd_verify_ladder(options: dict) -> Report:
     for m in range(lo, hi + 1):
         # one 4-term operator per width; each letter's image is looked up by
         # its expected word, so the storage order cannot matter
-        op = PauliOperator.from_terms(
-            m, [(PauliString.from_letters(sigma + "I" * (m - 1)), 1.0) for sigma in "IXYZ"]
-        )
-        image = op.conjugate_circuit(ladder_circuit(m).gates)
+        image = _letters_on_qubit_0(m).conjugate_circuit(ladder_circuit(m).gates)
         mismatches = 4  # a lost or merged term leaves every letter unverified
         if image.num_terms == 4:
-            mismatches = sum(
-                image.coeff(expected_ladder_pauli(m, sigma)) != 1 for sigma in "IXYZ"
-            )
+            terms = image.terms
+            mismatches = 0
+            for sigma in "IXYZ":
+                want = expected_ladder_pauli(m, sigma)
+                # the stored coefficient carries the word's phase, i^phase
+                mismatches += terms.get((want.x, want.z)) != want.phase_factor()
         report.add(f"ladder-symbolic-m{m}", mismatches, 0)
 
     for m in range(lo, dense_hi + 1):
@@ -393,8 +403,9 @@ def cmd_audit(options: dict) -> Report:
         coalitions = covered_coalitions(params.n)
 
     audit_dicts = []
+    dealt: list = []  # the cross-check's secrets, dealt once for every coalition
     for coalition in coalitions:
-        audit = secret_independence_check(params, coalition, tolerance=tol)
+        audit = secret_independence_check(params, coalition, tolerance=tol, dealt=dealt)
         audit_dicts.append(audit.as_dict())
         covered = coalition.covered_by_security_argument
         report.add(

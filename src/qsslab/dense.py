@@ -10,6 +10,7 @@ leftmost tensor factor / most significant index bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -76,12 +77,58 @@ class StateVector:
         return StateVector(num_qubits, amps)
 
 
-def _apply_unitary_vec(amps: np.ndarray, num_qubits: int, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Apply mat on the given qubits of an amplitude tensor."""
+def _one_entry_per_row(mat: np.ndarray) -> tuple[tuple[int, int, complex], ...] | None:
+    """(row, column, entry) of each row's one nonzero entry; None when some
+    row has another count."""
+    rows, cols = np.nonzero(mat)
+    if not np.array_equal(rows, np.arange(mat.shape[0])):
+        return None
+    return tuple((r, c, complex(mat[r, c])) for r, c in zip(rows.tolist(), cols.tolist()))
+
+
+#: each gate kind's entries for the slab path of _apply_unitary_vec; None
+#: for H, the one kind with more than one entry in a row
+_SLAB_ENTRIES = {kind: _one_entry_per_row(mat) for kind, mat in GATE_MATRICES.items()}
+
+
+@cache
+def _slabs(num_qubits: int, qubits: tuple[int, ...]) -> tuple[tuple[slice, ...], ...]:
+    """Index of each tensor slab whose gate axes read i, for i = 0..2^k-1,
+    the gate's first qubit as its most significant bit. Each gate axis keeps
+    length 1, so a slab is a view even when the gate spans every axis."""
+    k = len(qubits)
+    out = []
+    for index in range(2**k):
+        where = [slice(None)] * num_qubits
+        for j, q in enumerate(qubits):
+            bit = (index >> (k - 1 - j)) & 1
+            where[q] = slice(bit, bit + 1)
+        out.append(tuple(where))
+    return tuple(out)
+
+
+def _apply_unitary_vec(amps: np.ndarray, num_qubits: int, kind: str, qubits: tuple[int, ...]) -> np.ndarray:
+    """Apply the gate ``kind`` on the given qubits of an amplitude tensor.
+
+    A gate with one nonzero entry per row (every kind but H) writes each
+    output slab, the tensor with the gate's axes fixed to one row index, as
+    one input slab times that entry; both slabs are strided views, so no
+    axis is moved. The entries are all +-1 or +-i, so each product is exact
+    and equals what the matrix product gives. H moves its axis to the front
+    and multiplies.
+    """
+    tensor = amps.reshape((2,) * num_qubits)
+    entries = _SLAB_ENTRIES[kind]
+    if entries is not None:
+        slabs = _slabs(num_qubits, qubits)
+        out = np.empty_like(tensor)
+        for row, col, value in entries:
+            np.multiply(tensor[slabs[col]], value, out=out[slabs[row]])
+        return out.reshape(-1)
     k = len(qubits)
     src = list(qubits)
-    moved = np.moveaxis(amps.reshape((2,) * num_qubits), src, range(k))
-    moved = mat @ moved.reshape(2**k, -1)
+    moved = np.moveaxis(tensor, src, range(k))
+    moved = GATE_MATRICES[kind] @ moved.reshape(2**k, -1)
     moved = np.moveaxis(moved.reshape((2,) * num_qubits), range(k), src)
     return moved.reshape(-1)
 
@@ -102,7 +149,7 @@ def apply_gate(state: StateVector, gate: tuple[str, tuple[int, ...]]) -> StateVe
             raise UsageError(f"qubit {q} out of range")
     if len(set(qubits)) != len(qubits) or len(qubits) != int(np.log2(mat.shape[0])):
         raise UsageError(f"gate {kind} takes distinct qubits of matching arity")
-    return StateVector(n, _apply_unitary_vec(state.amplitudes, n, mat, tuple(qubits)))
+    return StateVector(n, _apply_unitary_vec(state.amplitudes, n, kind, tuple(qubits)))
 
 
 def build_unitary(circuit: "Circuit") -> np.ndarray:
@@ -119,7 +166,7 @@ def build_unitary(circuit: "Circuit") -> np.ndarray:
     for gate in circuit.gates:
         if gate.kind == "MEASURE_Z" or gate.condition is not None:
             raise UsageError("build_unitary requires a measurement-free circuit")
-        u = _apply_unitary_vec(u, 2 * n, GATE_MATRICES[gate.kind], gate.qubits)
+        u = _apply_unitary_vec(u, 2 * n, gate.kind, gate.qubits)
     return u.reshape(dim, dim)
 
 

@@ -404,16 +404,6 @@ class PauliOperator:
         )
         return int(hit[0]) if hit.size else None
 
-    def coeff(self, word: str | PauliString) -> complex:
-        """Coefficient of ``word`` (its phase divided out); 0 if absent."""
-        if isinstance(word, str):
-            word = PauliString.from_letters(word)
-        if word.num_qubits != self.num_qubits:
-            raise UsageError(f"word spans {word.num_qubits} qubits, operator {self.num_qubits}")
-        row = self._row_of(word.x, word.z)
-        c = 0j if row is None else complex(self.coeffs[row])
-        return c * word.phase_factor().conjugate()
-
     def trace(self) -> complex:
         row = self._row_of(0, 0)
         return (0j if row is None else complex(self.coeffs[row])) * 2**self.num_qubits

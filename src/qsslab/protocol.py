@@ -104,14 +104,6 @@ class SchemeParams:
         return cls(n=n, s=s, t=3 * budget, strict_mode=False)
 
     @property
-    def k(self) -> int | None:
-        return self.s // 3 if self.strict_mode else None
-
-    @property
-    def kprime(self) -> int | None:
-        return self.t // 3 if self.strict_mode else None
-
-    @property
     def budget(self) -> int:
         return self.t // 3
 

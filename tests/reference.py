@@ -3,7 +3,7 @@
 The matrix helpers build their result entry by entry or factor by factor,
 with no shared kernel, so a test can compare the package's output with
 them exactly. The operator helpers stand in for constructors only the
-tests need, is_column_local is the locality check the circuit tests hold
+tests need, coeff reads one word's coefficient, is_column_local is the locality check the circuit tests hold
 expansions to, and generic_secret is the input of the audit's enumeration
 oracle.
 random_density_matrix, supported_logical_kinds and random_clifford_script
@@ -82,6 +82,16 @@ def is_column_local(circuit, layout):
 def pauli_operator(ps, coeff=1.0):
     """The one-term operator coeff * ps."""
     return PauliOperator.from_terms(ps.num_qubits, [(ps, coeff)])
+
+
+def coeff(op, word):
+    """The coefficient of ``word`` (a PauliString or letters) in ``op``, the
+    word's phase divided out; 0 if absent."""
+    if isinstance(word, str):
+        word = PauliString.from_letters(word)
+    if word.num_qubits != op.num_qubits:
+        raise UsageError(f"word spans {word.num_qubits} qubits, operator {op.num_qubits}")
+    return op.terms.get((word.x, word.z), 0j) * word.phase_factor().conjugate()
 
 
 def basis_secret(s, index):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from qsslab import audit as audit_module
+from qsslab import circuits
 from qsslab import cli
 from qsslab.audit import covered_coalitions, parity_regime_check, secret_independence_check
 from qsslab.cli import main
+from qsslab.errors import UsageError
 from qsslab.paulis import PauliOperator, PauliString
 
 TOP_LEVEL_KEYS = [
@@ -85,6 +87,62 @@ def test_verify_ladder_looks_up_each_image_by_its_word(tmp_path, monkeypatch):
     code, payload = _run(tmp_path, "verify-ladder", "--m-range", "9..10")
     assert code == 1
     assert _check(payload, "ladder-symbolic-m10")["measured"] == 1
+
+
+def test_verify_ladder_builds_each_ladder_gate_once(tmp_path, monkeypatch):
+    # columns 1..100 each have one fan-out and one fan-in CNOT, shared by
+    # every width and by the dense half
+    built = []
+    post_init = circuits.Gate.__post_init__
+
+    def counting(gate):
+        built.append(gate)
+        post_init(gate)
+
+    circuits._ladder_cnots.cache_clear()
+    monkeypatch.setattr(circuits.Gate, "__post_init__", counting)
+    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..101")
+    assert code == 0
+    assert len(payload["checks"]) == 100 + 2 * 7
+    assert len(built) <= 2 * 100
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda ps: PauliString(ps.num_qubits, ps.x ^ (1 << 70), ps.z, ps.phase),
+        lambda ps: PauliString(ps.num_qubits, ps.x, ps.z | (1 << 76), ps.phase),
+        lambda ps: PauliString(ps.num_qubits, ps.x, ps.z, ps.phase + 2),
+    ],
+    ids=["x-bit-in-word-2", "z-bit-in-word-2", "sign"],
+)
+def test_verify_ladder_catches_one_wrong_image_at_77_columns(tmp_path, monkeypatch, wrong):
+    # at m = 77 every mask spans two uint64 words; one wrong expected image
+    # is exactly one mismatch at that width and nowhere else
+    expected = cli.expected_ladder_pauli
+
+    def one_wrong(m, sigma):
+        ps = expected(m, sigma)
+        return wrong(ps) if (m, sigma) == (77, "X") else ps
+
+    monkeypatch.setattr(cli, "expected_ladder_pauli", one_wrong)
+    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..101")
+    assert code == 1
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [(c["name"], c["measured"]) for c in failed] == [("ladder-symbolic-m77", 1)]
+
+
+def test_verify_ladder_catches_a_wrong_fanout_image(tmp_path, monkeypatch):
+    # the fan-out of X at m = 5 is X^5; claiming X^4 (x) I must fail there only
+    images = dict(cli._FANOUT_IMAGES)
+    right = images["X"]
+    images["X"] = lambda m: "X" * (m - 1) + "I" if m == 5 else right(m)
+    monkeypatch.setattr(cli, "_FANOUT_IMAGES", images)
+    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..8")
+    assert code == 1
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["fanout-lemma-m5"]
+    assert failed[0]["measured"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("bad", ["5..2", "0..4", "2", "a..b"])
@@ -282,6 +340,36 @@ def test_audit_deals_once_and_matches_standalone_checks(n, t):
         if c.name.startswith(("independence-", "parity-regime-"))
     }
     assert got == expected_checks
+
+
+def test_audit_deals_the_cross_check_family_once_per_command(tmp_path, monkeypatch):
+    # n = 2, t = 0: two coalitions with 6-qubit views share one dealt family
+    # of three secrets; distinguishability deals its basis pair itself. A
+    # second command deals again, so nothing is kept between commands.
+    deals = []
+    real_deal = audit_module.deal
+
+    def counting(params, secret):
+        deals.append(params)
+        return real_deal(params, secret)
+
+    monkeypatch.setattr(audit_module, "deal", counting)
+    for _ in range(2):
+        deals.clear()
+        code, payload = _run(tmp_path, "audit", "--n", "2", "--t", "0")
+        assert code == 0
+        assert len(payload["audits"]) == 2
+        assert len(deals) == 3 + 2
+
+
+def test_audit_refuses_a_family_dealt_for_another_layout():
+    dealt = []
+    small = cli._params_from({"n": 2, "t": 0})
+    secret_independence_check(small, covered_coalitions(2)[0], dealt=dealt)
+    assert len(dealt) == 3
+    other = cli._params_from({"n": 2, "s": 2, "t": 0})
+    with pytest.raises(UsageError, match="another share layout"):
+        secret_independence_check(other, covered_coalitions(2)[0], dealt=dealt)
 
 
 def test_audit_full_coalition_exits_two(tmp_path, monkeypatch, capsys):

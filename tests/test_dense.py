@@ -7,7 +7,9 @@ from qsslab.circuits import Circuit, Gate, ladder_circuit
 from qsslab.dense import (
     GATE_MATRICES,
     PROBABILITY_CUTOFF,
+    _SLAB_ENTRIES,
     StateVector,
+    _apply_unitary_vec,
     apply_gate,
     build_unitary,
     measure_z,
@@ -86,6 +88,42 @@ def test_build_unitary_equals_embedded_product_exactly(n):
         gates.append(_placed(kind, n, rng))
         circuit = Circuit(n, 0, tuple(Gate(k, q) for k, q in gates))
         assert np.array_equal(build_unitary(circuit), circuit_unitary(n, gates)), gates
+
+
+_ONE_ENTRY_PER_ROW = [
+    kind
+    for kind, mat in sorted(GATE_MATRICES.items())
+    if (np.count_nonzero(mat, axis=1) == 1).all()
+]
+
+
+def test_every_kind_but_h_takes_the_slab_path():
+    assert [kind for kind, entries in _SLAB_ENTRIES.items() if entries is None] == ["H"]
+    assert sorted(kind for kind in _SLAB_ENTRIES if kind != "H") == _ONE_ENTRY_PER_ROW
+
+
+@pytest.mark.parametrize("kind", _ONE_ENTRY_PER_ROW)
+def test_slab_path_equals_embedded_reference_exactly(kind, monkeypatch):
+    # n = 8 with the gate's qubits far apart and out of order, on a random
+    # state and on the row axes of a random matrix; no axis is moved
+    n = 8
+    arity = GATE_MATRICES[kind].shape[0].bit_length() - 1
+    qubits = {1: (6,), 2: (7, 0), 3: (6, 0, 3)}[arity]
+    rng = np.random.default_rng(8)
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    mat = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    ref = embedded_unitary(n, kind, qubits)
+
+    def no_moveaxis(*args, **kwargs):
+        raise AssertionError("the slab path moved an axis")
+
+    kept = vec.copy()
+    monkeypatch.setattr(np, "moveaxis", no_moveaxis)
+    got_vec = _apply_unitary_vec(vec, n, kind, qubits)
+    got_mat = _apply_unitary_vec(mat.reshape(-1), 2 * n, kind, qubits)
+    assert np.array_equal(got_vec, ref @ vec)
+    assert np.array_equal(got_mat.reshape(2**n, 2**n), ref @ mat)
+    assert np.array_equal(vec, kept)  # the input is not written
 
 
 def test_build_unitary_of_empty_circuit():

@@ -16,36 +16,36 @@ ALLOWED = {
     "paulis.PauliOperator.project_z": "perfbench/tracing.py wraps it by name",
     "paulis.PauliOperator.reset_to_mixed": "perfbench/tracing.py wraps it by name",
     "dense.partial_trace_dense": "perfbench/tracing.py wraps it by name",
-    "paulis.PauliOperator.terms": "perfbench/tracing.py's distinct_count reads it",
     "protocol.SchemeParams.relaxed": "the relaxed twin of SchemeParams.strict",
 }
 
 
 def _references(tree):
-    """Names a tree uses: Name ids, Attribute attrs, import aliases and
-    __all__ entries."""
-    found = Counter()
+    """(names, attributes) a tree uses. Names are Name ids, import aliases
+    and __all__ entries, the ways a module function or class is reached;
+    attributes are Attribute attrs, the one way a method is reached."""
+    names, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            attrs[node.attr] += 1
         elif isinstance(node, ast.alias):
-            found[node.asname or node.name.rsplit(".", 1)[-1]] += 1
+            names[node.asname or node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            found.update(elt.value for elt in node.value.elts)
-    return found
+            names.update(elt.value for elt in node.value.elts)
+    return names, attrs
 
 
 def _definitions(node, prefix):
-    """(qualified name, node) of every function, method and class, nested
-    ones included."""
+    """(qualified name, node, is method) of every function, method and
+    class, nested ones included."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             qualname = f"{prefix}.{child.name}"
-            yield qualname, child
+            yield qualname, child, isinstance(node, ast.ClassDef)
             yield from _definitions(child, qualname)
         else:
             yield from _definitions(child, prefix)
@@ -53,17 +53,39 @@ def _definitions(node, prefix):
 
 def unreferenced(package):
     """Qualified names of the non-dunder definitions in a package directory
-    that nothing outside their own definition refers to."""
+    that nothing outside their own definition refers to: a method counts
+    only attribute references to its name, anything else only name and
+    import references, so a local variable cannot keep a method alive, nor
+    a method call a module function of the same name."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    total = sum((_references(tree) for tree in trees.values()), Counter())
+    names, attrs = Counter(), Counter()
+    for tree in trees.values():
+        tree_names, tree_attrs = _references(tree)
+        names += tree_names
+        attrs += tree_attrs
     out = set()
     for module, tree in trees.items():
-        for qualname, node in _definitions(tree, module):
+        for qualname, node, is_method in _definitions(tree, module):
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            if total[node.name] == _references(node)[node.name]:
+            kind = 1 if is_method else 0
+            total = (names, attrs)[kind]
+            if total[node.name] == _references(node)[kind][node.name]:
                 out.add(qualname)
     return out
+
+
+def _copy(package, tmp_path):
+    for path in package.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    return tmp_path
+
+
+def _insert(path, anchor, added):
+    text = path.read_text()
+    if anchor not in text:
+        raise AssertionError(f"{anchor!r} not found in {path.name}")
+    path.write_text(text.replace(anchor, added + anchor, 1))
 
 
 def test_every_definition_is_used_by_the_package():
@@ -72,10 +94,25 @@ def test_every_definition_is_used_by_the_package():
 
 
 def test_a_test_only_method_is_caught(tmp_path):
-    for path in PACKAGE.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text())
-    paulis = tmp_path / "paulis.py"
-    anchor = "    def phase_factor(self)"
+    copy = _copy(PACKAGE, tmp_path)
     added = "    def weight(self) -> int:\n        return (self.x | self.z).bit_count()\n\n"
-    paulis.write_text(paulis.read_text().replace(anchor, added + anchor, 1))
-    assert unreferenced(tmp_path) == set(ALLOWED) | {"paulis.PauliString.weight"}
+    _insert(copy / "paulis.py", "    def phase_factor(self)", added)
+    assert unreferenced(copy) == set(ALLOWED) | {"paulis.PauliString.weight"}
+
+
+def test_a_local_variable_does_not_shield_a_method(tmp_path):
+    # from_terms binds a local variable named coeff; only an attribute
+    # access would reach a coeff method
+    copy = _copy(PACKAGE, tmp_path)
+    added = "    def coeff(self, word):\n        return self.terms.get((word.x, word.z), 0j)\n\n"
+    _insert(copy / "paulis.py", "    def trace(self)", added)
+    assert unreferenced(copy) == set(ALLOWED) | {"paulis.PauliOperator.coeff"}
+
+
+def test_a_method_call_does_not_shield_a_module_function(tmp_path):
+    # the package calls .partial_trace(...) on operators, which reaches the
+    # method only; a module function of that name needs a name of its own
+    copy = _copy(PACKAGE, tmp_path)
+    added = "def partial_trace(op, traced):\n    return op.partial_trace(traced)\n\n\n"
+    _insert(copy / "audit.py", "def adversary_view(", added)
+    assert unreferenced(copy) == set(ALLOWED) | {"audit.partial_trace"}
