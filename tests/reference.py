@@ -3,9 +3,9 @@
 The matrix helpers build their result entry by entry or factor by factor,
 with no shared kernel, so a test can compare the package's output with
 them exactly. The operator helpers stand in for constructors only the
-tests need, coeff reads one word's coefficient, is_column_local is the locality check the circuit tests hold
-expansions to, and generic_secret is the input of the audit's enumeration
-oracle.
+tests need, coeff reads one word's coefficient, is_column_local is the
+locality check the circuit tests hold expansions to, and generic_secret is
+the input of the audit's enumeration oracle.
 random_density_matrix, supported_logical_kinds and random_clifford_script
 draw the random secrets and Clifford scripts of the logical-action tests.
 announce_distribution (criterion c10) and eq16_form_check (the form of

@@ -104,7 +104,11 @@ def test_verify_ladder_builds_each_ladder_gate_once(tmp_path, monkeypatch):
     code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..101")
     assert code == 0
     assert len(payload["checks"]) == 100 + 2 * 7
-    assert len(built) <= 2 * 100
+    # the cache starts empty, so the two per column are built here, once
+    assert len(built) == 2 * 100
+    assert {gate.qubits for gate in built} == {
+        pair for j in range(1, 101) for pair in ((0, j), (j, 0))
+    }
 
 
 @pytest.mark.parametrize(
