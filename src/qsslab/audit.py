@@ -279,7 +279,8 @@ def distinguishability(
     secret_a: object,
     secret_b: object,
 ) -> float:
-    """Trace distance between the coalition's views of the two secrets."""
+    """Trace distance between the coalition's views of the two secrets. A
+    secret already dealt under ``params`` (a SharedState) is used as it is."""
     layout = params.layout()
     view_qubits = layout.rows * len(coalition.columns())
     if view_qubits > DENSE_CAP:
@@ -287,9 +288,14 @@ def distinguishability(
             f"coalition view spans {view_qubits} qubits, above the dense cap "
             f"{DENSE_CAP}; use secret_independence_check's symbolic count instead"
         )
-    view_a = adversary_view(deal(params, secret_a), coalition)
-    view_b = adversary_view(deal(params, secret_b), coalition)
-    return view_a.trace_distance(view_b)
+    views = []
+    for secret in (secret_a, secret_b):
+        if not isinstance(secret, SharedState):
+            secret = deal(params, secret)
+        elif secret.layout != layout:
+            raise UsageError("the dealt secret belongs to another share layout")
+        views.append(adversary_view(secret, coalition))
+    return views[0].trace_distance(views[1])
 
 
 # ---------------------------------------------------------------------------

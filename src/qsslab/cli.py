@@ -333,23 +333,19 @@ def cmd_run(options: dict) -> Report:
     logical_tol = 1e-9 if script.toffoli_count else tol
     U = logical_unitary(script)
     target = U @ secret.to_dense() @ U.conj().T
-    branch_rows = []
-    worst = 0.0
-    distances: dict[int, float] = {}  # by id(): histories share state objects
-    for br in branches:
-        d = distances.get(id(br.state))
-        if d is None:
-            d = distances[id(br.state)] = trace_distance(
-                reconstruct(br).to_dense(), target
-            )
-        worst = max(worst, d)
-        branch_rows.append(
-            {
-                "bits": list(br.classical_transcript),
-                "probability": br.branch_probability,
-                "logical_distance": d,
-            }
+    # one reconstruction per distinct state; each history reads its own
+    distances = [
+        trace_distance(reconstruct(br).to_dense(), target) for br in branches.distinct()
+    ]
+    worst = max(distances, default=0.0)
+    # the dealt state has probability 1, so a history's branch probability
+    # is its transcript probability
+    branch_rows = [
+        {"bits": bits, "probability": p, "logical_distance": d}
+        for (bits, p), d in zip(
+            transcript.branches, np.array(distances)[branches.op_index].tolist()
         )
+    ]
     report.add(
         "logical-output-distance",
         worst,
@@ -432,8 +428,11 @@ def cmd_audit(options: dict) -> Report:
 
     view_qubits = params.layout().rows * len(coalitions[0].columns())
     if view_qubits <= DENSE_CAP and coalitions[0].covered_by_security_argument:
-        (_, zero), (_, one), _ = canonical_secret_family(params.s)
-        td = distinguishability(params, coalitions[0], zero, one)
+        # the cross-check's family starts with |0...0> and |1...1>; views too
+        # large for the cross-check left it empty
+        if not dealt:
+            dealt.extend(deal(params, op) for _, op in canonical_secret_family(params.s)[:2])
+        td = distinguishability(params, coalitions[0], dealt[0], dealt[1])
         report.add("distinguishability-basis-pair", td, tol)
     report.extras["audits"] = audit_dicts
     report.notes.append(BUDGET_NOTE)
@@ -506,9 +505,8 @@ def cmd_gadget(options: dict) -> Report:
     branches, _ = evaluate(shared, script)
     direct = np.zeros((8, 8))
     direct[7, 7] = 1.0
-    distinct = {id(br.state): br for br in branches}.values()
     worst = max(
-        trace_distance(reconstruct(br).to_dense(), direct) for br in distinct
+        trace_distance(reconstruct(br).to_dense(), direct) for br in branches.distinct()
     )
     report.add(
         "share-gadget-branches",

@@ -24,10 +24,14 @@ coefficients. Every operation is a handful of whole-array steps:
   XOR/AND operations on the planes it touches plus a sign plane, and
   transposes back once; a Clifford relabels words bijectively, so the word
   order is kept and coefficients are only negated;
-- the merging operations (Z projection and measurement, add, from_terms)
-  emit candidate rows and merge equal words in one grouping pass: a stable
-  lexsort, then per-group sums in candidate order, so each output word
-  accumulates its contributions in the order a term-by-term loop would;
+- add and from_terms emit candidate rows and merge equal words in one
+  grouping pass: a stable lexsort, then per-group sums in candidate order,
+  so each output word accumulates its contributions in the order a
+  term-by-term loop would;
+- a Z measurement of K disjoint qubit sets groups the words by their
+  unmeasured part once, places each group's 2^K Z-pattern partners in a
+  row, and combines them for all 2^K parity outcomes with one
+  Walsh-Hadamard butterfly per set;
 - partial_trace is a mask test plus a bit compaction, which is injective on
   the surviving words, so nothing is summed; tensor is a broadcast.
 
@@ -627,23 +631,63 @@ class PauliOperator:
         keep, _ = self._identity_on(qubits)
         return self._with(keep)
 
-    def _z_split(self, qubit: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Projection onto each Z outcome of a qubit, before pruning: the
-        words k with I on the qubit, and for outcome b the coefficient
-        c(k)/2 + (-1)^b c(k Z_q)/2 of k (k Z_q gets (-1)^b times it). Words
-        with X/Y on the qubit are annihilated."""
-        if not 0 <= qubit < self.num_qubits:
-            raise UsageError(f"qubit {qubit} out of range")
-        w, bit = _column(qubit)
-        keep = (self.x[:, w] & bit) == 0
+    def _z_split(
+        self, sets: Sequence[Sequence[int]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Projection onto each Z-parity outcome of disjoint qubit sets,
+        before pruning: the words k with I on every measured qubit, and an
+        array whose row pi holds, for each k, 2^-K times the sum over the Z
+        patterns v of the sets of (-1)^(v . pi) c(k Z^v); pi and v read set j
+        at bit K-1-j of their index. Words with X/Y on a measured qubit are
+        annihilated.
+
+        Every surviving word's Z letters on the measured qubits must be a
+        union of whole sets. Then each outcome string of a set's qubits is
+        as likely as any other of its parity and leaves the same reset
+        state, so the parity stands for all of them; any other word raises
+        ProtocolError. A set of one qubit always qualifies.
+        """
+        sets = [list(qs) for qs in sets]
+        qubits = [q for qs in sets for q in qs]
+        if not all(sets) or len(set(qubits)) != len(qubits):
+            raise UsageError("measured sets must be nonempty and disjoint")
+        for q in qubits:
+            if not 0 <= q < self.num_qubits:
+                raise UsageError(f"qubit {q} out of range")
+        mask = _words_of([sum(1 << q for q in qubits)], self.x.shape[1])
+        keep = _is_zero(self.x & mask)
         x = self.x[keep]
         z = self.z[keep]
-        has_z = (z[:, w] & bit) != 0
-        z[:, w] &= ~bit
+        # the Z pattern v: set j's bit says whether the word has Z on the
+        # set's first qubit, and the set's other qubits must agree
+        k = len(sets)
+        pattern = np.zeros(len(z), dtype=np.intp)
+        for j, qs in enumerate(sets):
+            has_z = [(z[:, w] & bit) != 0 for w, bit in map(_column, qs)]
+            bad = np.zeros(len(z), dtype=bool)
+            for other in has_z[1:]:
+                bad |= other != has_z[0]
+            if bad.any():
+                raise ProtocolError(
+                    f"{int(bad.sum())} words have Z letters on measured set {j} "
+                    "outside the span of the sets' parity words; their outcome "
+                    "strings are not interchangeable within a parity"
+                )
+            pattern |= has_z[0].astype(np.intp) << (k - 1 - j)
+        z &= ~mask
         first, inverse = _group(x, z)
-        half = self.coeffs[keep] / 2
-        sums = [_sum_groups(inverse, v, first.size) for v in (half, np.where(has_z, -half, half))]
-        return x[first], z[first], sums
+        # each (word, pattern) pair is one term, so the partners are placed,
+        # never summed; a Walsh-Hadamard butterfly per set combines them
+        acc = np.zeros((2**k, first.size), dtype=complex)
+        acc.reshape(-1)[pattern * first.size + inverse] = self.coeffs[keep]
+        for j in range(k):
+            pairs = acc.reshape(2**j, 2, -1)
+            lo, hi = pairs[:, 0], pairs[:, 1]
+            total = lo + hi
+            np.subtract(lo, hi, out=hi)
+            lo[...] = total
+        acc *= 0.5**k
+        return x[first], z[first], acc
 
     # stays for perfbench/tracing.py, which wraps it by name, until the tracer is retargeted
     def project_z(self, qubit: int, outcome: int) -> tuple[float, PauliOperator]:
@@ -655,7 +699,7 @@ class PauliOperator:
         """
         if outcome not in (0, 1):
             raise UsageError("outcome must be 0 or 1")
-        x, z, sums = self._z_split(qubit)
+        x, z, sums = self._z_split([[qubit]])
         w, bit = _column(qubit)
         flipped = z.copy()
         flipped[:, w] |= bit
@@ -669,20 +713,27 @@ class PauliOperator:
         return _real_probability(post.trace()), post
 
     def measure_z(
-        self, qubit: int
-    ) -> tuple[tuple[float, PauliOperator | None], tuple[float, PauliOperator | None]]:
-        """Both outcomes of a Z measurement in one grouping pass.
+        self, sets: int | Sequence[Sequence[int]]
+    ) -> tuple[tuple[float, PauliOperator | None], ...]:
+        """Z-parity measurement of K disjoint qubit sets in one grouping
+        pass; an int q is the one-set, one-qubit case [[q]].
 
-        Entry b is (p_b, state_b): the probability of outcome b and the
-        normalised post-measurement state with the qubit reset to I/2, equal
-        to project_z(qubit, b) -> scaled(1 / p_b) -> reset_to_mixed((qubit,)).
-        The state is None when p_b is not positive. A word and its Z_q
-        partner in project_z's output have the same |coeff|, so the relative
-        prune reads the same largest term; scaling by 1/p_b > 0 cannot
-        change a relative prune.
+        Entry pi of the 2^K results, set j's parity at bit K-1-j of pi, is
+        (p_pi, state_pi): the probability of those parities and the
+        normalised post-measurement state with every measured qubit reset
+        to I/2. The state is None when p_pi is not positive. The measured
+        words must respect the sets (see _z_split), else ProtocolError.
+
+        For one qubit, state_b equals project_z(qubit, b) -> scaled(1 / p_b)
+        -> reset_to_mixed((qubit,)): a word and its Z_q partner in
+        project_z's output have the same |coeff|, so the relative prune
+        reads the same largest term; scaling by 1/p_b > 0 cannot change a
+        relative prune.
         """
-        x, z, sums = self._z_split(qubit)
-        return self._measured(x, z, sums[0]), self._measured(x, z, sums[1])
+        if isinstance(sets, (int, np.integer)):
+            sets = [[sets]]
+        x, z, sums = self._z_split(sets)
+        return tuple(self._measured(x, z, acc) for acc in sums)
 
     def _measured(
         self, x: np.ndarray, z: np.ndarray, acc: np.ndarray

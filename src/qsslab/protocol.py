@@ -17,23 +17,31 @@ so the pair (state, transcript) loses nothing; this keeps term counts flat
 instead of letting each consumed triple multiply them by 2^(3(n+1)).
 Cliffords reach the engine in batches, since each
 conjugate_circuit call pays one transpose of the term words into bit
-planes and one back: consecutive script Cliffords, and a gadget's gates
-between two measurements, run as one call per state.
+planes and one back: consecutive script Cliffords, together with a
+gadget's leading gates or its trailing swap-back, run as one call per state.
 
-Exact evaluation enumerates all 2^(3(n+1)) bit histories of each gadget but
-merges the states they reach: histories that leave equal operators (same
-words, coefficients within paulis.EQUAL_TOL relative) and whose pending
-correction conditions read the same parities share one operator and are
-simulated once. The branch cap counts histories, not merged states.
+Every correction of a gadget reads only the XOR of a measured row's bits.
+Exact evaluation therefore measures the three row parities at once, as in
+gate teleportation with a Pauli frame (Gottesman-Chuang): each of the 8
+parity outcomes is simulated once and stands for the 2^(3n) bit strings
+with those parities. That holds because, before the measurement, every
+term with no X/Y on the measured rows carries there only products of the
+rows' Z^(n+1) words, which PauliOperator.measure_z checks on every call:
+then each string within a parity class is equally likely and leaves the
+same state. Histories are arrays (one row of parities per simulated
+history, expanded into bit strings with numpy at the end), and operators
+equal within paulis.EQUAL_TOL relative merge after the corrections. The
+branch cap counts bit histories, not merged states.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import json
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,10 +50,10 @@ from .circuits import (
     Circuit,
     Gate,
     ShareLayout,
-    evaluate_condition,
     gates_from_lines,
     ladder_circuit,
     magic_state_circuit,
+    parse_condition,
     toffoli_gadget,
     transversal_expand,
 )
@@ -174,23 +182,30 @@ class BitOrigin:
     participant: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transcript:
     """Broadcast record of one evaluate call.
 
-    ``branches`` pairs each surviving branch's full bit history with its
-    probability; in exact mode the probabilities sum to 1, in sampled mode
-    a single drawn branch is recorded with its own probability.
+    Row i of ``bits`` (uint8, one column per broadcast slot) is a surviving
+    bit history and ``probabilities[i]`` its probability; rows are in
+    lexicographic bit order. In exact mode the probabilities sum to 1; in
+    sampled mode the one drawn history is recorded with its own probability.
     """
 
-    bit_origins: tuple[BitOrigin, ...] = ()
-    branches: tuple[tuple[tuple[int, ...], float], ...] = ()
+    bit_origins: tuple[BitOrigin, ...]
+    bits: np.ndarray
+    probabilities: np.ndarray
+
+    @property
+    def branches(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """Each history as (bits, probability) in Python values, row order."""
+        return tuple(zip(map(tuple, self.bits.tolist()), self.probabilities.tolist()))
 
     def total_probability(self) -> float:
-        return float(sum(p for _, p in self.branches))
+        return float(self.probabilities.sum())
 
     def marginal(self, slot: int) -> float:
-        return float(sum(p for bits, p in self.branches if bits[slot]))
+        return float(self.probabilities[self.bits[:, slot] == 1].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -315,105 +330,241 @@ def reconstruct(
 # ---------------------------------------------------------------------------
 
 
+class BranchStates(collections.abc.Sequence):
+    """The SharedState of every history of an evaluate call, in transcript
+    row order, built on access from the transcript's arrays. History i holds
+    ``ops[op_index[i]]``, so the histories that reached one merged state
+    share its operator object.
+
+    The base class is left unsubscripted: typing caches each subscription
+    with its arguments, which would keep every imported copy of this
+    module alive in a process that reloads the package."""
+
+    def __init__(
+        self,
+        layout: ShareLayout,
+        consumed: frozenset[int],
+        ops: tuple[PauliOperator, ...],
+        op_index: np.ndarray,
+        transcript: Transcript,
+        base_probability: float,
+    ) -> None:
+        self.layout = layout
+        self.consumed = consumed
+        self.ops = ops
+        self.op_index = op_index
+        self._transcript = transcript
+        self._base = base_probability
+
+    def __len__(self) -> int:
+        return len(self.op_index)
+
+    def __getitem__(self, i: int) -> SharedState:
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"no history {i} among {len(self)}")
+        transcript = self._transcript
+        return self._state(
+            transcript.bits[i].tolist(), float(transcript.probabilities[i]), self.op_index[i]
+        )
+
+    def __iter__(self) -> Iterator[SharedState]:
+        # each array is converted once, not once per history
+        transcript = self._transcript
+        rows = zip(
+            transcript.bits.tolist(), transcript.probabilities.tolist(), self.op_index.tolist()
+        )
+        return (self._state(*row) for row in rows)
+
+    def _state(self, bits: list[int], probability: float, op: int) -> SharedState:
+        return SharedState(
+            layout=self.layout,
+            state=self.ops[op],
+            consumed_ancillas=self.consumed,
+            classical_transcript=tuple(bits),
+            branch_probability=self._base * probability,
+        )
+
+    def distinct(self) -> list[SharedState]:
+        """One state per operator, in ``ops`` order: the first history that
+        reaches it."""
+        return [self[int(np.argmax(self.op_index == k))] for k in range(len(self.ops))]
+
+
 @dataclass
 class _Group:
-    """One operator and every (bits, probability) history that reaches it."""
+    """One operator and every history that reaches it: row i of
+    ``outcomes`` holds history i's measured parities, one column per
+    measured set so far, and ``probs[i]`` their probability."""
 
     op: PauliOperator
-    histories: list[tuple[tuple[int, ...], float]]
+    outcomes: np.ndarray
+    probs: np.ndarray
 
 
-def _merge(groups: list[_Group], signature: Callable[[_Group], tuple]) -> list[_Group]:
-    """Fold each group into the first earlier one with an equal signature and
-    an approx_equal operator; the survivor keeps its operator object."""
-    buckets: dict[tuple, list[_Group]] = {}
-    merged: list[_Group] = []
+def _merge(groups: list[_Group]) -> list[_Group]:
+    """Fold each group into the first earlier one with an approx_equal
+    operator; the survivor keeps its operator object."""
+    buckets: list[list[_Group]] = []
     for grp in groups:
-        bucket = buckets.setdefault(signature(grp), [])
-        for other in bucket:
-            if other.op.approx_equal(grp.op):
-                other.histories.extend(grp.histories)
+        for bucket in buckets:
+            if bucket[0].op.approx_equal(grp.op):
+                bucket.append(grp)
                 break
         else:
-            bucket.append(grp)
-            merged.append(grp)
-    return merged
+            buckets.append([grp])
+    return [
+        _Group(
+            bucket[0].op,
+            np.concatenate([grp.outcomes for grp in bucket]),
+            np.concatenate([grp.probs for grp in bucket]),
+        )
+        for bucket in buckets
+    ]
+
+
+def _measured_sets(gadget: Circuit, exact: bool) -> tuple[list[list[int]], dict[str, list[int]]]:
+    """The gadget's measured bit slots, grouped into the sets whose parities
+    are measured, and for each condition the indices of the sets whose
+    parities it XORs. Sampled mode draws every bit, one set per slot. Exact
+    mode groups the slots that exactly the same conditions read, so that
+    every condition is an XOR of whole sets; a slot that no condition reads
+    is a set of its own."""
+    slots = [g.classical_bit for g in gadget.gates if g.kind == "MEASURE_Z"]
+    reads: dict[str, set[int]] = {}
+    for g in gadget.gates:
+        if g.condition is not None and g.condition not in reads:
+            read = parse_condition(g.condition)
+            # a slot read twice cancels out of the XOR
+            reads[g.condition] = {s for s in read if read.count(s) % 2}
+    if exact:
+        by_readers: dict[object, list[int]] = {}
+        for slot in slots:
+            key = tuple(slot in read for read in reads.values())
+            by_readers.setdefault(key if any(key) else slot, []).append(slot)
+        sets = list(by_readers.values())
+    else:
+        sets = [[slot] for slot in slots]
+    return sets, {c: [j for j, st in enumerate(sets) if st[0] in read] for c, read in reads.items()}
+
+
+def _surviving(probs: np.ndarray, k: int) -> np.ndarray:
+    """The outcomes of a k-set parity measurement, set j at bit k-1-j of
+    the index, whose every set's parity probability, conditional on the
+    earlier sets' parities, exceeds PROBABILITY_CUTOFF."""
+    joint = probs.reshape((2,) * k)
+    keep = np.ones(joint.shape, dtype=bool)
+    earlier: float | np.ndarray = 1.0
+    for j in range(k):
+        marginal = joint.sum(axis=tuple(range(j + 1, k)))
+        ok = marginal > PROBABILITY_CUTOFF * earlier
+        keep &= ok.reshape(ok.shape + (1,) * (k - 1 - j))
+        earlier = marginal[..., None]
+    return np.flatnonzero(keep)
 
 
 def _run_gadget(
     gadget: Circuit,
     groups: list[_Group],
-    mode: str,
     rng: np.random.Generator | None,
-    branch_cap: int,
-    gate_index: int,
-) -> list[_Group]:
-    base = len(groups[0].histories[0][0])
-    pad = (0,) * gadget.num_classical_bits
+    lead: Sequence[Gate] = (),
+) -> tuple[list[_Group], list[list[int]], list[Gate]]:
+    """Run one measured gadget on every group: ``lead`` and the gates before
+    the measurements as one batch, the measurements, then the conditioned
+    corrections once per surviving outcome, and merge equal operators.
+
+    Exact mode (no ``rng``) measures the parities of _measured_sets in one
+    measure_z call per group; an outcome stands for every bit string with
+    those parities. Sampled mode draws the bits one by one.
+
+    Returns the merged groups, the measured sets as gadget bit slots, and
+    the gates after the last conditioned correction, which the caller runs
+    with the Cliffords that follow.
+    """
+    gates = list(gadget.gates)
+    measures = [i for i, g in enumerate(gates) if g.kind == "MEASURE_Z"]
+    if not measures or measures[-1] - measures[0] + 1 != len(measures):
+        raise UsageError("a gadget measures in one block of MEASURE_Z gates")
+    qubit_of = {gates[i].classical_bit: gates[i].qubits[0] for i in measures}
+    prefix = [*lead, *gates[: measures[0]]]
+    rest = gates[measures[-1] + 1 :]
+    split = max((i + 1 for i, g in enumerate(rest) if g.condition is not None), default=0)
+    corrections, tail = rest[:split], rest[split:]
+    sets, reads = _measured_sets(gadget, exact=rng is None)
+    k = len(sets)
+
+    children: list[tuple[_Group, list[int], np.ndarray, PauliOperator]] = []
     for grp in groups:
-        grp.histories = [(bits + pad, p) for bits, p in grp.histories]
-    # Two groups evolve identically through the rest of the gadget when
-    # their operators are equal and every correction condition reads the
-    # same parity on their bits so far (unwritten bits are still 0, and the
-    # bits yet to come are shared once they merge).
-    conditions = sorted({g.condition for g in gadget.gates if g.condition is not None})
-
-    def local_bits(grp: _Group) -> tuple[int, ...]:
-        return grp.histories[0][0][base:]
-
-    def signature(grp: _Group) -> tuple[bool, ...]:
-        return tuple(evaluate_condition(c, local_bits(grp)) for c in conditions)
-
-    # Gates between two measurements run as one conjugate_circuit call per
-    # group; a group's bits, and so its conditions, hold still until the next
-    # measurement.
-    pending: list[Gate] = []
-
-    def flush() -> None:
-        for grp in groups:
-            bits = local_bits(grp)
-            grp.op = grp.op.conjugate_circuit(
-                g
-                for g in pending
-                if g.condition is None or evaluate_condition(g.condition, bits)
-            )
-        pending.clear()
-
-    for g in gadget.gates:
-        if g.kind != "MEASURE_Z":
-            pending.append(g)
+        op = grp.op.conjugate_circuit(prefix)
+        if rng is None:
+            results = op.measure_z([[qubit_of[s] for s in st] for st in sets])
+            for pi in _surviving(np.array([p for p, _ in results]), k):
+                p, post = results[pi]
+                outcome = [(int(pi) >> (k - 1 - j)) & 1 for j in range(k)]
+                children.append((grp, outcome, grp.probs * p, post))
             continue
-        flush()
-        (q,) = g.qubits
-        slot = base + g.classical_bit
-        children: list[_Group] = []
-        for grp in groups:
-            outcomes = [
+        outcome, probs = [], grp.probs
+        for (slot,) in sets:
+            drawn = [
                 (b, p, post)
-                for b, (p, post) in enumerate(grp.op.measure_z(q))
+                for b, (p, post) in enumerate(op.measure_z(qubit_of[slot]))
                 if p > PROBABILITY_CUTOFF
             ]
-            if mode == "sampled":
-                probs = np.array([p for _, p, _ in outcomes])
-                pick = int(rng.choice(len(outcomes), p=probs / probs.sum()))
-                outcomes = [outcomes[pick]]
-            for b, p, post in outcomes:
-                histories = [
-                    (bits[:slot] + (b,) + bits[slot + 1 :], prob * p)
-                    for bits, prob in grp.histories
-                ]
-                children.append(_Group(post, histories))
-        count = sum(len(grp.histories) for grp in children)
-        if count > branch_cap:
-            raise ResourceError(
-                f"exact branch enumeration reached {count} bit histories, over "
-                f"the cap of {branch_cap}, in the TOFFOLI at script gate "
-                f"{gate_index}; rerun in sampled mode or raise branch_cap"
-            )
-        groups = _merge(children, signature)
-    flush()
-    # the gadget's conditions are spent: equal operators now evolve alike
-    return _merge(groups, lambda grp: ())
+            weights = np.array([p for _, p, _ in drawn])
+            b, p, op = drawn[int(rng.choice(len(drawn), p=weights / weights.sum()))]
+            outcome.append(b)
+            probs = probs * p
+        children.append((grp, outcome, probs, op))
+
+    out = []
+    for grp, outcome, probs, op in children:
+        active = [
+            g
+            for g in corrections
+            if g.condition is None or sum(outcome[j] for j in reads[g.condition]) % 2
+        ]
+        row = np.array(outcome, dtype=np.uint8)
+        outcomes = np.hstack([grp.outcomes, np.broadcast_to(row, (len(probs), k))])
+        out.append(_Group(op.conjugate_circuit(active), outcomes, probs))
+    return _merge(out), sets, tail
+
+
+def _histories(
+    groups: list[_Group], sets: list[list[int]], prior: tuple[int, ...], num_bits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every bit history of the groups in lexicographic order, as (bits,
+    probabilities, group index). A row of parities with probability p
+    stands for every bit string with those parities: each set's bits but
+    the last are free, the last completes the parity, and each of the 2^F
+    strings (F free bits in all) has probability p 2^-F."""
+    outcomes = np.concatenate([grp.outcomes for grp in groups])
+    probs = np.concatenate([grp.probs for grp in groups])
+    index = np.repeat(np.arange(len(groups)), [len(grp.probs) for grp in groups])
+    free = [s for st in sets for s in st[:-1]]
+    count = 1 << len(free)
+    # row c holds the binary digits of c: one assignment of the free bits
+    choices = np.unpackbits(
+        np.arange(count, dtype="<u8").view(np.uint8).reshape(count, 8),
+        axis=1,
+        count=len(free),
+        bitorder="little",
+    )
+    bits = np.empty((len(probs), count, num_bits), dtype=np.uint8)
+    bits[:, :, : len(prior)] = prior
+    bits[:, :, free] = choices
+    column = 0
+    for j, st in enumerate(sets):
+        span = len(st) - 1
+        parity = choices[:, column : column + span].sum(axis=1, dtype=np.uint8) & 1
+        bits[:, :, st[-1]] = outcomes[:, j, None] ^ parity
+        column += span
+    bits = bits.reshape(len(probs) * count, num_bits)
+    probs = np.repeat(probs * 0.5 ** len(free), count)
+    index = np.repeat(index, count)
+    # packed with slot 0 as the most significant bit, so the byte columns
+    # sort as the bit strings do; the last lexsort key is the primary one
+    keys = np.packbits(bits, axis=1)
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(probs))
+    return bits[order], probs[order], index[order]
 
 
 def evaluate(
@@ -422,18 +573,25 @@ def evaluate(
     mode: str = "exact",
     seed: int | None = None,
     branch_cap: int = DEFAULT_BRANCH_CAP,
-) -> tuple[list[SharedState], Transcript]:
+) -> tuple[BranchStates, Transcript]:
     """Run the logical script on the shares.
 
     Cliffords expand transversally and never branch. Each TOFFOLI consumes
-    the next intact ancilla triple and measures 3(n+1) qubits; exact mode
-    enumerates every bit history (probabilities sum to 1), sampled mode
-    draws one path with the mandatory seed. Histories that reach equal
-    states are merged and simulated once; the result still holds one
-    SharedState per history, in lexicographic bit order, and histories that
-    reached one merged state share its operator object. ``branch_cap``
-    bounds the number of histories; exceeding it raises ResourceError.
-    Returns the branch states and the broadcast transcript.
+    the next intact ancilla triple and broadcasts 3(n+1) measured bits.
+    Exact mode measures the gadget's three row parities at once: each of
+    the 8 parity outcomes is simulated once and stands for the 2^(3n) bit
+    strings with those parities, all equally likely and leaving the same
+    state; the operator must carry no Z pattern on the measured rows that
+    would tell those strings apart, else ProtocolError. Equal operators
+    merge after the corrections. Sampled mode draws the bits one by one
+    with the mandatory seed.
+
+    Returns one SharedState per bit history, built on access in
+    lexicographic bit order (histories that reached one merged state share
+    its operator object), and the broadcast transcript. Exact
+    probabilities sum to 1. ``branch_cap`` bounds the number of histories;
+    the gadget that exceeds it raises ResourceError, before any history
+    array is built.
     """
     if mode == "sampled":
         if seed is None:
@@ -455,61 +613,59 @@ def evaluate(
     layout = shared.layout
     m = layout.columns
     consumed = set(shared.consumed_ancillas)
-    groups = [_Group(shared.state, [(tuple(shared.classical_transcript), 1.0)])]
+    groups = [_Group(shared.state, np.zeros((1, 0), dtype=np.uint8), np.ones(1))]
     origins: list[BitOrigin] = []
-    # consecutive script Cliffords expand into one run per group
+    sets: list[list[int]] = []  # every measured set, as transcript slots
+    num_bits = len(shared.classical_transcript)
+    # consecutive script Cliffords, with a gadget's leading or trailing
+    # gates, run as one batch per group
     pending: list[Gate] = []
 
-    def flush() -> None:
-        for grp in groups:
-            grp.op = grp.op.conjugate_circuit(pending)
-        pending.clear()
-
     for gi, gate in enumerate(script.gates):
-        if gate.kind == "TOFFOLI":
-            flush()
-            triple = available.pop(0)
-            anc = layout.ancilla_triple_rows(triple)
-            gadget = toffoli_gadget(tuple(gate.qubits), anc, layout)
-            base = len(groups[0].histories[0][0])
-            for g in gadget.gates:
-                if g.kind == "MEASURE_Z":
-                    row, col = divmod(g.qubits[0], m)
-                    origins.append(
-                        BitOrigin(
-                            slot=base + g.classical_bit,
-                            gadget_id=gi,
-                            triple=triple,
-                            row=row + 1,
-                            column=col + 1,
-                            participant=layout.owner(col + 1),
-                        )
-                    )
-            groups = _run_gadget(gadget, groups, mode, rng, branch_cap, gi)
-            consumed.add(triple)
-        else:
+        if gate.kind != "TOFFOLI":
             pending.extend(transversal_expand(gate, layout).gates)
-    flush()
+            continue
+        triple = available.pop(0)
+        gadget = toffoli_gadget(tuple(gate.qubits), layout.ancilla_triple_rows(triple), layout)
+        for g in gadget.gates:
+            if g.kind == "MEASURE_Z":
+                row, col = divmod(g.qubits[0], m)
+                origins.append(
+                    BitOrigin(
+                        slot=num_bits + g.classical_bit,
+                        gadget_id=gi,
+                        triple=triple,
+                        row=row + 1,
+                        column=col + 1,
+                        participant=layout.owner(col + 1),
+                    )
+                )
+        groups, gadget_sets, pending = _run_gadget(gadget, groups, rng, pending)
+        sets += [[num_bits + s for s in st] for st in gadget_sets]
+        # each row of parities stands for 2^(free bits) bit histories
+        count = sum(len(grp.probs) for grp in groups) << sum(len(st) - 1 for st in sets)
+        if count > branch_cap:
+            raise ResourceError(
+                f"exact branch enumeration reached {count} bit histories, over "
+                f"the cap of {branch_cap}, in the TOFFOLI at script gate "
+                f"{gi}; rerun in sampled mode or raise branch_cap"
+            )
+        num_bits += gadget.num_classical_bits
+        consumed.add(triple)
+    for grp in groups:
+        grp.op = grp.op.conjugate_circuit(pending)
 
-    histories = sorted(
-        ((bits, prob, grp.op) for grp in groups for bits, prob in grp.histories),
-        key=lambda h: h[0],
+    bits, probs, op_index = _histories(groups, sets, shared.classical_transcript, num_bits)
+    transcript = Transcript(tuple(origins), bits, probs)
+    states = BranchStates(
+        layout,
+        frozenset(consumed),
+        tuple(grp.op for grp in groups),
+        op_index,
+        transcript,
+        shared.branch_probability,
     )
-    out = [
-        SharedState(
-            layout=layout,
-            state=op,
-            consumed_ancillas=frozenset(consumed),
-            classical_transcript=bits,
-            branch_probability=shared.branch_probability * prob,
-        )
-        for bits, prob, op in histories
-    ]
-    transcript = Transcript(
-        bit_origins=tuple(origins),
-        branches=tuple((bits, prob) for bits, prob, _ in histories),
-    )
-    return out, transcript
+    return states, transcript
 
 
 # ---------------------------------------------------------------------------

@@ -348,8 +348,9 @@ def test_audit_deals_once_and_matches_standalone_checks(n, t):
 
 def test_audit_deals_the_cross_check_family_once_per_command(tmp_path, monkeypatch):
     # n = 2, t = 0: two coalitions with 6-qubit views share one dealt family
-    # of three secrets; distinguishability deals its basis pair itself. A
-    # second command deals again, so nothing is kept between commands.
+    # of three secrets, and distinguishability reads its basis pair from that
+    # family. A second command deals again, so nothing is kept between
+    # commands.
     deals = []
     real_deal = audit_module.deal
 
@@ -363,7 +364,7 @@ def test_audit_deals_the_cross_check_family_once_per_command(tmp_path, monkeypat
         code, payload = _run(tmp_path, "audit", "--n", "2", "--t", "0")
         assert code == 0
         assert len(payload["audits"]) == 2
-        assert len(deals) == 3 + 2
+        assert len(deals) == 3
 
 
 def test_audit_refuses_a_family_dealt_for_another_layout():

@@ -573,6 +573,52 @@ def test_measure_z_rejects_complex_probability_and_bad_qubit():
         skew.measure_z(1)
 
 
+def _parity_projector(num_qubits, qubits, parity):
+    """Diagonal projector onto the basis states whose bits on ``qubits``
+    (qubit 0 the most significant index bit) have the given parity."""
+    index = np.arange(2**num_qubits)
+    bits = sum((index >> (num_qubits - 1 - q)) & 1 for q in qubits)
+    return np.diag((bits % 2 == parity).astype(float))
+
+
+@pytest.mark.parametrize("sets", [[[0, 2]], [[0, 2], [3]], [[3], [2, 0]]])
+def test_measure_z_of_parity_sets_matches_dense_projectors(sets):
+    # averaging with X(x)X on qubits 0 and 2 keeps, among the words with no
+    # X/Y there, only II and ZZ on them: the span of the set's parity word
+    rho = random_density_matrix(4, np.random.default_rng(47))
+    flip = kron_matrix(PauliString.from_letters("XIXI"))
+    op = PauliOperator.from_dense((rho + flip @ rho @ flip) / 2)
+    dense = op.to_dense()
+    measured = [q for qs in sets for q in qs]
+    results = op.measure_z(sets)
+    assert len(results) == 2 ** len(sets)
+    for outcome, (p, state) in enumerate(results):
+        proj = np.eye(16)
+        for j, qs in enumerate(sets):
+            parity = (outcome >> (len(sets) - 1 - j)) & 1
+            proj = proj @ _parity_projector(4, qs, parity)
+        projected = proj @ dense @ proj
+        assert p == pytest.approx(np.trace(projected).real, abs=1e-14)
+        want = PauliOperator.from_dense(projected / p).reset_to_mixed(measured)
+        assert np.allclose(state.to_dense(), want.to_dense(), atol=1e-12)
+    assert sum(p for p, _ in results) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_measure_z_of_a_set_refuses_words_outside_its_parity_span():
+    # |00><00| = (II + IZ + ZI + ZZ)/4: ZI and IZ tell 00 from 11
+    zero_zero = PauliOperator.from_dense(np.diag([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ProtocolError, match="2 words .* outside the span"):
+        zero_zero.measure_z([[0, 1]])
+    # each qubit alone is always in span
+    assert [p for p, _ in zero_zero.measure_z([[0], [1]])] == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("sets", [[[0], [0]], [[0, 1], [1]], [[]], [[2]]])
+def test_measure_z_refuses_overlapping_empty_or_foreign_sets(sets):
+    with pytest.raises(UsageError):
+        maximally_mixed(2).measure_z(sets)
+
+
 def test_trace_distance_of_sparse_operators():
     a = _random_operator(2, seed=61)
     b = _random_operator(2, seed=62)

@@ -510,12 +510,100 @@ def test_equal_operators_with_different_corrections_stay_apart():
             Gate("X", (1,), condition="b0"),
         ),
     )
-    groups = _run_gadget(circuit, [_Group(plus_zero, [((), 1.0)])], "exact", None, 16, 0)
+    start = _Group(plus_zero, np.zeros((1, 0), dtype=np.uint8), np.ones(1))
+    groups, _, _ = _run_gadget(circuit, [start], None)
     assert len(groups) == 2
     for grp in groups:
-        ((bits, prob),) = grp.histories
+        ((bits, prob),) = zip(map(tuple, grp.outcomes.tolist()), grp.probs.tolist())
         assert prob == pytest.approx(0.5)
         assert coeff(grp.op, "IZ") == pytest.approx(0.25 if bits == (0,) else -0.25)
+
+
+@pytest.mark.parametrize(
+    "n, kprime, gates",
+    [
+        (4, 1, (Gate("H", (1,)), Gate("TOFFOLI", (1, 2, 3)))),
+        (
+            2,
+            2,
+            (
+                Gate("H", (1,)),
+                Gate("TOFFOLI", (1, 2, 3)),
+                Gate("CZ", (1, 3)),
+                Gate("TOFFOLI", (3, 2, 1)),
+            ),
+        ),
+    ],
+)
+def test_exact_histories_at_scale(n, kprime, gates):
+    # 2^(3m T) histories: 32,768 at n = 4, 262,144 at n = 2 with two gadgets
+    params = SchemeParams.strict(n=n, k=1, kprime=kprime)
+    secret = PauliOperator.from_dense(random_density_matrix(3, np.random.default_rng(17)))
+    script = EvaluationScript(3, gates)
+    m, toffolis = n + 1, script.toffoli_count
+    count = 2 ** (3 * m * toffolis)
+    states, transcript = evaluate(deal(params, secret), script, branch_cap=count)
+    assert len(states) == transcript.bits.shape[0] == count
+    want = 2.0 ** -(3 * m * toffolis)
+    assert np.max(np.abs(transcript.probabilities / want - 1.0)) <= 1e-15
+    assert transcript.total_probability() == pytest.approx(1.0, abs=1e-12)
+    # every bit string once, in lexicographic order: row i reads i in binary
+    width = transcript.bits.shape[1]
+    values = transcript.bits.astype(np.int64) @ (1 << np.arange(width - 1, -1, -1))
+    assert np.array_equal(values, np.arange(count))
+    u = logical_unitary(script)
+    target = u @ secret.to_dense() @ u.conj().T
+    for branch in states.distinct():
+        assert trace_distance(reconstruct(branch).to_dense(), target) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_gadget_simulates_at_most_eight_outcomes_per_group(n, monkeypatch):
+    # one parity measurement per incoming group, and one correction run per
+    # surviving parity outcome: at most 8, whatever m = n + 1 is
+    params = SchemeParams.strict(n=n, k=1, kprime=1)
+    layout = params.layout()
+    shared = deal(params, generic_secret(3))
+    gadget = toffoli_gadget((1, 2, 3), layout.ancilla_triple_rows(0), layout)
+    calls = {"measure_z": 0, "conjugate_circuit": 0}
+    for name in calls:
+        real = getattr(PauliOperator, name)
+
+        def counting(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(PauliOperator, name, counting)
+    start = _Group(shared.state, np.zeros((1, 0), dtype=np.uint8), np.ones(1))
+    groups, sets, _ = _run_gadget(gadget, [start], None)
+    assert calls["measure_z"] == 1
+    # one batch before the measurement, then one per simulated outcome
+    assert 1 <= calls["conjugate_circuit"] - 1 <= 8
+    assert [len(st) for st in sets] == [n + 1] * 3
+    assert sum(len(grp.probs) for grp in groups) <= 8
+
+
+def test_parity_outside_the_row_span_raises():
+    # |00> measured as one parity set: its Z-only part holds ZI and IZ,
+    # which tell 00 from 11 although both have parity 0
+    zero_zero = PauliOperator.from_dense(np.diag([1.0, 0.0, 0.0, 0.0]))
+    circuit = Circuit(
+        2,
+        2,
+        (
+            Gate("MEASURE_Z", (0,), classical_bit=0),
+            Gate("MEASURE_Z", (1,), classical_bit=1),
+            Gate("X", (0,), condition="b0^b1"),
+        ),
+    )
+    start = _Group(zero_zero, np.zeros((1, 0), dtype=np.uint8), np.ones(1))
+    with pytest.raises(ProtocolError, match="outside the span"):
+        _run_gadget(circuit, [start], None)
+    # sampled mode draws each bit alone and needs no such span
+    groups, sets, _ = _run_gadget(circuit, [start], np.random.default_rng(0))
+    assert sets == [[0], [1]]
+    ((outcome,),) = [grp.outcomes.tolist() for grp in groups]
+    assert outcome == [0, 0]
 
 
 def test_histories_share_one_operator_for_a_generic_secret():
