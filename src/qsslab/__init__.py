@@ -18,7 +18,6 @@ from .circuits import (
 from .errors import ProtocolError, ResourceError, UnsupportedGateError, UsageError
 from .paulis import PauliOperator, PauliString
 from .protocol import (
-    BranchStates,
     EvaluationScript,
     SchemeParams,
     SharedState,
@@ -32,7 +31,6 @@ from .protocol import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchStates",
     "Circuit",
     "EvaluationScript",
     "Gate",

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from .circuits import expected_ladder_pauli
-from .dense import DENSE_CAP
+from .dense import _check_cap
 from .errors import ResourceError, UsageError
 from .paulis import PauliOperator
 from .protocol import (
@@ -280,14 +280,11 @@ def distinguishability(
     secret_b: object,
 ) -> float:
     """Trace distance between the coalition's views of the two secrets. A
-    secret already dealt under ``params`` (a SharedState) is used as it is."""
+    secret already dealt under ``params`` (a SharedState) is used as it is.
+    A view above the dense cap is refused before anything is dealt;
+    secret_independence_check's symbolic count has no such cap."""
     layout = params.layout()
-    view_qubits = layout.rows * len(coalition.columns())
-    if view_qubits > DENSE_CAP:
-        raise ResourceError(
-            f"coalition view spans {view_qubits} qubits, above the dense cap "
-            f"{DENSE_CAP}; use secret_independence_check's symbolic count instead"
-        )
+    _check_cap(layout.rows * len(coalition.columns()), "coalition view")
     views = []
     for secret in (secret_a, secret_b):
         if not isinstance(secret, SharedState):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -334,17 +335,13 @@ def cmd_run(options: dict) -> Report:
     U = logical_unitary(script)
     target = U @ secret.to_dense() @ U.conj().T
     # one reconstruction per distinct state; each history reads its own
-    distances = [
-        trace_distance(reconstruct(br).to_dense(), target) for br in branches.distinct()
-    ]
-    worst = max(distances, default=0.0)
-    # the dealt state has probability 1, so a history's branch probability
-    # is its transcript probability
+    distances = {
+        br: trace_distance(reconstruct(br).to_dense(), target) for br in dict.fromkeys(branches)
+    }
+    worst = max(distances.values(), default=0.0)
     branch_rows = [
-        {"bits": bits, "probability": p, "logical_distance": d}
-        for (bits, p), d in zip(
-            transcript.branches, np.array(distances)[branches.op_index].tolist()
-        )
+        {"bits": bits, "probability": p, "logical_distance": distances[br]}
+        for (bits, p), br in zip(transcript.branches, branches)
     ]
     report.add(
         "logical-output-distance",
@@ -506,7 +503,7 @@ def cmd_gadget(options: dict) -> Report:
     direct = np.zeros((8, 8))
     direct[7, 7] = 1.0
     worst = max(
-        trace_distance(reconstruct(br).to_dense(), direct) for br in branches.distinct()
+        trace_distance(reconstruct(br).to_dense(), direct) for br in dict.fromkeys(branches)
     )
     report.add(
         "share-gadget-branches",
@@ -598,8 +595,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         command, options = _parse_options(argv)
         if options.get("mode") == "sampled" and options.get("seed") is None:
             raise UsageError("sampled mode requires --seed")
-        if options.get("tolerance") is not None and options["tolerance"] <= 0:
-            raise UsageError("tolerance must be positive")
+        # the negated comparison also refuses nan
+        if options.get("tolerance") is not None and not 0 < options["tolerance"] < math.inf:
+            raise UsageError("tolerance must be positive and finite")
         report = _COMMANDS[command][0](options)
         return _emit(report, options.get("out"))
     except SystemExit as exc:  # argparse has printed its message or --help

@@ -56,8 +56,8 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
     from .circuits import Gate
 
-from .dense import DENSE_CAP, GATE_MATRICES
-from .errors import ProtocolError, ResourceError, UsageError
+from .dense import GATE_MATRICES, _check_cap
+from .errors import ProtocolError, UsageError
 
 LETTERS = ("I", "X", "Y", "Z")
 
@@ -140,8 +140,7 @@ class PauliString:
         (qubit 0 the most significant index bit) has its one entry in row
         c ^ x, equal to i^(phase + |x & z|) (-1)^|z & c|.
         """
-        if self.num_qubits > DENSE_CAP:
-            raise ResourceError(f"dense cap {DENSE_CAP} exceeded")
+        _check_cap(self.num_qubits, "PauliString matrix")
         n = self.num_qubits
         cols = np.arange(2**n)
         flip = 0
@@ -764,10 +763,7 @@ class PauliOperator:
     # -- dense bridge --------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
-        if self.num_qubits > DENSE_CAP:
-            raise ResourceError(
-                f"to_dense refused: {self.num_qubits} qubits exceeds cap {DENSE_CAP}"
-            )
+        _check_cap(self.num_qubits, "to_dense")
         n = self.num_qubits
         if n == 0:
             return np.array([[self.coeffs.sum()]], dtype=complex)
@@ -792,8 +788,7 @@ class PauliOperator:
         n = int(dim).bit_length() - 1
         if rho.shape != (dim, dim) or 2**n != dim:
             raise UsageError("density matrix shape must be (2^N, 2^N)")
-        if n > DENSE_CAP:
-            raise ResourceError(f"from_dense refused: {n} qubits exceeds cap {DENSE_CAP}")
+        _check_cap(n, "from_dense")
         t = np.ascontiguousarray(rho.T).reshape((2,) * (2 * n))
         # interleave to (r0, c0, r1, c1, ...)
         perm: list[int] = []

@@ -12,9 +12,10 @@ the measurement gadget, with every measured bit broadcast.
 States are carried as sparse Pauli expansions; a term depends on the
 secret exactly when it has a non-identity letter on a secret row (see
 deal), which is what the audit module counts. Measured-out qubits are
-stored maximally mixed — their outcomes live in the classical transcript,
-so the pair (state, transcript) loses nothing; this keeps term counts flat
-instead of letting each consumed triple multiply them by 2^(3(n+1)).
+stored maximally mixed — their outcomes live only in the Transcript, the
+one record of each history's bits and probability, so the pair (state,
+transcript) loses nothing; this keeps term counts flat instead of letting
+each consumed triple multiply them by 2^(3(n+1)).
 Cliffords reach the engine in batches, since each
 conjugate_circuit call pays one transpose of the term words into bit
 planes and one back: consecutive script Cliffords, together with a
@@ -30,13 +31,13 @@ rows' Z^(n+1) words, which PauliOperator.measure_z checks on every call:
 then each string within a parity class is equally likely and leaves the
 same state. Histories are arrays (one row of parities per simulated
 history, expanded into bit strings with numpy at the end), and operators
-equal within paulis.EQUAL_TOL relative merge after the corrections. The
+equal within paulis.EQUAL_TOL relative merge after the corrections; the
+histories that reach one merged operator share one SharedState. The
 branch cap counts bit histories, not merged states.
 """
 
 from __future__ import annotations
 
-import collections.abc
 import json
 from dataclasses import dataclass
 from functools import cache
@@ -57,7 +58,7 @@ from .circuits import (
     toffoli_gadget,
     transversal_expand,
 )
-from .dense import DENSE_CAP, PROBABILITY_CUTOFF, StateVector, build_unitary, run_circuit
+from .dense import PROBABILITY_CUTOFF, StateVector, _check_cap, build_unitary, run_circuit
 from .errors import ProtocolError, ResourceError, UsageError
 from .paulis import PauliOperator, PauliString
 
@@ -213,19 +214,20 @@ class Transcript:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharedState:
-    """One branch of the global state after dealing and evaluation.
+    """The global state after dealing, or after evaluation along one or
+    more bit histories.
 
     ``state`` spans the whole grid; qubits measured by a past gadget are
-    stored maximally mixed with their outcomes in ``classical_transcript``.
+    stored maximally mixed, and their outcomes are the rows of evaluate's
+    Transcript. States compare and hash by identity: every history that
+    reached one merged operator holds the same SharedState.
     """
 
     layout: ShareLayout
     state: PauliOperator
     consumed_ancillas: frozenset[int] = frozenset()
-    classical_transcript: tuple[int, ...] = ()
-    branch_probability: float = 1.0
 
     def __post_init__(self) -> None:
         if self.state.num_qubits != self.layout.num_qubits:
@@ -328,66 +330,6 @@ def reconstruct(
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-
-class BranchStates(collections.abc.Sequence):
-    """The SharedState of every history of an evaluate call, in transcript
-    row order, built on access from the transcript's arrays. History i holds
-    ``ops[op_index[i]]``, so the histories that reached one merged state
-    share its operator object.
-
-    The base class is left unsubscripted: typing caches each subscription
-    with its arguments, which would keep every imported copy of this
-    module alive in a process that reloads the package."""
-
-    def __init__(
-        self,
-        layout: ShareLayout,
-        consumed: frozenset[int],
-        ops: tuple[PauliOperator, ...],
-        op_index: np.ndarray,
-        transcript: Transcript,
-        base_probability: float,
-    ) -> None:
-        self.layout = layout
-        self.consumed = consumed
-        self.ops = ops
-        self.op_index = op_index
-        self._transcript = transcript
-        self._base = base_probability
-
-    def __len__(self) -> int:
-        return len(self.op_index)
-
-    def __getitem__(self, i: int) -> SharedState:
-        if not -len(self) <= i < len(self):
-            raise IndexError(f"no history {i} among {len(self)}")
-        transcript = self._transcript
-        return self._state(
-            transcript.bits[i].tolist(), float(transcript.probabilities[i]), self.op_index[i]
-        )
-
-    def __iter__(self) -> Iterator[SharedState]:
-        # each array is converted once, not once per history
-        transcript = self._transcript
-        rows = zip(
-            transcript.bits.tolist(), transcript.probabilities.tolist(), self.op_index.tolist()
-        )
-        return (self._state(*row) for row in rows)
-
-    def _state(self, bits: list[int], probability: float, op: int) -> SharedState:
-        return SharedState(
-            layout=self.layout,
-            state=self.ops[op],
-            consumed_ancillas=self.consumed,
-            classical_transcript=tuple(bits),
-            branch_probability=self._base * probability,
-        )
-
-    def distinct(self) -> list[SharedState]:
-        """One state per operator, in ``ops`` order: the first history that
-        reaches it."""
-        return [self[int(np.argmax(self.op_index == k))] for k in range(len(self.ops))]
 
 
 @dataclass
@@ -529,7 +471,7 @@ def _run_gadget(
 
 
 def _histories(
-    groups: list[_Group], sets: list[list[int]], prior: tuple[int, ...], num_bits: int
+    groups: list[_Group], sets: list[list[int]], num_bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every bit history of the groups in lexicographic order, as (bits,
     probabilities, group index). A row of parities with probability p
@@ -549,7 +491,6 @@ def _histories(
         bitorder="little",
     )
     bits = np.empty((len(probs), count, num_bits), dtype=np.uint8)
-    bits[:, :, : len(prior)] = prior
     bits[:, :, free] = choices
     column = 0
     for j, st in enumerate(sets):
@@ -573,7 +514,7 @@ def evaluate(
     mode: str = "exact",
     seed: int | None = None,
     branch_cap: int = DEFAULT_BRANCH_CAP,
-) -> tuple[BranchStates, Transcript]:
+) -> tuple[tuple[SharedState, ...], Transcript]:
     """Run the logical script on the shares.
 
     Cliffords expand transversally and never branch. Each TOFFOLI consumes
@@ -586,12 +527,14 @@ def evaluate(
     merge after the corrections. Sampled mode draws the bits one by one
     with the mandatory seed.
 
-    Returns one SharedState per bit history, built on access in
-    lexicographic bit order (histories that reached one merged state share
-    its operator object), and the broadcast transcript. Exact
-    probabilities sum to 1. ``branch_cap`` bounds the number of histories;
-    the gadget that exceeds it raises ResourceError, before any history
-    array is built.
+    Returns one SharedState per transcript row, in the same lexicographic
+    bit order (every history that reached one merged operator holds the same
+    SharedState object), and the broadcast transcript, which is the one
+    record of each history's bits and probability. Slots count from 0 and
+    probabilities are conditional on ``shared``, so evaluating an evaluated
+    branch again records only the new bits; exact probabilities sum to 1.
+    ``branch_cap`` bounds the number of histories; the gadget that exceeds
+    it raises ResourceError, before any history array is built.
     """
     if mode == "sampled":
         if seed is None:
@@ -616,7 +559,7 @@ def evaluate(
     groups = [_Group(shared.state, np.zeros((1, 0), dtype=np.uint8), np.ones(1))]
     origins: list[BitOrigin] = []
     sets: list[list[int]] = []  # every measured set, as transcript slots
-    num_bits = len(shared.classical_transcript)
+    num_bits = 0
     # consecutive script Cliffords, with a gadget's leading or trailing
     # gates, run as one batch per group
     pending: list[Gate] = []
@@ -655,17 +598,11 @@ def evaluate(
     for grp in groups:
         grp.op = grp.op.conjugate_circuit(pending)
 
-    bits, probs, op_index = _histories(groups, sets, shared.classical_transcript, num_bits)
-    transcript = Transcript(tuple(origins), bits, probs)
-    states = BranchStates(
-        layout,
-        frozenset(consumed),
-        tuple(grp.op for grp in groups),
-        op_index,
-        transcript,
-        shared.branch_probability,
-    )
-    return states, transcript
+    bits, probs, op_index = _histories(groups, sets, num_bits)
+    frozen = frozenset(consumed)
+    merged = [SharedState(layout, grp.op, frozen) for grp in groups]
+    states = tuple([merged[i] for i in op_index.tolist()])
+    return states, Transcript(tuple(origins), bits, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +615,7 @@ def canonical_secret_family(s: int) -> list[tuple[str, PauliOperator]]:
 
     They are built densely, so s above the dense cap is refused before the
     2^s x 2^s outer products are allocated."""
-    if s > DENSE_CAP:
-        raise ResourceError(
-            f"canonical secrets refused above the dense cap ({s} > {DENSE_CAP} qubits)"
-        )
+    _check_cap(s, "canonical secrets")
     dim = 2**s
     zero = np.zeros(dim)
     zero[0] = 1.0

@@ -265,9 +265,12 @@ def test_run_default_secret_above_the_dense_cap_exits_three(tmp_path, monkeypatc
     assert payload is None
 
 
-def test_run_rejects_nonpositive_tolerance(tmp_path):
-    code, _ = _run(tmp_path, "run", "--tolerance", "-1")
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_run_rejects_nonpositive_tolerance(tmp_path, value, capsys):
+    code, payload = _run(tmp_path, "run", "--tolerance", value)
     assert code == 2
+    assert payload is None
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_run_failure_verdict_exits_one(tmp_path):
@@ -538,7 +541,8 @@ def test_parser_declares_each_commands_own_flags():
 
 
 @pytest.mark.parametrize(
-    "line", ["n = abc", "mode = bogus", "seed = 1.5", "tolerance = tight", "strict = maybe"]
+    "line",
+    ["n = abc", "mode = bogus", "seed = 1.5", "tolerance = tight", "tolerance = inf", "strict = maybe"],
 )
 def test_config_values_are_checked_like_flags(tmp_path, line, capsys):
     config = tmp_path / "config.cfg"

@@ -179,7 +179,6 @@ def test_deal_produces_trace_one_grid_state():
     assert shared.state.num_qubits == 18
     assert shared.state.trace() == pytest.approx(1.0)
     assert shared.available_triples == (0,)
-    assert shared.classical_transcript == ()
 
 
 def _dealt_word(params, word, coeff):
@@ -342,8 +341,8 @@ def test_toffoli_on_basis_input():
     branches, transcript = evaluate(shared, script)
     assert len(branches) == 512
     target = basis_secret(3, 0b111)
+    assert np.allclose(transcript.probabilities, 1 / 512)
     for branch in branches:
-        assert branch.branch_probability == pytest.approx(1 / 512)
         assert branch.consumed_ancillas == frozenset({0})
         assert branch.available_triples == ()
         assert _operator_distance(reconstruct(branch), target) < 1e-9
@@ -410,7 +409,7 @@ def test_sampled_mode_is_reproducible():
     assert len(first) == len(second) == 1
     assert tr1.branches == tr2.branches
     assert first[0].state == second[0].state
-    assert first[0].branch_probability == pytest.approx(1 / 512)
+    assert tr1.probabilities[0] == pytest.approx(1 / 512)
     # the draws this seed has always made: merging must not change how the
     # generator is consumed
     ((bits, prob),) = tr1.branches
@@ -437,7 +436,7 @@ def _per_history_evaluate(shared, script):
     history, as (bits, probability, operator) in lexicographic bit order."""
     layout = shared.layout
     available = list(shared.available_triples)
-    branches = [(shared.classical_transcript, 1.0, shared.state)]
+    branches = [((), 1.0, shared.state)]
     for gate in script:
         if gate.kind != "TOFFOLI":
             gates = transversal_expand(gate, layout).gates
@@ -553,7 +552,7 @@ def test_exact_histories_at_scale(n, kprime, gates):
     assert np.array_equal(values, np.arange(count))
     u = logical_unitary(script)
     target = u @ secret.to_dense() @ u.conj().T
-    for branch in states.distinct():
+    for branch in dict.fromkeys(states):
         assert trace_distance(reconstruct(branch).to_dense(), target) < 1e-9
 
 
@@ -612,8 +611,25 @@ def test_histories_share_one_operator_for_a_generic_secret():
     states, transcript = evaluate(shared, EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),)))
     assert len(states) == 512
     assert len({id(st.state) for st in states}) == 1
+    # one SharedState object, referenced by every history
+    assert all(st is states[0] for st in states)
     bits = [b for b, _ in transcript.branches]
     assert bits == sorted(bits) and len(set(bits)) == 512
+
+
+def test_evaluating_an_evaluated_branch_records_only_the_new_bits():
+    params = SchemeParams.strict(n=2, k=1, kprime=2)
+    shared = deal(params, basis_secret(3, 0b110))
+    toffoli = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),))
+    states, _ = evaluate(shared, toffoli)
+    again, transcript = evaluate(states[0], toffoli)
+    # the second transcript starts at slot 0, conditional on states[0]
+    assert [o.slot for o in transcript.bit_origins] == list(range(9))
+    assert transcript.bits.shape == (512, 9)
+    assert transcript.total_probability() == pytest.approx(1.0)
+    assert again[0].consumed_ancillas == frozenset({0, 1})
+    # TOFFOLI twice is the identity on the logical rows
+    assert _operator_distance(reconstruct(again[0]), basis_secret(3, 0b110)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
