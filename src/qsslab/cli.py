@@ -6,7 +6,8 @@ config file's keys are the command's own flags: its entries become flag
 tokens that the command's parser reads before the explicit flags, which win.
 Every command builds a Report with a stable field order: tool, version,
 command, timestamp, seed, config, checks, notes, verdict. Each check carries
-its measured value and tolerance. Exit codes: 0 all checks pass, 1 a check
+its measured value and tolerance; the report's text is exactly what
+json.dumps(report, indent=2) writes. Exit codes: 0 all checks pass, 1 a check
 failed, 2 usage error (unreadable or unwritable paths included), 3 resource
 limit.
 """
@@ -148,8 +149,53 @@ class Report:
         return out
 
 
+#: the types json.dumps encodes, in the order its isinstance checks try them
+_JSON_TYPES = (str, int, float, list, tuple, dict)
+_EXACT_JSON_TYPES = frozenset(_JSON_TYPES + (bool, type(None)))
+_INT_ONLY = frozenset((int,))
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj: object, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte. Strings use json's own C
+    escaper and each container is joined once, which avoids the pure-Python
+    encoder that json falls back to whenever ``indent`` is set. ``newline``
+    is a line break plus the current indent. Types json cannot encode, and
+    dict keys that are not strings, raise TypeError."""
+    kind = type(obj)
+    if kind not in _EXACT_JSON_TYPES:
+        # a subclass encodes as json encodes it, by the first base it matches
+        kind = next((base for base in _JSON_TYPES if isinstance(obj, base)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if kind is str:
+        return _escape(obj)
+    if kind is float:
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    brackets = "{}" if kind is dict else "[]"
+    if not obj:
+        return brackets
+    inner = newline + "  "
+    if kind is dict:
+        # the escaper raises TypeError on a key that is not a str
+        items = [_escape(key) + ": " + _json_text(value, inner) for key, value in obj.items()]
+    elif _INT_ONLY.issuperset(map(type, obj)):  # the transcript's bit lists
+        items = map(int.__repr__, obj)
+    else:
+        items = [_json_text(item, inner) for item in obj]
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 def _emit(report: Report, out_path: str | None) -> int:
-    text = json.dumps(report.as_dict(), indent=2)
+    text = _json_text(report.as_dict())
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
     else:

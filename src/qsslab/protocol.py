@@ -63,6 +63,9 @@ from .errors import ProtocolError, ResourceError, UsageError
 from .paulis import PauliOperator, PauliString
 
 DEFAULT_BRANCH_CAP = 4096
+#: deal refuses grids of more qubits: every stored coefficient carries a
+#: factor 2^-N, and 2^-1022 is float64's smallest normal number
+MAX_DEAL_QUBITS = 1022
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +292,13 @@ def deal(params: SchemeParams, secret: object) -> SharedState:
     """Encode and distribute: the shared global state. Secret word w lands
     only on the secret rows, so after the row-local ladder a shared term has
     a non-identity letter on a secret row exactly when its w is not I."""
-    op = _as_secret_operator(secret, params.s)
     layout = params.layout()
+    if layout.num_qubits > MAX_DEAL_QUBITS:
+        raise ResourceError(
+            f"deal refused above {MAX_DEAL_QUBITS} qubits ({layout.num_qubits} requested): "
+            "coefficients scaled by 2^-N leave float64's normal range"
+        )
+    op = _as_secret_operator(secret, params.s)
     m = layout.columns
 
     # secret block: each term's letter sits on the dealer's column of its

@@ -1,6 +1,7 @@
 """Command-line entry points and their JSON reports."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -273,6 +274,18 @@ def test_run_rejects_nonpositive_tolerance(tmp_path, value, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_run_past_the_normal_float64_range_exits_three(tmp_path, capsys):
+    toffoli = {"g": "TOFFOLI", "q": [1, 2, 3]}
+    script = _write_script(tmp_path, toffoli, toffoli, toffoli)
+    argv = ["run", "--n", "100", "--s", "3", "--t", "9", "--mode", "sampled", "--seed", "1"]
+    code, payload = _run(tmp_path, *argv, "--script", script)
+    assert code == 3
+    assert payload is None
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and "float64" in err
+    assert "Traceback" not in err
+
+
 def test_run_failure_verdict_exits_one(tmp_path):
     # an impossibly tight tolerance turns the irrational Hadamard round-off
     # into a failed check and a nonzero exit
@@ -446,6 +459,84 @@ def test_gadget_report(tmp_path):
     assert share["detail"]["branches"] == 512
     assert share["detail"]["consumed"] == [0]
     assert _check(payload, "budget-rule")["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# report encoding
+# ---------------------------------------------------------------------------
+
+# "SCRIPT" stands for a one-TOFFOLI script file
+LAYOUT_CASES = {
+    "exact-toffoli-run": ("run", "--strict", "--k", "1", "--script", "SCRIPT"),
+    "sampled-run": ("run", "--mode", "sampled", "--seed", "7", "--script", "SCRIPT"),
+    "audit-cross-check": ("audit", "--n", "2", "--t", "0"),
+    "audit-uncovered": ("audit", "--coalition", "p1,p2"),
+    "verify-ladder": ("verify-ladder", "--m-range", "2..9"),
+    "gadget": ("gadget", "--seed", "0"),
+}
+
+
+def _assert_json_dumps_layout(text):
+    """text is json.dumps(indent=2) of its own content plus a newline. A
+    mismatch names the first differing character instead of having the
+    whole report diffed."""
+    want = json.dumps(json.loads(text), indent=2) + "\n"
+    if text != want:
+        at = len(os.path.commonprefix([text, want]))
+        around = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"layout differs at character {at}: {text[around]!r} != {want[around]!r}")
+
+
+@pytest.mark.parametrize("argv", LAYOUT_CASES.values(), ids=list(LAYOUT_CASES))
+def test_reports_have_the_json_dumps_indent_layout(tmp_path, capsys, argv):
+    script = _write_script(tmp_path, {"g": "TOFFOLI", "q": [1, 2, 3]})
+    argv = [script if arg == "SCRIPT" else arg for arg in argv]
+    assert main(argv) == 0
+    _assert_json_dumps_layout(capsys.readouterr().out)
+    path = tmp_path / "report.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    _assert_json_dumps_layout(path.read_text(encoding="utf-8"))
+
+
+def test_exact_toffoli_report_is_encoded_without_json_dumps(tmp_path, monkeypatch, capsys):
+    script = _write_script(tmp_path, {"g": "TOFFOLI", "q": [1, 2, 3]})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json.dumps called on the report path")
+
+    monkeypatch.setattr(json, "dumps", forbidden)
+    assert main(["run", "--strict", "--k", "1", "--script", script]) == 0
+    monkeypatch.undo()
+    assert len(json.loads(capsys.readouterr().out)["transcript"]["branches"]) == 512
+
+
+ENCODER_CASES = {
+    "non-finite": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300],
+    "np.float64": {"x": np.float64(0.1), "y": [np.float64(-2.5), np.float64("nan")]},
+    "strings": ["é ☃ 😀", 'quote " and backslash \\', "\x00\x1f\n\t\r\x7f"],
+    "escaped-keys": {'k"é\n': 1, "": None},
+    "empty": [{}, [], {"a": {}, "b": []}, [[], [{}]]],
+    "tuples": (1, (2.5, "x"), (), [(0, 1)]),
+    "bool-beside-int": [True, 1, False, 0, None, {"t": True, "one": 1, "bits": [1, 0]}],
+    "scalars": [0, -7, 10**30, "plain", 2.5],
+}
+
+
+@pytest.mark.parametrize("obj", ENCODER_CASES.values(), ids=list(ENCODER_CASES))
+def test_json_text_matches_json_dumps_indent(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    for value in obj.values() if isinstance(obj, dict) else obj:
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [np.int64(1), [0, np.int64(1)], {1, 2}, {"a": {1, 2}}, {1: "a"}, [{"k": {(2,): 3}}]],
+    ids=["np.int64", "np.int64-in-list", "set", "set-in-dict", "int-key", "tuple-key"],
+)
+def test_json_text_refuses_unencodable_types_and_keys(obj):
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
 
 
 # ---------------------------------------------------------------------------

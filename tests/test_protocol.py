@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qsslab import protocol
 from qsslab.circuits import (
     GATE_ARITY,
     Circuit,
@@ -236,6 +237,28 @@ def test_deal_validates_secret():
         deal(params, maximally_mixed(2).scaled(2.0))  # trace 2
     with pytest.raises(UsageError):
         deal(params, pauli_operator(PauliString.from_letters("XI"), 1j))
+
+
+def test_deal_at_the_last_normal_float64_scale_round_trips():
+    # 1,022 qubits: the identity coefficient is 2^-1022, float64's smallest
+    # normal number
+    secret = basis_secret(1, 0)
+    shared = deal(SchemeParams(n=1021, s=1, t=0), secret)
+    assert shared.state.num_qubits == 1022
+    assert shared.state.num_terms == 2
+    assert reconstruct(shared).trace_distance(secret) <= 1e-10
+
+
+def test_deal_refuses_grids_past_the_normal_float64_range(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a term before the refusal")
+
+    monkeypatch.setattr(protocol, "_as_secret_operator", forbidden)
+    monkeypatch.setattr(protocol, "encoding_circuit", forbidden)
+    with pytest.raises(ResourceError, match="float64"):
+        deal(SchemeParams(n=1022, s=1, t=0), basis_secret(1, 0))
+    with pytest.raises(ResourceError, match=r"1212 requested"):
+        deal(SchemeParams(n=100, s=3, t=9), basis_secret(3, 0))
 
 
 def test_magic_state_operator_shape():
