@@ -712,10 +712,10 @@ class PauliOperator:
         return _real_probability(post.trace()), post
 
     def measure_z(
-        self, sets: int | Sequence[Sequence[int]]
+        self, sets: Sequence[Sequence[int]]
     ) -> tuple[tuple[float, PauliOperator | None], ...]:
         """Z-parity measurement of K disjoint qubit sets in one grouping
-        pass; an int q is the one-set, one-qubit case [[q]].
+        pass; [[q]] measures qubit q alone.
 
         Entry pi of the 2^K results, set j's parity at bit K-1-j of pi, is
         (p_pi, state_pi): the probability of those parities and the
@@ -729,8 +729,6 @@ class PauliOperator:
         reads the same largest term; scaling by 1/p_b > 0 cannot change a
         relative prune.
         """
-        if isinstance(sets, (int, np.integer)):
-            sets = [[sets]]
         x, z, sums = self._z_split(sets)
         return tuple(self._measured(x, z, acc) for acc in sums)
 

@@ -21,19 +21,19 @@ conjugate_circuit call pays one transpose of the term words into bit
 planes and one back: consecutive script Cliffords, together with a
 gadget's leading gates or its trailing swap-back, run as one call per state.
 
-Every correction of a gadget reads only the XOR of a measured row's bits.
-Exact evaluation therefore measures the three row parities at once, as in
-gate teleportation with a Pauli frame (Gottesman-Chuang): each of the 8
-parity outcomes is simulated once and stands for the 2^(3n) bit strings
-with those parities. That holds because, before the measurement, every
-term with no X/Y on the measured rows carries there only products of the
-rows' Z^(n+1) words, which PauliOperator.measure_z checks on every call:
-then each string within a parity class is equally likely and leaves the
-same state. Histories are arrays (one row of parities per simulated
-history, expanded into bit strings with numpy at the end), and operators
-equal within paulis.EQUAL_TOL relative merge after the corrections; the
-histories that reach one merged operator share one SharedState. The
-branch cap counts bit histories, not merged states.
+Every correction of a gadget reads only the XOR of a measured row's bits,
+so both modes measure the three row parities at once, as in gate
+teleportation with a Pauli frame (Gottesman-Chuang). Before the
+measurement every term with no X/Y on the measured rows carries there only
+products of the rows' Z^(n+1) words, which PauliOperator.measure_z checks
+on every call: then each string within a parity class is equally likely
+and leaves the same state. Exact evaluation simulates each of the 8 parity
+outcomes once, for the 2^(3n) bit strings with those parities; sampled
+evaluation draws one string from the parity distribution. Histories are
+arrays (one row of parities per history, expanded into bit strings at the
+end); operators equal within paulis.EQUAL_TOL relative merge after the
+corrections, and the histories that reach one merged operator share one
+SharedState. The branch cap counts bit histories, not merged states.
 """
 
 from __future__ import annotations
@@ -372,13 +372,12 @@ def _merge(groups: list[_Group]) -> list[_Group]:
     ]
 
 
-def _measured_sets(gadget: Circuit, exact: bool) -> tuple[list[list[int]], dict[str, list[int]]]:
+def _measured_sets(gadget: Circuit) -> tuple[list[list[int]], dict[str, list[int]]]:
     """The gadget's measured bit slots, grouped into the sets whose parities
-    are measured, and for each condition the indices of the sets whose
-    parities it XORs. Sampled mode draws every bit, one set per slot. Exact
-    mode groups the slots that exactly the same conditions read, so that
-    every condition is an XOR of whole sets; a slot that no condition reads
-    is a set of its own."""
+    are measured, in the order of their last slots, and for each condition
+    the indices of the sets whose parities it XORs. The slots that exactly
+    the same conditions read form one set, so every condition is an XOR of
+    whole sets; a slot that no condition reads is a set of its own."""
     slots = [g.classical_bit for g in gadget.gates if g.kind == "MEASURE_Z"]
     reads: dict[str, set[int]] = {}
     for g in gadget.gates:
@@ -386,30 +385,56 @@ def _measured_sets(gadget: Circuit, exact: bool) -> tuple[list[list[int]], dict[
             read = parse_condition(g.condition)
             # a slot read twice cancels out of the XOR
             reads[g.condition] = {s for s in read if read.count(s) % 2}
-    if exact:
-        by_readers: dict[object, list[int]] = {}
-        for slot in slots:
-            key = tuple(slot in read for read in reads.values())
-            by_readers.setdefault(key if any(key) else slot, []).append(slot)
-        sets = list(by_readers.values())
-    else:
-        sets = [[slot] for slot in slots]
+    by_readers: dict[object, list[int]] = {}
+    for slot in slots:
+        key = tuple(slot in read for read in reads.values())
+        by_readers.setdefault(key if any(key) else slot, []).append(slot)
+    sets = sorted(by_readers.values(), key=lambda st: slots.index(st[-1]))
     return sets, {c: [j for j, st in enumerate(sets) if st[0] in read] for c, read in reads.items()}
 
 
-def _surviving(probs: np.ndarray, k: int) -> np.ndarray:
-    """The outcomes of a k-set parity measurement, set j at bit k-1-j of
-    the index, whose every set's parity probability, conditional on the
-    earlier sets' parities, exceeds PROBABILITY_CUTOFF."""
+def _conditionals(probs: np.ndarray, k: int) -> list[np.ndarray]:
+    """Entry j: set j's parity probability given the earlier sets' parities,
+    indexed by the parities of sets 0..j (0 where the earlier parities are
+    impossible), from a k-set parity measurement's outcome probabilities."""
     joint = probs.reshape((2,) * k)
-    keep = np.ones(joint.shape, dtype=bool)
-    earlier: float | np.ndarray = 1.0
+    out, earlier = [], np.ones(1)
     for j in range(k):
         marginal = joint.sum(axis=tuple(range(j + 1, k)))
-        ok = marginal > PROBABILITY_CUTOFF * earlier
-        keep &= ok.reshape(ok.shape + (1,) * (k - 1 - j))
+        out.append(np.divide(marginal, earlier, out=np.zeros(marginal.shape), where=earlier > 0))
         earlier = marginal[..., None]
+    return out
+
+
+def _surviving(probs: np.ndarray, k: int) -> np.ndarray:
+    """The outcomes whose every conditional parity probability exceeds PROBABILITY_CUTOFF."""
+    keep = np.ones((2,) * k, dtype=bool)
+    for j, conditional in enumerate(_conditionals(probs, k)):
+        keep &= (conditional > PROBABILITY_CUTOFF).reshape(conditional.shape + (1,) * (k - 1 - j))
     return np.flatnonzero(keep)
+
+
+def _draw(
+    probs: np.ndarray, slots: list[int], sets: list[list[int]], rng: np.random.Generator
+) -> tuple[int, list[int], float]:
+    """One bit string of a parity measurement, drawn in slot order with one
+    rng.choice per bit over its outcomes above PROBABILITY_CUTOFF: a set's
+    bits but the last are 1/2 each, and the last completes the parity with
+    its conditional probability. Returns (outcome index, bits, probability)."""
+    conditionals = _conditionals(probs, len(sets))
+    set_of = {s: j for j, st in enumerate(sets) for s in st}
+    parities, bits, prob = [0] * len(sets), [], 1.0
+    for slot in slots:
+        j = set_of[slot]
+        weights = np.array([0.5, 0.5])
+        if slot == sets[j][-1]:  # sets complete in order
+            weights = conditionals[j][tuple(parities[:j])][[parities[j], 1 - parities[j]]]
+        (kept,) = np.nonzero(weights > PROBABILITY_CUTOFF)
+        b = int(kept[rng.choice(len(kept), p=weights[kept] / weights[kept].sum())])
+        bits.append(b)
+        parities[j] ^= b
+        prob *= weights[b]
+    return sum(b << (len(sets) - 1 - j) for j, b in enumerate(parities)), bits, prob
 
 
 def _run_gadget(
@@ -419,14 +444,14 @@ def _run_gadget(
     lead: Sequence[Gate] = (),
 ) -> tuple[list[_Group], list[list[int]], list[Gate]]:
     """Run one measured gadget on every group: ``lead`` and the gates before
-    the measurements as one batch, the measurements, then the conditioned
-    corrections once per surviving outcome, and merge equal operators.
+    the measurements as one batch, one measure_z call for the parities of
+    _measured_sets, then the conditioned corrections once per simulated
+    outcome, and merge equal operators. Exact mode (no ``rng``) simulates
+    every surviving outcome, standing for each bit string with its
+    parities; sampled mode simulates the outcome of one drawn string (see
+    _draw) and records one set per slot.
 
-    Exact mode (no ``rng``) measures the parities of _measured_sets in one
-    measure_z call per group; an outcome stands for every bit string with
-    those parities. Sampled mode draws the bits one by one.
-
-    Returns the merged groups, the measured sets as gadget bit slots, and
+    Returns the merged groups, the recorded sets as gadget bit slots, and
     the gates after the last conditioned correction, which the caller runs
     with the Cliffords that follow.
     """
@@ -439,43 +464,29 @@ def _run_gadget(
     rest = gates[measures[-1] + 1 :]
     split = max((i + 1 for i, g in enumerate(rest) if g.condition is not None), default=0)
     corrections, tail = rest[:split], rest[split:]
-    sets, reads = _measured_sets(gadget, exact=rng is None)
+    sets, reads = _measured_sets(gadget)
     k = len(sets)
 
-    children: list[tuple[_Group, list[int], np.ndarray, PauliOperator]] = []
+    out = []
     for grp in groups:
         op = grp.op.conjugate_circuit(prefix)
-        if rng is None:
-            results = op.measure_z([[qubit_of[s] for s in st] for st in sets])
-            for pi in _surviving(np.array([p for p, _ in results]), k):
-                p, post = results[pi]
-                outcome = [(int(pi) >> (k - 1 - j)) & 1 for j in range(k)]
-                children.append((grp, outcome, grp.probs * p, post))
-            continue
-        outcome, probs = [], grp.probs
-        for (slot,) in sets:
-            drawn = [
-                (b, p, post)
-                for b, (p, post) in enumerate(op.measure_z(qubit_of[slot]))
-                if p > PROBABILITY_CUTOFF
+        results = op.measure_z([[qubit_of[s] for s in st] for st in sets])
+        probs = np.array([p for p, _ in results])
+        if rng is None:  # each outcome is recorded as its parities
+            drawn = [(pi, None, results[pi][0]) for pi in _surviving(probs, k)]
+        else:
+            drawn = [_draw(probs, list(qubit_of), sets, rng)]
+        for pi, bits, p in drawn:
+            parities = [(int(pi) >> (k - 1 - j)) & 1 for j in range(k)]
+            active = [
+                g
+                for g in corrections
+                if g.condition is None or sum(parities[j] for j in reads[g.condition]) % 2
             ]
-            weights = np.array([p for _, p, _ in drawn])
-            b, p, op = drawn[int(rng.choice(len(drawn), p=weights / weights.sum()))]
-            outcome.append(b)
-            probs = probs * p
-        children.append((grp, outcome, probs, op))
-
-    out = []
-    for grp, outcome, probs, op in children:
-        active = [
-            g
-            for g in corrections
-            if g.condition is None or sum(outcome[j] for j in reads[g.condition]) % 2
-        ]
-        row = np.array(outcome, dtype=np.uint8)
-        outcomes = np.hstack([grp.outcomes, np.broadcast_to(row, (len(probs), k))])
-        out.append(_Group(op.conjugate_circuit(active), outcomes, probs))
-    return _merge(out), sets, tail
+            row = np.array(parities if bits is None else bits, dtype=np.uint8)
+            outcomes = np.hstack([grp.outcomes, np.broadcast_to(row, (len(grp.probs), len(row)))])
+            out.append(_Group(results[pi][1].conjugate_circuit(active), outcomes, grp.probs * p))
+    return _merge(out), sets if rng is None else [[s] for s in qubit_of], tail
 
 
 def _histories(
@@ -526,14 +537,14 @@ def evaluate(
     """Run the logical script on the shares.
 
     Cliffords expand transversally and never branch. Each TOFFOLI consumes
-    the next intact ancilla triple and broadcasts 3(n+1) measured bits.
-    Exact mode measures the gadget's three row parities at once: each of
-    the 8 parity outcomes is simulated once and stands for the 2^(3n) bit
-    strings with those parities, all equally likely and leaving the same
-    state; the operator must carry no Z pattern on the measured rows that
-    would tell those strings apart, else ProtocolError. Equal operators
-    merge after the corrections. Sampled mode draws the bits one by one
-    with the mandatory seed.
+    the next intact ancilla triple and broadcasts 3(n+1) measured bits. Both
+    modes measure the gadget's three row parities at once; the operator
+    must carry no Z pattern on the measured rows that would tell the bit
+    strings of one parity outcome apart, else ProtocolError. Exact mode
+    simulates each of the 8 outcomes once, standing for the 2^(3n) strings
+    with its parities, and merges equal operators after the corrections.
+    Sampled mode draws one string from the parity distribution with the
+    mandatory seed, one generator draw per bit in slot order.
 
     Returns one SharedState per transcript row, in the same lexicographic
     bit order (every history that reached one merged operator holds the same

@@ -527,7 +527,7 @@ def test_measure_z_equals_project_scale_reset(num_qubits):
     terms[(0, 0)] = 2.0**-num_qubits
     op = _operator(num_qubits, terms)
     for qubit in sorted({0, num_qubits // 2, num_qubits - 1}):
-        for outcome, (p, state) in enumerate(op.measure_z(qubit)):
+        for outcome, (p, state) in enumerate(op.measure_z([[qubit]])):
             want_p, want = _measured_by_composition(op, qubit, outcome)
             assert p == want_p
             _assert_identical(state, want)
@@ -539,7 +539,7 @@ def test_measure_z_matches_dense_projector():
     rho = _random_operator(3, seed=43)
     dense = rho.to_dense()
     for qubit, outcome in [(0, 0), (0, 1), (2, 0), (2, 1)]:
-        p, state = rho.measure_z(qubit)[outcome]
+        p, state = rho.measure_z([[qubit]])[outcome]
         proj = np.diag([1.0, 0.0] if outcome == 0 else [0.0, 1.0])
         full = np.kron(proj, np.eye(4)) if qubit == 0 else np.kron(np.eye(4), proj)
         projected = full @ dense @ full
@@ -551,7 +551,7 @@ def test_measure_z_matches_dense_projector():
 
 def test_measure_z_of_a_basis_state_has_no_second_state():
     zero = _operator(1, {(0, 0): 0.5, (0, 1): 0.5})
-    (p0, post0), (p1, post1) = zero.measure_z(0)
+    (p0, post0), (p1, post1) = zero.measure_z([[0]])
     assert p0 == 1.0 and post0 == maximally_mixed(1)
     assert p1 == 0.0 and post1 is None
 
@@ -560,7 +560,7 @@ def test_measure_z_prunes_a_tiny_identity_like_project_z():
     # the identity term falls under PRUNE_TOL relative to the X term, so
     # both paths read probability 0 for both outcomes
     op = _operator(2, {(0, 0): 1e-14, (0b10, 0): 1.0})
-    for outcome, (p, state) in enumerate(op.measure_z(0)):
+    for outcome, (p, state) in enumerate(op.measure_z([[0]])):
         assert p == op.project_z(0, outcome)[0] == 0.0
         assert state is None
 
@@ -568,9 +568,9 @@ def test_measure_z_prunes_a_tiny_identity_like_project_z():
 def test_measure_z_rejects_complex_probability_and_bad_qubit():
     skew = _operator(1, {(0, 0): 0.5 + 0.5j, (0, 1): 0.5})
     with pytest.raises(ProtocolError, match="not real"):
-        skew.measure_z(0)
+        skew.measure_z([[0]])
     with pytest.raises(UsageError):
-        skew.measure_z(1)
+        skew.measure_z([[1]])
 
 
 def _parity_projector(num_qubits, qubits, parity):
@@ -754,7 +754,7 @@ def test_measure_z_matches_dict_engine(num_qubits):
     op = _hermitian_sparse(num_qubits, 300, seed=num_qubits)
     for qubit in _edges(num_qubits):
         want = _ref_measure_z(num_qubits, op.terms, qubit)
-        for (p, state), (want_p, want_terms) in zip(op.measure_z(qubit), want):
+        for (p, state), (want_p, want_terms) in zip(op.measure_z([[qubit]]), want):
             assert p == want_p
             assert (state is None) == (want_terms is None)
             if state is not None:

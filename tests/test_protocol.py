@@ -17,6 +17,7 @@ from qsslab.dense import trace_distance
 from qsslab.errors import ProtocolError, ResourceError, UsageError
 from qsslab.paulis import PauliOperator, PauliString
 from qsslab.protocol import (
+    DEFAULT_BRANCH_CAP,
     PROBABILITY_CUTOFF,
     EvaluationScript,
     SchemeParams,
@@ -579,10 +580,18 @@ def test_exact_histories_at_scale(n, kprime, gates):
         assert trace_distance(reconstruct(branch).to_dense(), target) < 1e-9
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
-def test_gadget_simulates_at_most_eight_outcomes_per_group(n, monkeypatch):
+@pytest.mark.parametrize(
+    "n, mode",
+    [
+        pytest.param(n, mode, id=str(n) if mode == "exact" else f"{n}-{mode}")
+        for mode in ("exact", "sampled")
+        for n in (2, 4, 6)
+    ],
+)
+def test_gadget_simulates_at_most_eight_outcomes_per_group(n, mode, monkeypatch):
     # one parity measurement per incoming group, and one correction run per
-    # surviving parity outcome: at most 8, whatever m = n + 1 is
+    # surviving parity outcome: at most 8, whatever m = n + 1 is; sampled
+    # mode corrects only the drawn outcome
     params = SchemeParams.strict(n=n, k=1, kprime=1)
     layout = params.layout()
     shared = deal(params, generic_secret(3))
@@ -597,12 +606,33 @@ def test_gadget_simulates_at_most_eight_outcomes_per_group(n, monkeypatch):
 
         monkeypatch.setattr(PauliOperator, name, counting)
     start = _Group(shared.state, np.zeros((1, 0), dtype=np.uint8), np.ones(1))
-    groups, sets, _ = _run_gadget(gadget, [start], None)
+    rng = np.random.default_rng(n) if mode == "sampled" else None
+    groups, sets, _ = _run_gadget(gadget, [start], rng)
     assert calls["measure_z"] == 1
     # one batch before the measurement, then one per simulated outcome
-    assert 1 <= calls["conjugate_circuit"] - 1 <= 8
-    assert [len(st) for st in sets] == [n + 1] * 3
-    assert sum(len(grp.probs) for grp in groups) <= 8
+    if mode == "sampled":
+        assert calls["conjugate_circuit"] == 2
+        assert sets == [[slot] for slot in range(3 * (n + 1))]
+        assert [len(grp.probs) for grp in groups] == [1]
+    else:
+        assert 1 <= calls["conjugate_circuit"] - 1 <= 8
+        assert [len(st) for st in sets] == [n + 1] * 3
+        assert sum(len(grp.probs) for grp in groups) <= 8
+
+
+@pytest.mark.parametrize("n, branch_cap", [(2, DEFAULT_BRANCH_CAP), (4, 2**15)])
+def test_sampled_history_is_an_exact_history(n, branch_cap):
+    # each drawn path is one row of the exact transcript, with that row's
+    # probability and state
+    params = SchemeParams.strict(n=n, k=1, kprime=1)
+    shared = deal(params, generic_secret(3))
+    script = EvaluationScript(3, (Gate("H", (1,)), Gate("TOFFOLI", (1, 2, 3))))
+    states, transcript = evaluate(shared, script, branch_cap=branch_cap)
+    for seed in range(1, 6):
+        (drawn,), sampled = evaluate(shared, script, mode="sampled", seed=seed)
+        (row,) = np.flatnonzero((transcript.bits == sampled.bits).all(axis=1))
+        assert sampled.probabilities[0] == pytest.approx(transcript.probabilities[row], rel=1e-12)
+        assert drawn.state.approx_equal(states[row].state)
 
 
 def test_parity_outside_the_row_span_raises():
@@ -621,11 +651,35 @@ def test_parity_outside_the_row_span_raises():
     start = _Group(zero_zero, np.zeros((1, 0), dtype=np.uint8), np.ones(1))
     with pytest.raises(ProtocolError, match="outside the span"):
         _run_gadget(circuit, [start], None)
-    # sampled mode draws each bit alone and needs no such span
-    groups, sets, _ = _run_gadget(circuit, [start], np.random.default_rng(0))
+    # sampled mode draws from the same parity measurement
+    with pytest.raises(ProtocolError, match="outside the span"):
+        _run_gadget(circuit, [start], np.random.default_rng(0))
+
+
+def test_sampled_draw_of_a_certain_outcome_takes_one_uniform_per_bit():
+    # |00> with b0 and b1 read separately: two one-qubit sets, each parity
+    # certain, so the impossible outcome of each bit falls under the cutoff
+    zero_zero = PauliOperator.from_dense(np.diag([1.0, 0.0, 0.0, 0.0]))
+    circuit = Circuit(
+        2,
+        2,
+        (
+            Gate("MEASURE_Z", (0,), classical_bit=0),
+            Gate("MEASURE_Z", (1,), classical_bit=1),
+            Gate("X", (0,), condition="b0"),
+            Gate("X", (1,), condition="b1"),
+        ),
+    )
+    start = _Group(zero_zero, np.zeros((1, 0), dtype=np.uint8), np.ones(1))
+    rng = np.random.default_rng(0)
+    groups, sets, _ = _run_gadget(circuit, [start], rng)
     assert sets == [[0], [1]]
-    ((outcome,),) = [grp.outcomes.tolist() for grp in groups]
-    assert outcome == [0, 0]
+    ((grp,),) = [groups]
+    assert grp.outcomes.tolist() == [[0, 0]]
+    assert grp.probs.tolist() == [1.0]
+    fresh = np.random.default_rng(0)
+    fresh.random(2)
+    assert rng.random() == fresh.random()
 
 
 def test_histories_share_one_operator_for_a_generic_secret():
