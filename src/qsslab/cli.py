@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -600,7 +601,10 @@ def _config_keys(command: str) -> tuple[str, ...]:
     return ("tolerance", "out") + _COMMANDS[command][1]
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on the first call, and never
+    changed by parse_known_args, so every call reads only its own argv."""
     parser = argparse.ArgumentParser(
         prog="qsslab",
         description="verification laboratory for the ladder-encoded (n,n) "

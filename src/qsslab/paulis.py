@@ -19,11 +19,12 @@ stored as arrays: the x and z masks of the T words as uint64 rows of shape
 including the 101-column ladder check), and a complex128 vector of the T
 coefficients. Every operation is a handful of whole-array steps:
 
-- a run of Clifford gates bit-transposes the word rows once (64 x 64 bit
-  blocks, as in Stim) into per-qubit planes of T bits, turns each gate into
-  XOR/AND operations on the planes it touches plus a sign plane, and
-  transposes back once; a Clifford relabels words bijectively, so the word
-  order is kept and coefficients are only negated;
+- a run of Clifford gates bit-transposes the word rows once into per-qubit
+  planes of T bits (64 x 64 bit blocks, as in Stim, past 64 terms; one
+  unpack, transpose and pack up to 64), turns each gate into XOR/AND
+  operations on the planes it touches plus a sign plane, and transposes
+  back once; a Clifford relabels words bijectively, so the word order is
+  kept and coefficients are only negated;
 - add and from_terms emit candidate rows and merge equal words in one
   grouping pass: a stable lexsort, then per-group sums in candidate order,
   so each output word accumulates its contributions in the order a
@@ -64,6 +65,11 @@ LETTERS = ("I", "X", "Y", "Z")
 # Letter <-> (x, z) bit pair. Index order I, X, Y, Z is fixed package-wide.
 _BITS_OF = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_OF = {v: k for k, v in _BITS_OF.items()}
+# str.translate tables of from_letters: one deletes the four letters, so
+# what is left is bad input; the others write a letter's x or z bit as a digit
+_NOT_A_LETTER = str.maketrans("", "", "".join(_BITS_OF))
+_X_DIGITS = str.maketrans({letter: str(x) for letter, (x, _) in _BITS_OF.items()})
+_Z_DIGITS = str.maketrans({letter: str(z) for letter, (_, z) in _BITS_OF.items()})
 
 #: relative pruning tolerance: after branching operations, terms with
 #: |coeff| < PRUNE_TOL * max|coeff| are treated as exact-zero cancellations
@@ -114,14 +120,13 @@ class PauliString:
     @staticmethod
     def from_letters(letters: str, phase: int = 0) -> PauliString:
         """Build from a word like ``"XIZY"`` (qubit 0 is the first character)."""
-        x = z = 0
-        for q, letter in enumerate(letters):
-            try:
-                xb, zb = _BITS_OF[letter]
-            except KeyError:
-                raise UsageError(f"unknown Pauli letter {letter!r}") from None
-            x |= xb << q
-            z |= zb << q
+        bad = letters.translate(_NOT_A_LETTER)
+        if bad:
+            raise UsageError(f"unknown Pauli letter {bad[0]!r}")
+        # qubit 0 is the lowest bit, so the reversed word reads as binary
+        word = letters[::-1]
+        x = int(word.translate(_X_DIGITS) or "0", 2)
+        z = int(word.translate(_Z_DIGITS) or "0", 2)
         return PauliString(len(letters), x, z, phase)
 
     def letter(self, q: int) -> str:
@@ -230,9 +235,20 @@ def _transpose64(blocks: np.ndarray) -> None:
 
 def _planes(x: np.ndarray, z: np.ndarray) -> tuple[list[int], list[int]]:
     """Word rows -> bit planes: for each of the 64W mask bits q of x and of z,
-    a T-bit Python int whose bit i is bit q of term i's word. The terms are
-    padded to whole 64-term blocks, and each block is bit-transposed."""
+    a T-bit Python int whose bit i is bit q of term i's word.
+
+    Up to 64 terms each plane is one uint64 word, so the rows are unpacked
+    to bits, transposed and packed, and the planes leave numpy in one
+    tolist(). Past 64 terms the terms are padded to whole 64-term blocks and
+    each block is bit-transposed. The boundary is the machine word, not a
+    tuned constant; timed per call on a 2-core Xeon, the block path takes
+    131 us at T = 4 against 57 us unpacked, and 262 us at T = 1,856 against
+    1,163 us unpacked."""
     count, width = x.shape
+    if count <= 64:
+        bits = _unpack(np.concatenate([x, z], axis=1), 128 * width)
+        ints = _pack(np.ascontiguousarray(bits.T), 1).ravel().tolist()
+        return ints[: 64 * width], ints[64 * width :]
     blocks = -(-count // 64)
     rows = np.zeros((2 * width, 64 * blocks), dtype=np.uint64)
     rows[:width, :count] = x.T
@@ -249,6 +265,10 @@ def _planes(x: np.ndarray, z: np.ndarray) -> tuple[list[int], list[int]]:
 def _words_from_planes(x: list[int], z: list[int], count: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of _planes: the (T, W) x and z word rows of ``count`` terms."""
     width = len(x) // 64
+    if count <= 64:
+        bits = _unpack(np.array(x + z, dtype=np.uint64)[:, None], count)
+        rows = _pack(np.ascontiguousarray(bits.T), 2 * width)
+        return np.ascontiguousarray(rows[:, :width]), np.ascontiguousarray(rows[:, width:])
     blocks = -(-count // 64)
     size = 8 * blocks
     raw = b"".join(plane.to_bytes(size, "little") for plane in x + z)

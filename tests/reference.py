@@ -3,9 +3,10 @@
 The matrix helpers build their result entry by entry or factor by factor,
 with no shared kernel, so a test can compare the package's output with
 them exactly. The operator helpers stand in for constructors only the
-tests need, coeff reads one word's coefficient, is_column_local is the
-locality check the circuit tests hold expansions to, and generic_secret is
-the input of the audit's enumeration oracle.
+tests need, coeff reads one word's coefficient, bit_planes builds the bit
+planes of the Clifford kernel term by term, is_column_local is the locality
+check the circuit tests hold expansions to, and generic_secret is the input
+of the audit's enumeration oracle.
 random_density_matrix, supported_logical_kinds and random_clifford_script
 draw the random secrets and Clifford scripts of the logical-action tests.
 announce_distribution (criterion c10) and eq16_form_check (the form of
@@ -92,6 +93,16 @@ def coeff(op, word):
     if word.num_qubits != op.num_qubits:
         raise UsageError(f"word spans {word.num_qubits} qubits, operator {op.num_qubits}")
     return op.terms.get((word.x, word.z), 0j) * word.phase_factor().conjugate()
+
+
+def bit_planes(masks, num_planes):
+    """The planes of Python-int masks, one bit at a time: bit i of plane q
+    is bit q of masks[i]."""
+    planes = [0] * num_planes
+    for i, mask in enumerate(masks):
+        for q in range(num_planes):
+            planes[q] |= ((mask >> q) & 1) << i
+    return planes
 
 
 def basis_secret(s, index):

@@ -631,6 +631,36 @@ def test_parser_declares_each_commands_own_flags():
     assert sum(len(flags) for flags in declared.values()) == 31
 
 
+RUN_DEFAULTS = {"n": 2, "s": 3, "t": 3, "strict": False, "mode": "exact", "tolerance": 1e-10}
+
+
+def test_one_parser_serves_every_call_without_carrying_options(tmp_path, capsys):
+    # the parser is built once per process; each call reads only its own argv
+    assert cli._build_parser() is cli._build_parser()
+    code, payload = _run(tmp_path, "run", "--n", "2", "--strict", "--k", "1", "--kprime", "1")
+    assert code == 0
+    assert payload["config"]["strict"] is True
+    code, payload = _run(tmp_path, "run")
+    assert code == 0
+    assert payload["config"] == RUN_DEFAULTS
+
+    assert main(["run", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    code, payload = _run(tmp_path, "run")
+    assert code == 0
+    assert payload["config"] == RUN_DEFAULTS
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 3, "tolerance": 1e-9, "mode": "sampled", "seed": 4}))
+    code, payload = _run(tmp_path, "run", "--config", str(config))
+    assert code == 0
+    assert (payload["config"]["n"], payload["config"]["mode"], payload["seed"]) == (3, "sampled", 4)
+    code, payload = _run(tmp_path, "run")
+    assert code == 0
+    assert payload["config"] == RUN_DEFAULTS
+    assert payload["seed"] is None
+
+
 @pytest.mark.parametrize(
     "line",
     ["n = abc", "mode = bogus", "seed = 1.5", "tolerance = tight", "tolerance = inf", "strict = maybe"],

@@ -13,9 +13,12 @@ from qsslab.paulis import (
     TWO_QUBIT_CLIFFORDS,
     PauliOperator,
     PauliString,
+    _planes,
+    _words_from_planes,
 )
 
 from reference import (
+    bit_planes,
     coeff,
     embedded_unitary,
     kron_matrix,
@@ -356,6 +359,43 @@ def test_kernel_runs_match_gate_by_gate(num_qubits):
     op = _random_sparse_operator(num_qubits, 300, seed=200 + num_qubits)
     gates = _random_gates(num_qubits, 60, rng)
     _assert_identical(op.conjugate_circuit(gates), _reference_circuit(op, gates))
+
+
+# term counts on both sides of one word per plane, and one to three mask
+# words per term
+PLANE_TERMS = [1, 4, 63, 64, 65, 200]
+PLANE_WIDTHS = [5, 101, 130]
+
+
+@pytest.mark.parametrize("num_terms", PLANE_TERMS)
+@pytest.mark.parametrize("num_qubits", PLANE_WIDTHS)
+def test_planes_match_the_per_term_reference(num_qubits, num_terms):
+    rng = np.random.default_rng([num_qubits, num_terms])
+    xs, zs = (
+        [int.from_bytes(rng.bytes(17), "little") % (1 << num_qubits) for _ in range(num_terms)]
+        for _ in "xz"
+    )
+    width = -(-num_qubits // 64)
+    x, z = _words(xs, width), _words(zs, width)
+    planes = _planes(x, z)
+    assert planes == (bit_planes(xs, 64 * width), bit_planes(zs, 64 * width))
+    back_x, back_z = _words_from_planes(*planes, num_terms)
+    assert back_x.dtype == back_z.dtype == np.uint64
+    assert np.array_equal(back_x, x) and np.array_equal(back_z, z)
+
+
+@pytest.mark.parametrize("num_terms", PLANE_TERMS)
+@pytest.mark.parametrize("num_qubits", PLANE_WIDTHS)
+def test_kernel_runs_match_single_gate_calls_at_every_term_count(num_qubits, num_terms):
+    rng = np.random.default_rng([7, num_qubits, num_terms])
+    op = _random_sparse_operator(num_qubits, num_terms, seed=num_qubits + num_terms)
+    gates = _random_gates(num_qubits, 40, rng)
+    one_at_a_time = op
+    for gate in gates:
+        one_at_a_time = one_at_a_time.conjugate_clifford(gate)
+    got = op.conjugate_circuit(gates)
+    _assert_identical(got, one_at_a_time)
+    _assert_identical(got, _reference_circuit(op, gates))
 
 
 def test_empty_operator_and_empty_gate_list_come_back_unchanged():
