@@ -61,11 +61,13 @@ def test_letters_round_trip():
     assert ps.letters() == "XIZY"
     assert ps.letter(0) == "X"
     assert ps.letter(3) == "Y"
+    assert PauliString.from_letters("") == PauliString(0)
 
 
 def test_unknown_letter_rejected():
-    with pytest.raises(UsageError):
-        PauliString.from_letters("XQ")
+    # the message names the first letter that is not I, X, Y or Z
+    with pytest.raises(UsageError, match="unknown Pauli letter 'Q'"):
+        PauliString.from_letters("XQ_x")
 
 
 def test_phase_wraps_mod_four():
