@@ -161,11 +161,13 @@ def _ladder_cnots(j: int) -> tuple[Gate, Gate]:
     return Gate("CNOT", (0, j)), Gate("CNOT", (j, 0))
 
 
+@cache
 def ladder_circuit(m: int) -> Circuit:
     """Per-row encoding unitary on m qubits: CNOT fan-out from qubit 0 to
     each other qubit, then CNOT fan-in from each back onto qubit 0 —
     2(m-1) gates in total. The fan-out half equals the block map
-    |0><0| (x) I^(m-1) + |1><1| (x) X^(m-1).
+    |0><0| (x) I^(m-1) + |1><1| (x) X^(m-1). Circuits are frozen, so each
+    width is built and validated once per process.
     """
     if m < 2:
         raise UsageError("the ladder needs at least 2 qubits")
@@ -173,6 +175,7 @@ def ladder_circuit(m: int) -> Circuit:
     return Circuit(m, 0, fan_out + fan_in)
 
 
+@cache
 def ladder_fanout_circuit(m: int) -> Circuit:
     """The fan-out half alone (used by the lemma checks)."""
     if m < 2:
@@ -350,6 +353,7 @@ def transversal_expand(logical_gate: Gate, layout: ShareLayout) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def toffoli_gadget(
     data_rows: tuple[int, int, int],
     ancilla_rows: tuple[int, int, int],
@@ -374,7 +378,8 @@ def toffoli_gadget(
 
     The CZ correction step has no column-local form when m = n+1 is even
     (raises UnsupportedGateError); the plaintext m = 1 and all odd-m cases
-    are exact on every measurement branch.
+    are exact on every measurement branch. Each gadget is built once per
+    process.
     """
     m = layout.columns
     try:

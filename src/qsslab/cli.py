@@ -282,15 +282,24 @@ _FANOUT_IMAGES = {"X": lambda m: "X" * m, "Y": lambda m: "Y" + "X" * (m - 1), "Z
 
 
 def _conjugation_error(u: np.ndarray, sigma: str, image: PauliString) -> float:
-    """max|U P U^dag - image| for P = sigma (x) I^(m-1), both Paulis kept as
-    signed permutations: U P gathers and signs U's columns, and the image
-    is subtracted at its own entries only."""
+    """max|U P - Q U| for P = sigma (x) I^(m-1) and Q the expected image,
+    which vanishes exactly when U P U^dag = Q for a unitary U. Both Paulis
+    are signed permutations, so no d x d product is formed: U P gathers and
+    signs U's columns, and Q U is U's rows, each scaled by Q's entry in its
+    column, at Q's rows. The form is blind to a scaled or non-unitary U and
+    vacuous for P = I; _dense_error adds the unitarity check."""
     p = PauliString.from_letters(sigma + "I" * (image.num_qubits - 1))
     rows, _, vals = p._signed_permutation()
-    diff = (u[:, rows] * vals) @ u.conj().T
-    rows, cols, vals = image._signed_permutation()
-    diff[rows, cols] -= vals
+    diff = np.take(u, rows, axis=1) * vals
+    rows, _, vals = image._signed_permutation()
+    diff[rows] -= u * vals[:, None]
     return float(np.max(np.abs(diff)))
+
+
+def _dense_error(u: np.ndarray, images: dict[str, PauliString]) -> float:
+    """The largest entry of |U U^dag - I| and of every letter's |U P - Q U|."""
+    worst = float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
+    return max(worst, *(_conjugation_error(u, sigma, image) for sigma, image in images.items()))
 
 
 def _letters_on_qubit_0(m: int) -> PauliOperator:
@@ -325,15 +334,12 @@ def cmd_verify_ladder(options: dict) -> Report:
 
     for m in range(lo, dense_hi + 1):
         U = build_unitary(ladder_circuit(m))
-        worst = max(_conjugation_error(U, sigma, expected_ladder_pauli(m, sigma)) for sigma in "IXYZ")
-        report.add(f"ladder-dense-m{m}", worst, tol)
+        images = {sigma: expected_ladder_pauli(m, sigma) for sigma in "XYZ"}
+        report.add(f"ladder-dense-m{m}", _dense_error(U, images), tol)
 
         A = build_unitary(ladder_fanout_circuit(m))
-        worst = max(
-            _conjugation_error(A, sigma, PauliString.from_letters(image(m)))
-            for sigma, image in _FANOUT_IMAGES.items()
-        )
-        report.add(f"fanout-lemma-m{m}", worst, tol)
+        images = {sigma: PauliString.from_letters(image(m)) for sigma, image in _FANOUT_IMAGES.items()}
+        report.add(f"fanout-lemma-m{m}", _dense_error(A, images), tol)
 
     report.notes.extend(LADDER_NOTES)
     return report

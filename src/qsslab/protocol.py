@@ -16,10 +16,27 @@ stored maximally mixed — their outcomes live only in the Transcript, the
 one record of each history's bits and probability, so the pair (state,
 transcript) loses nothing; this keeps term counts flat instead of letting
 each consumed triple multiply them by 2^(3(n+1)).
+
+The grid state is a product and is stored as one. The encoder is a ladder
+inside each row, script Cliffords touch only the secret rows, and a gadget
+leaves its consumed triple's rows at I/2, so the state is always
+
+    core(secret rows) (x) R^(unconsumed triples) (x) I/2(consumed rows),
+
+where R is the one encoded 29-term triple block of the column count,
+built once per process. A product needs no flat expansion until a gate
+couples its factors, as in Pauli-propagation simulators (Rall et al., PRA
+99, 062337 (2019)). A SharedState holds the core and its unconsumed
+triples: deal encodes the secret rows alone, reconstruct reads the core
+alone (R and I/2 trace to 1), and evaluate tensors R in only for the
+triple a gadget consumes, runs the gadget on that (s+3)-row working
+operator and drops the triple's rows again. Rows are contiguous in the
+row-major layout, so the factors in row order are the flat operator, which
+SharedState.state builds for the callers that read it.
 Cliffords reach the engine in batches, since each
 conjugate_circuit call pays one transpose of the term words into bit
-planes and one back: consecutive script Cliffords, together with a
-gadget's leading gates or its trailing swap-back, run as one call per state.
+planes and one back: consecutive script Cliffords run as one call per
+state, and so does a gadget's trailing swap-back with the Cliffords after it.
 
 Every correction of a gadget reads only the XOR of a measured row's bits,
 so both modes measure the three row parities at once, as in gate
@@ -40,7 +57,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -220,31 +237,50 @@ class Transcript:
 @dataclass(frozen=True, eq=False)
 class SharedState:
     """The global state after dealing, or after evaluation along one or
-    more bit histories.
+    more bit histories, held as its factors.
 
-    ``state`` spans the whole grid; qubits measured by a past gadget are
-    stored maximally mixed, and their outcomes are the rows of evaluate's
-    Transcript. States compare and hash by identity: every history that
+    ``core`` is the encoded operator on the s secret rows, the first s * m
+    grid qubits. Every triple in ``unconsumed`` holds the encoded block R
+    of _encoded_triple. Every other triple's rows are I/2: its gadget left
+    there the qubits it measured, stored maximally mixed, and their outcomes
+    are the rows of evaluate's Transcript. ``state`` is the flat operator
+    on the whole grid, the product of the factors in row order, built on
+    first read. States compare and hash by identity: every history that
     reached one merged operator holds the same SharedState.
     """
 
     layout: ShareLayout
-    state: PauliOperator
-    consumed_ancillas: frozenset[int] = frozenset()
+    core: PauliOperator
+    unconsumed: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.state.num_qubits != self.layout.num_qubits:
-            raise UsageError("state size does not match the layout")
+        if self.core.num_qubits != self.layout.s * self.layout.columns:
+            raise UsageError("core size does not match the layout's secret rows")
+        if not self.unconsumed <= set(range(self.layout.t // 3)):
+            raise UsageError("unconsumed triples outside the layout")
 
     @property
     def available_triples(self) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(self.layout.t // 3) if i not in self.consumed_ancillas
-        )
+        return tuple(sorted(self.unconsumed))
+
+    @property
+    def consumed_ancillas(self) -> frozenset[int]:
+        return frozenset(range(self.layout.t // 3)) - self.unconsumed
+
+    @cached_property
+    def state(self) -> PauliOperator:
+        """The flat operator: the core, then each triple's R or I/2 block."""
+        m = self.layout.columns
+        op = self.core
+        for triple in range(self.layout.t // 3):
+            op = op.tensor(_encoded_triple(m) if triple in self.unconsumed else _mixed_triple(m))
+        return op
 
 
+@cache
 def encoding_circuit(layout: ShareLayout) -> Circuit:
-    """The ladder over each row's columns (empty for the 1-column layout)."""
+    """The ladder over each row's columns (empty for the 1-column layout).
+    Layouts and circuits are frozen, so each is built once per process."""
     if layout.columns == 1:
         return Circuit(layout.num_qubits, 0, ())
     ladder = ladder_circuit(layout.columns).gates
@@ -272,6 +308,29 @@ def _pure_operator(vec: StateVector) -> PauliOperator:
     return PauliOperator.from_dense(np.outer(a, a.conj()))
 
 
+def _encoded(rows: PauliOperator, m: int) -> PauliOperator:
+    """One letter per row on the dealer's column, every other qubit of the
+    rows I/2, then the ladder on each of the m-column rows."""
+    width = rows.num_qubits * m
+    fresh = 2.0 ** -(rows.num_qubits * (m - 1))
+    block = rows.scaled(fresh).embedded(width, range(0, width, m))
+    layout = ShareLayout(s=rows.num_qubits, t=0, n=m - 1)
+    return block.conjugate_circuit(encoding_circuit(layout).gates)
+
+
+@cache
+def _encoded_triple(m: int) -> PauliOperator:
+    """R: the magic state encoded on three rows of m columns, the block
+    every unconsumed triple holds."""
+    return _encoded(magic_state_operator(), m)
+
+
+@cache
+def _mixed_triple(m: int) -> PauliOperator:
+    """I/2 on every qubit of three rows of m columns: a consumed triple."""
+    return PauliOperator.from_terms(3 * m, [(PauliString.identity(3 * m), 2.0 ** -(3 * m))])
+
+
 def _as_secret_operator(secret: object, s: int) -> PauliOperator:
     if isinstance(secret, PauliOperator):
         op = secret
@@ -291,48 +350,39 @@ def _as_secret_operator(secret: object, s: int) -> PauliOperator:
 def deal(params: SchemeParams, secret: object) -> SharedState:
     """Encode and distribute: the shared global state. Secret word w lands
     only on the secret rows, so after the row-local ladder a shared term has
-    a non-identity letter on a secret row exactly when its w is not I."""
+    a non-identity letter on a secret row exactly when its w is not I. Only
+    the secret rows are encoded here; every triple holds the one cached
+    block R, so the cost does not grow with the number of triples."""
     layout = params.layout()
     if layout.num_qubits > MAX_DEAL_QUBITS:
         raise ResourceError(
             f"deal refused above {MAX_DEAL_QUBITS} qubits ({layout.num_qubits} requested): "
             "coefficients scaled by 2^-N leave float64's normal range"
         )
-    op = _as_secret_operator(secret, params.s)
-    m = layout.columns
-
-    # secret block: each term's letter sits on the dealer's column of its
-    # row, every other data qubit starts as I/2
-    def on_dealer_column(rows: PauliOperator) -> PauliOperator:
-        width = rows.num_qubits * m
-        fresh = 2.0 ** -(rows.num_qubits * (m - 1))
-        return rows.scaled(fresh).embedded(width, range(0, width, m))
-
-    block = on_dealer_column(op)
-
-    # ancilla triples: one magic state per triple on the dealer's column
-    if params.t:
-        triple_block = on_dealer_column(magic_state_operator())
-        for _ in range(params.t // 3):
-            block = block.tensor(triple_block)
-
-    encoded = block.conjugate_circuit(encoding_circuit(layout).gates)
-    return SharedState(layout=layout, state=encoded)
+    core = _encoded(_as_secret_operator(secret, params.s), layout.columns)
+    return SharedState(layout, core, frozenset(range(params.t // 3)))
 
 
 def reconstruct(
     shared: SharedState, columns: Sequence[int] | None = None
 ) -> PauliOperator:
-    """Undo the ladder on every row, discard everything but the dealer's
-    column of the secret rows, return the s-qubit operator. All columns are
+    """Undo the ladder on every secret row, discard everything but the
+    dealer's column of those rows, return the s-qubit operator. Only the
+    core is read: every R and I/2 factor traces to 1. All columns are
     required — the scheme is n-of-n."""
     layout = shared.layout
     if columns is not None and set(columns) != set(range(1, layout.columns + 1)):
         raise ProtocolError("reconstruction requires all shares")
-    op = shared.state.conjugate_circuit(encoding_circuit(layout).inverse().gates)
-    keep = {layout.index_of(x, 1) for x in range(1, layout.s + 1)}
-    traced = [q for q in range(layout.num_qubits) if q not in keep]
-    return op.partial_trace(traced)
+    rows = ShareLayout(s=layout.s, t=0, n=layout.n)
+    op = shared.core.conjugate_circuit(_decoding_circuit(rows).gates)
+    keep = {rows.index_of(x, 1) for x in range(1, layout.s + 1)}
+    return op.partial_trace([q for q in range(rows.num_qubits) if q not in keep])
+
+
+@cache
+def _decoding_circuit(layout: ShareLayout) -> Circuit:
+    """The inverse ladder on every row, built once per layout."""
+    return encoding_circuit(layout).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +491,9 @@ def _run_gadget(
     gadget: Circuit,
     groups: list[_Group],
     rng: np.random.Generator | None,
-    lead: Sequence[Gate] = (),
 ) -> tuple[list[_Group], list[list[int]], list[Gate]]:
-    """Run one measured gadget on every group: ``lead`` and the gates before
-    the measurements as one batch, one measure_z call for the parities of
+    """Run one measured gadget on every group: the gates before the
+    measurements as one batch, one measure_z call for the parities of
     _measured_sets, then the conditioned corrections once per simulated
     outcome, and merge equal operators. Exact mode (no ``rng``) simulates
     every surviving outcome, standing for each bit string with its
@@ -453,14 +502,14 @@ def _run_gadget(
 
     Returns the merged groups, the recorded sets as gadget bit slots, and
     the gates after the last conditioned correction, which the caller runs
-    with the Cliffords that follow.
+    once per merged group.
     """
     gates = list(gadget.gates)
     measures = [i for i, g in enumerate(gates) if g.kind == "MEASURE_Z"]
     if not measures or measures[-1] - measures[0] + 1 != len(measures):
         raise UsageError("a gadget measures in one block of MEASURE_Z gates")
     qubit_of = {gates[i].classical_bit: gates[i].qubits[0] for i in measures}
-    prefix = [*lead, *gates[: measures[0]]]
+    prefix = gates[: measures[0]]
     rest = gates[measures[-1] + 1 :]
     split = max((i + 1 for i, g in enumerate(rest) if g.condition is not None), default=0)
     corrections, tail = rest[:split], rest[split:]
@@ -537,7 +586,9 @@ def evaluate(
     """Run the logical script on the shares.
 
     Cliffords expand transversally and never branch. Each TOFFOLI consumes
-    the next intact ancilla triple and broadcasts 3(n+1) measured bits. Both
+    the next intact ancilla triple and broadcasts 3(n+1) measured bits; its
+    gadget runs on the secret rows and that triple's R alone, and the
+    triple's rows must be left at I/2, else ProtocolError. Both
     modes measure the gadget's three row parities at once; the operator
     must carry no Z pattern on the measured rows that would tell the bit
     strings of one parity outcome apart, else ProtocolError. Exact mode
@@ -574,13 +625,17 @@ def evaluate(
 
     layout = shared.layout
     m = layout.columns
-    consumed = set(shared.consumed_ancillas)
-    groups = [_Group(shared.state, np.zeros((1, 0), dtype=np.uint8), np.ones(1))]
+    width = layout.s * m
+    # a gadget runs on the secret rows and the one triple it consumes: an
+    # (s + 3)-row layout whose triple 0 stands for that triple
+    work = ShareLayout(s=layout.s, t=3, n=layout.n)
+    unconsumed = set(shared.unconsumed)
+    groups = [_Group(shared.core, np.zeros((1, 0), dtype=np.uint8), np.ones(1))]
     origins: list[BitOrigin] = []
     sets: list[list[int]] = []  # every measured set, as transcript slots
     num_bits = 0
-    # consecutive script Cliffords, with a gadget's leading or trailing
-    # gates, run as one batch per group
+    # a gadget's trailing swap-back and the script Cliffords after it run as
+    # one batch per group, before the consumed triple's rows are dropped
     pending: list[Gate] = []
 
     for gi, gate in enumerate(script.gates):
@@ -588,9 +643,10 @@ def evaluate(
             pending.extend(transversal_expand(gate, layout).gates)
             continue
         triple = available.pop(0)
-        gadget = toffoli_gadget(tuple(gate.qubits), layout.ancilla_triple_rows(triple), layout)
+        gadget = toffoli_gadget(tuple(gate.qubits), work.ancilla_triple_rows(0), work)
         for g in gadget.gates:
             if g.kind == "MEASURE_Z":
+                # a gadget measures data rows, which keep their grid numbers
                 row, col = divmod(g.qubits[0], m)
                 origins.append(
                     BitOrigin(
@@ -602,7 +658,9 @@ def evaluate(
                         participant=layout.owner(col + 1),
                     )
                 )
-        groups, gadget_sets, pending = _run_gadget(gadget, groups, rng, pending)
+        for grp in groups:
+            grp.op = _settled(grp.op, pending, width).tensor(_encoded_triple(m))
+        groups, gadget_sets, pending = _run_gadget(gadget, groups, rng)
         sets += [[num_bits + s for s in st] for st in gadget_sets]
         # each row of parities stands for 2^(free bits) bit histories
         count = sum(len(grp.probs) for grp in groups) << sum(len(st) - 1 for st in sets)
@@ -613,15 +671,35 @@ def evaluate(
                 f"{gi}; rerun in sampled mode or raise branch_cap"
             )
         num_bits += gadget.num_classical_bits
-        consumed.add(triple)
+        unconsumed.discard(triple)
     for grp in groups:
-        grp.op = grp.op.conjugate_circuit(pending)
+        grp.op = _settled(grp.op, pending, width)
 
     bits, probs, op_index = _histories(groups, sets, num_bits)
-    frozen = frozenset(consumed)
-    merged = [SharedState(layout, grp.op, frozen) for grp in groups]
+    left = frozenset(unconsumed)
+    merged = [SharedState(layout, grp.op, left) for grp in groups]
     states = tuple([merged[i] for i in op_index.tolist()])
     return states, Transcript(tuple(origins), bits, probs)
+
+
+def _settled(op: PauliOperator, gates: Sequence[Gate], width: int) -> PauliOperator:
+    """The core after ``gates``: an operator wider than ``width`` qubits
+    still holds the rows of the triple its gadget consumed, past the secret
+    rows, and the gadget has left them at I/2. Every term must be the
+    identity there, else ProtocolError. Dropping them scales each
+    coefficient by 2^(qubits dropped), as a partial trace does, so the core
+    keeps the 2^-(s m) scale of a trace-1 state."""
+    op = op.conjugate_circuit(gates)
+    if op.num_qubits == width:
+        return op
+    rows = range(width, op.num_qubits)
+    clear, _ = op._identity_on(rows)
+    if not clear.all():
+        raise ProtocolError(
+            f"{int((~clear).sum())} terms keep a non-identity letter on the rows "
+            "of the consumed ancilla triple"
+        )
+    return op.partial_trace(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ them exactly. The operator helpers stand in for constructors only the
 tests need, coeff reads one word's coefficient, bit_planes builds the bit
 planes of the Clifford kernel term by term, is_column_local is the locality
 check the circuit tests hold expansions to, and generic_secret is the input
-of the audit's enumeration oracle.
+of the audit's enumeration oracle. flat_deal is the dealt grid state
+expanded in one block, the form the factored SharedState.state must match.
 random_density_matrix, supported_logical_kinds and random_clifford_script
 draw the random secrets and Clifford scripts of the logical-action tests.
 announce_distribution (criterion c10) and eq16_form_check (the form of
@@ -25,7 +26,14 @@ from qsslab.circuits import CLIFFORD_KINDS, GATE_ARITY, Gate, column_kinds
 from qsslab.dense import GATE_MATRICES
 from qsslab.errors import UnsupportedGateError, UsageError
 from qsslab.paulis import PauliOperator, PauliString
-from qsslab.protocol import EvaluationScript, canonical_secret_family, deal, evaluate
+from qsslab.protocol import (
+    EvaluationScript,
+    canonical_secret_family,
+    deal,
+    encoding_circuit,
+    evaluate,
+    magic_state_operator,
+)
 
 
 def embedded_unitary(num_qubits, kind, qubits):
@@ -132,6 +140,24 @@ def generic_secret(s):
             coeff *= _GENERIC_WEIGHTS[letter]
         entries.append((PauliString.from_letters("".join(word)), coeff))
     return PauliOperator.from_terms(s, entries)
+
+
+def flat_deal(params, secret):
+    """The dealt grid state built in one block: the secret and one magic
+    state per triple on the dealer's column, every other qubit I/2,
+    tensored in row order and then encoded by the ladder on every row."""
+    layout = params.layout()
+    m = layout.columns
+
+    def on_dealer_column(rows):
+        width = rows.num_qubits * m
+        fresh = 2.0 ** -(rows.num_qubits * (m - 1))
+        return rows.scaled(fresh).embedded(width, range(0, width, m))
+
+    block = on_dealer_column(secret)
+    for _ in range(params.t // 3):
+        block = block.tensor(on_dealer_column(magic_state_operator()))
+    return block.conjugate_circuit(encoding_circuit(layout).gates)
 
 
 def random_density_matrix(num_qubits, rng):

@@ -101,6 +101,8 @@ def test_verify_ladder_builds_each_ladder_gate_once(tmp_path, monkeypatch):
         post_init(gate)
 
     circuits._ladder_cnots.cache_clear()
+    circuits.ladder_circuit.cache_clear()
+    circuits.ladder_fanout_circuit.cache_clear()
     monkeypatch.setattr(circuits.Gate, "__post_init__", counting)
     code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..101")
     assert code == 0
@@ -110,6 +112,20 @@ def test_verify_ladder_builds_each_ladder_gate_once(tmp_path, monkeypatch):
     assert {gate.qubits for gate in built} == {
         pair for j in range(1, 101) for pair in ((0, j), (j, 0))
     }
+    # every circuit is cached too: a second run builds no gate and no circuit
+    circuits_built = []
+    circuit_init = circuits.Circuit.__post_init__
+
+    def counting_circuit(circuit):
+        circuits_built.append(circuit)
+        circuit_init(circuit)
+
+    monkeypatch.setattr(circuits.Circuit, "__post_init__", counting_circuit)
+    built.clear()
+    code, again = _run(tmp_path, "verify-ladder", "--m-range", "2..101")
+    assert code == 0
+    assert again["checks"] == payload["checks"]
+    assert built == [] and circuits_built == []
 
 
 @pytest.mark.parametrize(
@@ -148,6 +164,31 @@ def test_verify_ladder_catches_a_wrong_fanout_image(tmp_path, monkeypatch):
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["fanout-lemma-m5"]
     assert failed[0]["measured"] == pytest.approx(1.0)
+
+
+def test_dense_ladder_error_catches_a_flipped_image_and_a_non_unitary_matrix():
+    # U P = Q U alone also holds for 2 U and for U = 0; the unitarity term
+    # catches both, and a sign-flipped image fails on its own letter
+    m = 4
+    u = cli.build_unitary(circuits.ladder_circuit(m))
+    images = {sigma: cli.expected_ladder_pauli(m, sigma) for sigma in "XYZ"}
+    assert cli._dense_error(u, images) == 0.0
+    y = images["Y"]
+    flipped = dict(images, Y=PauliString(y.num_qubits, y.x, y.z, y.phase + 2))
+    assert cli._dense_error(u, flipped) == pytest.approx(2.0)
+    for wrong, error in ((2 * u, 3.0), (np.zeros_like(u), 1.0)):
+        assert max(cli._conjugation_error(wrong, s, q) for s, q in images.items()) == 0.0
+        assert cli._dense_error(wrong, images) == pytest.approx(error)
+
+
+def test_verify_ladder_catches_a_scaled_unitary(tmp_path, monkeypatch):
+    # every dense check, the fan-out lemma's included, reads U U^dag - I
+    build = cli.build_unitary
+    monkeypatch.setattr(cli, "build_unitary", lambda circuit: 2 * build(circuit))
+    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..4")
+    assert code == 1
+    failed = sorted(c["name"] for c in payload["checks"] if not c["passed"])
+    assert failed == [f"{kind}-m{m}" for kind in ("fanout-lemma", "ladder-dense") for m in (2, 3, 4)]
 
 
 @pytest.mark.parametrize("bad", ["5..2", "0..4", "2", "a..b"])

@@ -38,6 +38,7 @@ from reference import (
     coeff,
     announce_distribution,
     basis_secret,
+    flat_deal,
     generic_secret,
     joint_distribution,
     maximally_mixed,
@@ -260,6 +261,100 @@ def test_deal_refuses_grids_past_the_normal_float64_range(monkeypatch):
         deal(SchemeParams(n=1022, s=1, t=0), basis_secret(1, 0))
     with pytest.raises(ResourceError, match=r"1212 requested"):
         deal(SchemeParams(n=100, s=3, t=9), basis_secret(3, 0))
+
+
+@pytest.mark.parametrize("case", ["basis", "generic"])
+@pytest.mark.parametrize("n, s, kprime", [(2, 3, 1), (4, 4, 1), (2, 1, 3), (4, 1, 2)])
+def test_flat_state_is_the_one_block_deal(n, s, kprime, case):
+    # the encoded core tensored with the cached R per triple gives the same
+    # words in the same order, with equal coefficients, as encoding the
+    # whole grid at once; up to 97,556 terms at (2, 1, 3)
+    params = SchemeParams(n=n, s=s, t=3 * kprime)
+    secret = basis_secret(s, 2**s - 1) if case == "basis" else generic_secret(s)
+    flat = deal(params, secret).state
+    want = flat_deal(params, secret)
+    assert flat.num_terms == want.num_terms == secret.num_terms * 29**kprime
+    assert np.array_equal(flat.x, want.x) and np.array_equal(flat.z, want.z)
+    assert np.array_equal(flat.coeffs, want.coeffs)
+
+
+def test_deal_cost_does_not_grow_with_the_triples(monkeypatch):
+    # a deal encodes the secret rows alone, and every triple shares one
+    # cached block: after a first deal has built the circuits, k' = 1 and
+    # k' = 4 make the same conjugate_circuit calls on the same term counts
+    deal(SchemeParams(n=2, s=3, t=3), generic_secret(3))
+    calls = []
+    real = PauliOperator.conjugate_circuit
+
+    def counting(self, gates):
+        gates = list(gates)
+        calls.append((self.num_qubits, self.num_terms, len(gates)))
+        return real(self, gates)
+
+    monkeypatch.setattr(PauliOperator, "conjugate_circuit", counting)
+    seen = []
+    for kprime in (1, 4):
+        calls.clear()
+        shared = deal(SchemeParams(n=2, s=3, t=3 * kprime), generic_secret(3))
+        assert shared.core.num_terms == 64
+        assert shared.available_triples == tuple(range(kprime))
+        seen.append(list(calls))
+    assert seen[0] == seen[1] == [(9, 64, 12)]
+
+
+@pytest.mark.parametrize("mode, seed", [("exact", None), ("sampled", 8)])
+def test_a_gadget_leaves_the_unconsumed_triple_intact(mode, seed):
+    # one of two triples consumed: on the grid, the first triple's rows are
+    # I/2 and the second's still hold the dealt magic state
+    params = SchemeParams.strict(n=2, k=1, kprime=2)
+    layout = params.layout()
+    secret = generic_secret(3)
+    script = EvaluationScript(3, (Gate("H", (1,)), Gate("TOFFOLI", (1, 2, 3))))
+    states, _ = evaluate(deal(params, secret), script, mode=mode, seed=seed)
+    dealt = flat_deal(params, secret)
+    u = logical_unitary(script)
+    target = u @ secret.to_dense() @ u.conj().T
+
+    def view(op, triple):
+        rows = layout.ancilla_triple_rows(triple)
+        kept = {q for x in rows for q in layout.row_qubits(x)}
+        return op.partial_trace([q for q in range(layout.num_qubits) if q not in kept])
+
+    for branch in dict.fromkeys(states):
+        assert branch.unconsumed == frozenset({1})
+        assert branch.consumed_ancillas == frozenset({0})
+        assert view(branch.state, 1).approx_equal(view(dealt, 1))
+        mixed = view(branch.state, 0)
+        assert mixed.num_terms == 1 and coeff(mixed, "I" * 9) == pytest.approx(2.0**-9)
+        assert trace_distance(reconstruct(branch).to_dense(), target) < 1e-9
+
+
+def test_a_letter_left_on_a_consumed_row_raises():
+    # nine core qubits, then one consumed triple of three 3-column rows
+    # holding X on its first qubit
+    core = generic_secret(3).embedded(9, range(0, 9, 3))
+    stray = PauliOperator.from_terms(
+        9, [(PauliString.identity(9), 2.0**-9), (PauliString.from_letters("X" + "I" * 8), 2.0**-9)]
+    )
+    with pytest.raises(ProtocolError, match="consumed ancilla triple"):
+        protocol._settled(core.tensor(stray), (), 9)
+    released = protocol._settled(core.tensor(maximally_mixed(9)), (), 9)
+    assert released == core
+
+
+def test_a_gadget_without_its_swap_back_raises(monkeypatch):
+    # dropping the trailing CNOTs leaves the teleported rows on the triple
+    gadget = protocol.toffoli_gadget
+
+    def no_swap_back(data_rows, ancilla_rows, layout):
+        full = gadget(data_rows, ancilla_rows, layout)
+        return Circuit(full.num_qubits, full.num_classical_bits, full.gates[: -9 * layout.columns])
+
+    monkeypatch.setattr(protocol, "toffoli_gadget", no_swap_back)
+    shared = deal(SchemeParams.strict(n=2, k=1, kprime=1), basis_secret(3, 0b110))
+    script = EvaluationScript(3, (Gate("TOFFOLI", (1, 2, 3)),))
+    with pytest.raises(ProtocolError, match="consumed ancilla triple"):
+        evaluate(shared, script, mode="sampled", seed=1)
 
 
 def test_magic_state_operator_shape():
