@@ -13,11 +13,16 @@ is the leftmost tensor factor everywhere in this package.
 
 An operator (class:`PauliOperator`) is a sum of coefficients times distinct
 *phase-free* words; the i^phase of a string is folded into its coefficient,
-so a Hermitian operator has exactly one real entry per physical Pauli. It is
-stored as arrays: the x and z masks of the T words as uint64 rows of shape
-(T, ceil(N/64)), bit q in word q // 64 at position q % 64 (any N works,
-including the 101-column ladder check), and a complex128 vector of the T
-coefficients. Every operation is a handful of whole-array steps:
+so a Hermitian operator has exactly one real entry per physical Pauli. The
+coefficient of word P is its expectation value <P> = Tr(rho P) and the
+operator is rho = 2^-N sum_P <P> P, as in Pauli-propagation simulators (Rall
+et al., PRA 99, 062337 (2019)): a state has <I> = 1 and |<P>| <= 1 at any N,
+and only the dense bridge (to_dense, from_dense) applies the 2^N scale.
+
+The operator is stored as arrays: the x and z masks of the T words as uint64
+rows of shape (T, ceil(N/64)), bit q in word q // 64 at position q % 64 (any
+N works, including the 101-column ladder check), and a complex128 vector of
+the T coefficients. Every operation is a handful of whole-array steps:
 
 - a run of Clifford gates bit-transposes the word rows once into per-qubit
   planes of T bits (64 x 64 bit blocks, as in Stim, past 64 terms; one
@@ -34,7 +39,8 @@ coefficients. Every operation is a handful of whole-array steps:
   row, and combines them for all 2^K parity outcomes with one
   Walsh-Hadamard butterfly per set;
 - partial_trace is a mask test plus a bit compaction, which is injective on
-  the surviving words, so nothing is summed; tensor is a broadcast.
+  the surviving words, so nothing is summed or scaled; tensor is a
+  broadcast that multiplies expectation values.
 
 These are the Gottesman-Knill operations: the engine has no non-Clifford
 gate. A logical Toffoli reaches the shares only as the measured magic-state
@@ -50,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,17 +71,21 @@ LETTERS = ("I", "X", "Y", "Z")
 # Letter <-> (x, z) bit pair. Index order I, X, Y, Z is fixed package-wide.
 _BITS_OF = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_OF = {v: k for k, v in _BITS_OF.items()}
-# str.translate tables of from_letters: one deletes the four letters, so
-# what is left is bad input; the others write a letter's x or z bit as a digit
+# str.translate tables of from_letters (from_words uses the first): one
+# deletes the four letters, so what is left is bad input; the others write
+# a letter's x or z bit as a digit
 _NOT_A_LETTER = str.maketrans("", "", "".join(_BITS_OF))
 _X_DIGITS = str.maketrans({letter: str(x) for letter, (x, _) in _BITS_OF.items()})
 _Z_DIGITS = str.maketrans({letter: str(z) for letter, (_, z) in _BITS_OF.items()})
+# the x and z bit of each letter, looked up at its character code
+_LETTER_BITS = np.zeros((2, 128), dtype=np.uint8)
+_LETTER_BITS[:, [ord(letter) for letter in _BITS_OF]] = np.array(list(_BITS_OF.values())).T
 
 #: relative pruning tolerance: after branching operations, terms with
 #: |coeff| < PRUNE_TOL * max|coeff| are treated as exact-zero cancellations
-#: and dropped. Relative, not absolute: a global state on N qubits has
-#: coefficients scaled by 2^-N, and an absolute cutoff would silently delete
-#: genuine terms once N grows past ~36.
+#: and dropped. Relative, so pruning does not depend on an operator's
+#: overall scale: project_z's unnormalised output and the state normalised
+#: by its probability drop the same words.
 PRUNE_TOL = 1e-12
 
 #: relative tolerance of approx_equal: two operators with the same words are
@@ -354,8 +364,8 @@ class PauliOperator:
 
     ``x`` and ``z`` are (T, ceil(N/64)) uint64 word rows of T distinct words,
     with no bit set at or above ``num_qubits``; ``coeffs`` holds their T
-    complex coefficients. The arrays are shared between operators and never
-    written after construction. Build operators through the constructors
+    complex coefficients, the words' expectation values <P>. The arrays are
+    shared between operators and never written after construction. Build operators through the constructors
     below; ``==`` is exact equality of the word sets and coefficients.
     """
 
@@ -391,6 +401,20 @@ class PauliOperator:
         )._pruned()
 
     @staticmethod
+    def from_words(num_qubits: int, words: Sequence[str], coeffs: np.ndarray) -> PauliOperator:
+        """Sum of coeffs[i] times words[i], each a word of ``num_qubits``
+        letters like ``"XIZY"`` (qubit 0 is the first character), translated
+        as one array of character codes."""
+        text = "".join(words)
+        bad = text.translate(_NOT_A_LETTER)
+        if bad:
+            raise UsageError(f"unknown Pauli letter {bad[0]!r}")
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        bits = _LETTER_BITS[:, codes.reshape(len(words), num_qubits)]
+        x, z = (_pack(b, _num_words(num_qubits)) for b in bits)
+        return PauliOperator._merged(num_qubits, x, z, np.asarray(coeffs, dtype=complex))._pruned()
+
+    @staticmethod
     def _merged(num_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> PauliOperator:
         """Candidate rows with repeated words summed, in first-appearance order."""
         first, inverse = _group(x, z)
@@ -420,19 +444,14 @@ class PauliOperator:
         for x, z, c in zip(_masks_of(self.x), _masks_of(self.z), self.coeffs.tolist()):
             yield PauliString(n, x, z), c
 
-    def _row_of(self, x: int, z: int) -> int | None:
-        width = self.x.shape[1]
-        hit = np.flatnonzero(
-            _is_zero(self.x ^ _words_of([x], width)) & _is_zero(self.z ^ _words_of([z], width))
-        )
-        return int(hit[0]) if hit.size else None
-
     def trace(self) -> complex:
-        row = self._row_of(0, 0)
-        return (0j if row is None else complex(self.coeffs[row])) * 2**self.num_qubits
+        """Tr(rho) = <I>, the identity word's coefficient."""
+        ident = self.coeffs[_is_zero(self.x | self.z)]
+        return complex(ident[0]) if ident.size else 0j
 
     @property
     def is_hermitian(self) -> bool:
+        """Every |Im <P>| is at most PRUNE_TOL."""
         return bool(np.all(np.abs(self.coeffs.imag) <= PRUNE_TOL))
 
     @cached_property
@@ -623,8 +642,8 @@ class PauliOperator:
 
     def partial_trace(self, traced: Iterable[int]) -> PauliOperator:
         """Trace out qubits: a term survives iff it is identity on every
-        traced qubit (traceless letters kill it), gaining a factor
-        2^len(traced); remaining qubits keep their order. Distinct survivors
+        traced qubit (traceless letters kill it), with its expectation value
+        unchanged; remaining qubits keep their order. Distinct survivors
         stay distinct once the traced (identity) letters are dropped.
         """
         keep, traced_qs = self._identity_on(traced)
@@ -634,8 +653,8 @@ class PauliOperator:
             len(kept),
             _select(self.x[keep], self.num_qubits, kept),
             _select(self.z[keep], self.num_qubits, kept),
-            self.coeffs[keep] * 2.0 ** len(traced_set),
-        )._pruned()
+            self.coeffs[keep],
+        )
 
     # stays for perfbench/tracing.py, which wraps it by name, until the tracer is retargeted
     def reset_to_mixed(self, qubits: Iterable[int]) -> PauliOperator:
@@ -657,8 +676,9 @@ class PauliOperator:
         before pruning: the words k with I on every measured qubit, and an
         array whose row pi holds, for each k, 2^-K times the sum over the Z
         patterns v of the sets of (-1)^(v . pi) c(k Z^v); pi and v read set j
-        at bit K-1-j of their index. Words with X/Y on a measured qubit are
-        annihilated.
+        at bit K-1-j of their index. Entry k of row pi is Tr(Pi_pi rho k):
+        at k = I the outcome's probability, and divided by it <k> after the
+        measurement. Words with X/Y on a measured qubit are annihilated.
 
         Every surviving word's Z letters on the measured qubits must be a
         union of whole sets. Then each outcome string of a set's qubits is
@@ -733,41 +753,39 @@ class PauliOperator:
 
     def measure_z(
         self, sets: Sequence[Sequence[int]]
-    ) -> tuple[tuple[float, PauliOperator | None], ...]:
+    ) -> tuple[np.ndarray, Callable[[int], PauliOperator]]:
         """Z-parity measurement of K disjoint qubit sets in one grouping
         pass; [[q]] measures qubit q alone.
 
-        Entry pi of the 2^K results, set j's parity at bit K-1-j of pi, is
-        (p_pi, state_pi): the probability of those parities and the
-        normalised post-measurement state with every measured qubit reset
-        to I/2. The state is None when p_pi is not positive. The measured
-        words must respect the sets (see _z_split), else ProtocolError.
+        Returns (probs, post). Entry pi of the 2^K probs, set j's parity at
+        bit K-1-j of pi, is the probability of those parities: the identity
+        entry of outcome pi's row of _z_split, or 0 where the row's relative
+        prune drops it. post(pi) builds, only when called, the normalised
+        state after an outcome with p_pi > 0, every measured qubit reset to
+        I/2. The measured words must respect the sets (see _z_split), else
+        ProtocolError.
 
-        For one qubit, state_b equals project_z(qubit, b) -> scaled(1 / p_b)
+        For one qubit, post(b) equals project_z(qubit, b) -> scaled(1 / p_b)
         -> reset_to_mixed((qubit,)): a word and its Z_q partner in
         project_z's output have the same |coeff|, so the relative prune
         reads the same largest term; scaling by 1/p_b > 0 cannot change a
         relative prune.
         """
-        x, z, sums = self._z_split(sets)
-        return tuple(self._measured(x, z, acc) for acc in sums)
-
-    def _measured(
-        self, x: np.ndarray, z: np.ndarray, acc: np.ndarray
-    ) -> tuple[float, PauliOperator | None]:
-        """Prune one outcome of measure_z, read its probability and normalise."""
+        x, z, acc = self._z_split(sets)
         mags = _magnitudes(acc)
-        biggest = mags.max(initial=0.0)
-        if biggest == 0.0:
-            return 0.0, None
-        keep = mags >= PRUNE_TOL * biggest
-        ident = np.flatnonzero(_is_zero(x | z) & keep)
-        p = _real_probability(
-            (complex(acc[ident[0]]) if ident.size else 0j) * 2**self.num_qubits
-        )
-        if p <= 0.0:
-            return p, None
-        return p, PauliOperator(self.num_qubits, x[keep], z[keep], acc[keep] * (1 / p))
+        keep = mags >= PRUNE_TOL * mags.max(axis=1, initial=0.0)[:, None]
+        probs = np.zeros(len(acc))
+        # the words are distinct, so each row keeps at most one identity entry
+        for pi, ident in zip(*np.nonzero(keep & _is_zero(x | z))):
+            probs[pi] = _real_probability(complex(acc[pi, ident]))
+
+        def post(pi: int) -> PauliOperator:
+            if not probs[pi] > 0.0:
+                raise UsageError(f"outcome {pi} has probability {probs[pi]}: no state follows it")
+            row = keep[pi]
+            return PauliOperator(self.num_qubits, x[row], z[row], acc[pi, row] * (1 / probs[pi]))
+
+        return probs, post
 
     def trace_distance(self, other: PauliOperator) -> float:
         """Half the trace norm of self - other, from the eigenvalues of the
@@ -781,6 +799,7 @@ class PauliOperator:
     # -- dense bridge --------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
+        """The matrix rho = 2^-N sum_P <P> P."""
         _check_cap(self.num_qubits, "to_dense")
         n = self.num_qubits
         if n == 0:
@@ -790,7 +809,7 @@ class PauliOperator:
         letters = _LETTER_INDEX[_unpack(self.x, n) + 2 * _unpack(self.z, n)]
         flat = letters @ (4 ** np.arange(n - 1, -1, -1))
         coeffs = np.zeros(4**n, dtype=complex)
-        coeffs[flat] = self.coeffs
+        coeffs[flat] = self.coeffs * 2.0**-n
         out = coeffs.reshape((4,) * n)
         # contract letter axes front-to-back; each step appends (row, col)
         for _ in range(n):
@@ -801,7 +820,7 @@ class PauliOperator:
 
     @staticmethod
     def from_dense(rho: np.ndarray) -> PauliOperator:
-        """Expansion with coefficient 2^-N tr(P rho) per word P."""
+        """Expansion with coefficient <P> = tr(P rho) per word P."""
         dim = rho.shape[0]
         n = int(dim).bit_length() - 1
         if rho.shape != (dim, dim) or 2**n != dim:
@@ -816,7 +835,7 @@ class PauliOperator:
         for _ in range(n):
             # contract leading (row, col) pair with the basis stack
             t = np.tensordot(t, _BASIS, axes=([0, 1], [1, 2]))
-        flat = (t / 2**n).reshape(-1)
+        flat = t.reshape(-1)
         mags = _magnitudes(flat)
         peak = float(mags.max()) if flat.size else 0.0
         found = np.flatnonzero(mags > PRUNE_TOL * peak)

@@ -80,9 +80,6 @@ from .errors import ProtocolError, ResourceError, UsageError
 from .paulis import PauliOperator, PauliString
 
 DEFAULT_BRANCH_CAP = 4096
-#: deal refuses grids of more qubits: every stored coefficient carries a
-#: factor 2^-N, and 2^-1022 is float64's smallest normal number
-MAX_DEAL_QUBITS = 1022
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +92,7 @@ class SchemeParams:
     """n participants besides the dealer, s secret rows, t ancilla rows.
 
     Strict mode enforces s = 3k, t = 3k' with k'/k a positive integer;
-    relaxed mode admits any s >= 1 and t = 3 * (Toffoli budget), budget 0
-    included. Use the classmethod constructors.
+    otherwise any s >= 1 and t = 3 * (Toffoli budget), budget 0 included.
     """
 
     n: int
@@ -125,12 +121,6 @@ class SchemeParams:
         if k < 1 or kprime < 1:
             raise UsageError("strict mode requires k, k' >= 1")
         return cls(n=n, s=3 * k, t=3 * kprime, strict_mode=True)
-
-    @classmethod
-    def relaxed(cls, n: int, s: int, budget: int = 0) -> SchemeParams:
-        if budget < 0:
-            raise UsageError("Toffoli budget cannot be negative")
-        return cls(n=n, s=s, t=3 * budget, strict_mode=False)
 
     @property
     def budget(self) -> int:
@@ -312,8 +302,7 @@ def _encoded(rows: PauliOperator, m: int) -> PauliOperator:
     """One letter per row on the dealer's column, every other qubit of the
     rows I/2, then the ladder on each of the m-column rows."""
     width = rows.num_qubits * m
-    fresh = 2.0 ** -(rows.num_qubits * (m - 1))
-    block = rows.scaled(fresh).embedded(width, range(0, width, m))
+    block = rows.embedded(width, range(0, width, m))
     layout = ShareLayout(s=rows.num_qubits, t=0, n=m - 1)
     return block.conjugate_circuit(encoding_circuit(layout).gates)
 
@@ -328,7 +317,7 @@ def _encoded_triple(m: int) -> PauliOperator:
 @cache
 def _mixed_triple(m: int) -> PauliOperator:
     """I/2 on every qubit of three rows of m columns: a consumed triple."""
-    return PauliOperator.from_terms(3 * m, [(PauliString.identity(3 * m), 2.0 ** -(3 * m))])
+    return PauliOperator.from_terms(3 * m, [(PauliString.identity(3 * m), 1.0)])
 
 
 def _as_secret_operator(secret: object, s: int) -> PauliOperator:
@@ -354,11 +343,6 @@ def deal(params: SchemeParams, secret: object) -> SharedState:
     the secret rows are encoded here; every triple holds the one cached
     block R, so the cost does not grow with the number of triples."""
     layout = params.layout()
-    if layout.num_qubits > MAX_DEAL_QUBITS:
-        raise ResourceError(
-            f"deal refused above {MAX_DEAL_QUBITS} qubits ({layout.num_qubits} requested): "
-            "coefficients scaled by 2^-N leave float64's normal range"
-        )
     core = _encoded(_as_secret_operator(secret, params.s), layout.columns)
     return SharedState(layout, core, frozenset(range(params.t // 3)))
 
@@ -519,10 +503,9 @@ def _run_gadget(
     out = []
     for grp in groups:
         op = grp.op.conjugate_circuit(prefix)
-        results = op.measure_z([[qubit_of[s] for s in st] for st in sets])
-        probs = np.array([p for p, _ in results])
+        probs, post = op.measure_z([[qubit_of[s] for s in st] for st in sets])
         if rng is None:  # each outcome is recorded as its parities
-            drawn = [(pi, None, results[pi][0]) for pi in _surviving(probs, k)]
+            drawn = [(pi, None, probs[pi]) for pi in _surviving(probs, k)]
         else:
             drawn = [_draw(probs, list(qubit_of), sets, rng)]
         for pi, bits, p in drawn:
@@ -534,7 +517,7 @@ def _run_gadget(
             ]
             row = np.array(parities if bits is None else bits, dtype=np.uint8)
             outcomes = np.hstack([grp.outcomes, np.broadcast_to(row, (len(grp.probs), len(row)))])
-            out.append(_Group(results[pi][1].conjugate_circuit(active), outcomes, grp.probs * p))
+            out.append(_Group(post(pi).conjugate_circuit(active), outcomes, grp.probs * p))
     return _merge(out), sets if rng is None else [[s] for s in qubit_of], tail
 
 
@@ -686,9 +669,8 @@ def _settled(op: PauliOperator, gates: Sequence[Gate], width: int) -> PauliOpera
     """The core after ``gates``: an operator wider than ``width`` qubits
     still holds the rows of the triple its gadget consumed, past the secret
     rows, and the gadget has left them at I/2. Every term must be the
-    identity there, else ProtocolError. Dropping them scales each
-    coefficient by 2^(qubits dropped), as a partial trace does, so the core
-    keeps the 2^-(s m) scale of a trace-1 state."""
+    identity there, else ProtocolError. Dropping them is a partial trace,
+    which keeps every expectation value as it is."""
     op = op.conjugate_circuit(gates)
     if op.num_qubits == width:
         return op
@@ -741,8 +723,8 @@ def _as_complex(value: object) -> complex:
 
 def parse_secret(obj: dict, s: int | None = None) -> PauliOperator:
     """Secret from its JSON form: {"amplitudes": [...]} for a pure state
-    (entries are numbers or [re, im] pairs) or {"pauli": {"XYZ": coeff}} for
-    a direct expansion, letters keyed left-to-right by row."""
+    (entries are numbers or [re, im] pairs) or {"pauli": {"XYZ": c}} for
+    rho = sum_P c_P P, letters keyed left-to-right by row."""
     if not isinstance(obj, dict):
         raise UsageError("secret file must hold a JSON object")
     if "amplitudes" in obj:
@@ -762,13 +744,11 @@ def parse_secret(obj: dict, s: int | None = None) -> PauliOperator:
         if len(lengths) != 1:
             raise UsageError("all Pauli words must have the same length")
         num = lengths.pop()
-        op = PauliOperator.from_terms(
-            num,
-            [
-                (PauliString.from_letters(w), _as_complex(c))
-                for w, c in words.items()
-            ],
-        )
+        # <P> = Tr(rho P) = 2^num c_P; deal refuses one that overflows as trace != 1
+        coeffs = np.array([_as_complex(c) for c in words.values()])
+        with np.errstate(over="ignore"):
+            expectations = np.ldexp(coeffs.view(float), num).view(complex)
+        op = PauliOperator.from_words(num, list(words), expectations)
     else:
         raise UsageError("secret file needs an 'amplitudes' or 'pauli' key")
     if s is not None and op.num_qubits != s:

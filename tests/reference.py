@@ -121,14 +121,14 @@ def basis_secret(s, index):
 
 
 def maximally_mixed(num_qubits):
-    """I / 2^n as a one-term operator."""
-    return pauli_operator(PauliString.identity(num_qubits), 2.0**-num_qubits)
+    """I / 2^n as a one-term operator: <I> = 1, every other <P> = 0."""
+    return pauli_operator(PauliString.identity(num_qubits), 1.0)
 
 
-# per-qubit factor (I + 0.30 X + 0.24 Y + 0.18 Z)/2 of the generic secret:
-# positive (Bloch norm < 1), trace 1, and every product word in the s-qubit
-# expansion gets a nonzero coefficient
-_GENERIC_WEIGHTS = {"I": 0.5, "X": 0.15, "Y": 0.12, "Z": 0.09}
+# per-qubit factor (I + 0.30 X + 0.24 Y + 0.18 Z)/2 of the generic secret,
+# as expectation values: positive (Bloch norm < 1), trace 1, and every
+# product word in the s-qubit expansion gets a nonzero coefficient
+_GENERIC_WEIGHTS = {"I": 1.0, "X": 0.30, "Y": 0.24, "Z": 0.18}
 
 
 def generic_secret(s):
@@ -151,8 +151,7 @@ def flat_deal(params, secret):
 
     def on_dealer_column(rows):
         width = rows.num_qubits * m
-        fresh = 2.0 ** -(rows.num_qubits * (m - 1))
-        return rows.scaled(fresh).embedded(width, range(0, width, m))
+        return rows.embedded(width, range(0, width, m))
 
     block = on_dealer_column(secret)
     for _ in range(params.t // 3):
@@ -266,7 +265,7 @@ def eq16_form_check(branches, honest, transcript=None, announcement=None):
         live = [layout.index_of(x, y) for x in range(1, layout.rows + 1) if x not in dead_rows]
         reduced = br.state.partial_trace([q for q in range(layout.num_qubits) if q not in live])
         for ps, c in reduced.items():
-            expected = 2.0 ** -len(live) if ps.x == ps.z == 0 else 0.0
+            expected = 1.0 if ps.x == ps.z == 0 else 0.0
             worst = max(worst, abs(c - expected))
 
     notes = ()

@@ -126,7 +126,7 @@ def test_c04_round_trip_for_every_party_count():
     for n in (2, 3, 4):
         configs = [
             SchemeParams.strict(n=n, k=1, kprime=1),
-            SchemeParams.relaxed(n=n, s=1),
+            SchemeParams(n=n, s=1, t=0),
         ]
         for params in configs:
             rng = np.random.default_rng(1000 * n + params.s)
@@ -186,7 +186,7 @@ def test_c07_random_clifford_scripts_act_logically():
     worst = 0.0
     for i in range(50):
         n = 2 if i % 2 == 0 else 3
-        params = SchemeParams.relaxed(n=n, s=3)
+        params = SchemeParams(n=n, s=3, t=0)
         rng = np.random.default_rng(4200 + i)
         script = random_clifford_script(
             params.n + 1, 3, int(rng.integers(1, 11)), rng

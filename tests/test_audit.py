@@ -106,14 +106,14 @@ def test_generic_secret_is_a_state():
 
 
 def test_adversary_view_of_full_coalition_is_everything():
-    params = SchemeParams.relaxed(n=2, s=1)
+    params = SchemeParams(n=2, s=1, t=0)
     shared = deal(params, basis_secret(1, 0))
     view = adversary_view(shared, Coalition.parse("alice,p1,p2", n=2))
     assert view == shared.state
 
 
 def test_adversary_view_reduces_to_kept_columns():
-    params = SchemeParams.relaxed(n=2, s=2)
+    params = SchemeParams(n=2, s=2, t=0)
     shared = deal(params, maximally_mixed(2))
     view = adversary_view(shared, Coalition.parse("alice,p2", n=2))
     assert view.num_qubits == 4
@@ -122,7 +122,7 @@ def test_adversary_view_reduces_to_kept_columns():
 
 
 def test_adversary_view_checks_layout():
-    params = SchemeParams.relaxed(n=2, s=1)
+    params = SchemeParams(n=2, s=1, t=0)
     shared = deal(params, basis_secret(1, 0))
     with pytest.raises(UsageError):
         adversary_view(shared, Coalition.parse("alice,p1", n=3))
@@ -135,7 +135,7 @@ def test_adversary_view_checks_layout():
 
 @pytest.mark.parametrize("n,regime", [(2, "odd"), (4, "odd"), (3, "even"), (5, "even")])
 def test_independence_for_covered_coalitions(n, regime):
-    params = SchemeParams.relaxed(n=n, s=2, budget=1)
+    params = SchemeParams(n=n, s=2, t=3)
     for coalition in covered_coalitions(n):
         report = secret_independence_check(params, coalition)
         assert report.verdict == "pass"
@@ -145,7 +145,7 @@ def test_independence_for_covered_coalitions(n, regime):
 
 
 def test_independence_rejects_full_coalition():
-    params = SchemeParams.relaxed(n=2, s=1)
+    params = SchemeParams(n=2, s=1, t=0)
     with pytest.raises(UsageError):
         secret_independence_check(params, Coalition.parse("alice,p1,p2", n=2))
 
@@ -170,7 +170,7 @@ def test_independence_report_shape():
 def test_all_participants_without_dealer_odd_width():
     # three columns: every non-identity secret word marks every column, so
     # even the dealer-less crowd sees nothing
-    params = SchemeParams.relaxed(n=2, s=2)
+    params = SchemeParams(n=2, s=2, t=0)
     report = secret_independence_check(params, Coalition.parse("p1,p2", n=2))
     assert report.tagged_residuals == 0
     assert any("descriptively" in note for note in report.notes)
@@ -180,7 +180,7 @@ def test_all_participants_without_dealer_even_width():
     # four columns: X-words hide from the dealer, so the dealer-less crowd
     # retains secret-dependent structure; the count factorizes into the 3
     # nontrivial {I,X} row patterns times the {I,X}-only resource terms
-    params = SchemeParams.relaxed(n=3, s=2, budget=1)
+    params = SchemeParams(n=3, s=2, t=3)
     report = secret_independence_check(params, Coalition.parse("p1,p2,p3", n=3))
     x_only = sum(
         1
@@ -213,7 +213,7 @@ def test_secret_row_terms_are_the_secret_dependent_terms():
     )
     checked = nonzero = 0
     for n, s, budget in configs:
-        params = SchemeParams.relaxed(n=n, s=s, budget=budget)
+        params = SchemeParams(n=n, s=s, t=3 * budget)
         generic = deal(params, generic_secret(s))
         linear = n <= 5 and s <= 3 and budget <= 1
         mixed = deal(params, maximally_mixed(s)) if linear else None
@@ -242,7 +242,7 @@ def test_closed_form_counts_past_the_enumeration_wall():
     # 4^40 words could never be dealt; at even m the dealer-less crowd keeps
     # the {I, X} letters, so 2^40 - 1 secret words times the 7 {I, X}-only
     # magic-state words leak
-    params = SchemeParams.relaxed(n=3, s=40, budget=1)
+    params = SchemeParams(n=3, s=40, t=3)
     report = secret_independence_check(params, Coalition.parse("p1,p2,p3", n=3))
     assert report.tagged_residuals == (2**40 - 1) * 7
     assert report.verdict == "fail"
@@ -250,7 +250,7 @@ def test_closed_form_counts_past_the_enumeration_wall():
 
 
 def test_parity_regime_refuses_to_list_past_the_cap():
-    params = SchemeParams.relaxed(n=3, s=17)
+    params = SchemeParams(n=3, s=17, t=0)
     assert 2**17 > PATTERN_CAP
     with pytest.raises(ResourceError, match="listing cap"):
         parity_regime_check(params, Coalition.parse("p1,p2,p3", n=3))
@@ -260,11 +260,11 @@ def test_parity_regime_refuses_to_list_past_the_cap():
 
 def test_independence_note_mentions_dense_cross_check_policy():
     small = secret_independence_check(
-        SchemeParams.relaxed(n=2, s=1), Coalition.parse("alice,p1", n=2)
+        SchemeParams(n=2, s=1, t=0), Coalition.parse("alice,p1", n=2)
     )
     assert any("dense cross-check" in note for note in small.notes)
     big = secret_independence_check(
-        SchemeParams.relaxed(n=4, s=3), Coalition.parse("alice,p1,p2,p3", n=4)
+        SchemeParams(n=4, s=3, t=0), Coalition.parse("alice,p1,p2,p3", n=4)
     )
     assert any("skipped" in note for note in big.notes)
     assert big.verdict == "pass"
@@ -276,21 +276,21 @@ def test_independence_note_mentions_dense_cross_check_policy():
 
 
 def test_covered_coalition_cannot_distinguish():
-    params = SchemeParams.relaxed(n=2, s=1)
+    params = SchemeParams(n=2, s=1, t=0)
     coalition = Coalition.parse("alice,p1", n=2)
     td = distinguishability(params, coalition, basis_secret(1, 0), basis_secret(1, 1))
     assert td == 0.0
 
 
 def test_full_coalition_distinguishes_orthogonal_secrets():
-    params = SchemeParams.relaxed(n=2, s=1)
+    params = SchemeParams(n=2, s=1, t=0)
     coalition = Coalition.parse("alice,p1,p2", n=2)
     td = distinguishability(params, coalition, basis_secret(1, 0), basis_secret(1, 1))
     assert td == pytest.approx(1.0)
 
 
 def test_distinguishability_of_identical_secrets_is_zero():
-    params = SchemeParams.relaxed(n=2, s=1)
+    params = SchemeParams(n=2, s=1, t=0)
     coalition = Coalition.parse("alice,p2", n=2)
     secret = basis_secret(1, 0)
     assert distinguishability(params, coalition, secret, secret) == 0.0
@@ -309,7 +309,7 @@ def test_distinguishability_guards_the_dense_cap():
 
 
 def test_parity_regime_covered_odd():
-    params = SchemeParams.relaxed(n=2, s=3)
+    params = SchemeParams(n=2, s=3, t=0)
     report = parity_regime_check(params, Coalition.parse("alice,p2", n=2))
     assert report.regime == "odd"
     assert report.verdict == "pass"
@@ -318,7 +318,7 @@ def test_parity_regime_covered_odd():
 
 
 def test_parity_regime_covered_even():
-    params = SchemeParams.relaxed(n=3, s=2, budget=1)
+    params = SchemeParams(n=3, s=2, t=3)
     report = parity_regime_check(params, Coalition.parse("alice,p1,p3", n=3))
     assert report.regime == "even"
     assert report.verdict == "pass"
@@ -326,7 +326,7 @@ def test_parity_regime_covered_even():
 
 
 def test_parity_regime_uncovered_lists_patterns():
-    params = SchemeParams.relaxed(n=3, s=2)
+    params = SchemeParams(n=3, s=2, t=0)
     report = parity_regime_check(params, Coalition.parse("p1,p2,p3", n=3))
     assert report.verdict == "info"
     assert report.expected_patterns is None
@@ -334,13 +334,13 @@ def test_parity_regime_uncovered_lists_patterns():
 
 
 def test_parity_regime_rejects_full_coalition():
-    params = SchemeParams.relaxed(n=2, s=1)
+    params = SchemeParams(n=2, s=1, t=0)
     with pytest.raises(UsageError):
         parity_regime_check(params, Coalition.parse("alice,p1,p2", n=2))
 
 
 def test_parity_regime_report_shape():
-    params = SchemeParams.relaxed(n=2, s=1)
+    params = SchemeParams(n=2, s=1, t=0)
     payload = parity_regime_check(params, Coalition.parse("alice,p1", n=2)).as_dict()
     assert set(payload) == {
         "params",
@@ -385,7 +385,7 @@ def test_eq16_accepts_participant_numbers_and_announcements():
 
 
 def test_eq16_clifford_only_is_vacuous_on_bits():
-    params = SchemeParams.relaxed(n=2, s=1)
+    params = SchemeParams(n=2, s=1, t=0)
     shared = deal(params, basis_secret(1, 0))
     branches, transcript = evaluate(shared, EvaluationScript(1, (Gate("H", (1,)),)))
     report = eq16_form_check(branches, "p1", transcript=transcript)

@@ -16,7 +16,6 @@ ALLOWED = {
     "paulis.PauliOperator.project_z": "perfbench/tracing.py wraps it by name",
     "paulis.PauliOperator.reset_to_mixed": "perfbench/tracing.py wraps it by name",
     "dense.partial_trace_dense": "perfbench/tracing.py wraps it by name",
-    "protocol.SchemeParams.relaxed": "the relaxed twin of SchemeParams.strict",
 }
 
 

@@ -454,7 +454,7 @@ def test_conjugate_clifford_rejects_toffoli():
 
 def _bell_pair():
     entries = [
-        (PauliString.from_letters(w), c / 4.0)
+        (PauliString.from_letters(w), float(c))
         for w, c in [("II", 1), ("XX", 1), ("YY", -1), ("ZZ", 1)]
     ]
     return PauliOperator.from_terms(2, entries)
@@ -470,19 +470,19 @@ def _assert_words(op, expected):
 def test_partial_trace_of_bell_pair():
     reduced = _bell_pair().partial_trace([1])
     assert reduced.num_qubits == 1
-    _assert_words(reduced, {"I": 0.5})
+    _assert_words(reduced, {"I": 1.0})
 
 
 def test_partial_trace_keeps_qubit_order():
     zero = PauliOperator.from_terms(
-        1, [(PauliString.from_letters("I"), 0.5), (PauliString.from_letters("Z"), 0.5)]
+        1, [(PauliString.from_letters("I"), 1.0), (PauliString.from_letters("Z"), 1.0)]
     )
     plus = PauliOperator.from_terms(
-        1, [(PauliString.from_letters("I"), 0.5), (PauliString.from_letters("X"), 0.5)]
+        1, [(PauliString.from_letters("I"), 1.0), (PauliString.from_letters("X"), 1.0)]
     )
     op = zero.tensor(plus).tensor(maximally_mixed(1))
     reduced = op.partial_trace([1])
-    _assert_words(reduced, {"II": 0.25, "ZI": 0.25})
+    _assert_words(reduced, {"II": 1.0, "ZI": 1.0})
 
 
 def test_partial_trace_matches_dense():
@@ -498,11 +498,11 @@ def test_partial_trace_matches_dense():
 
 def test_reset_to_mixed_replaces_marginal():
     plus = PauliOperator.from_terms(
-        1, [(PauliString.from_letters("I"), 0.5), (PauliString.from_letters("X"), 0.5)]
+        1, [(PauliString.from_letters("I"), 1.0), (PauliString.from_letters("X"), 1.0)]
     )
     op = plus.tensor(plus)
     reset = op.reset_to_mixed((0,))
-    _assert_words(reset, {"II": 0.25, "IX": 0.25})
+    _assert_words(reset, {"II": 1.0, "IX": 1.0})
     assert reset.trace() == pytest.approx(1.0)
     assert np.allclose(
         reset.partial_trace([1]).to_dense(), np.eye(2) / 2
@@ -520,17 +520,17 @@ def test_reset_to_mixed_rejects_bad_qubit():
 )
 def test_project_z_on_plus_state(letters, outcome, prob):
     plus = PauliOperator.from_terms(
-        1, [(PauliString.from_letters("I"), 0.5), (PauliString.from_letters("X"), 0.5)]
+        1, [(PauliString.from_letters("I"), 1.0), (PauliString.from_letters("X"), 1.0)]
     )
     p, post = plus.project_z(0, outcome)
     assert p == pytest.approx(prob)
     sign = 1.0 if outcome == 0 else -1.0
-    _assert_words(post, {"I": 0.25, "Z": sign * 0.25})
+    _assert_words(post, {"I": 0.5, "Z": sign * 0.5})
 
 
 def test_project_z_on_basis_state():
     zero = PauliOperator.from_terms(
-        1, [(PauliString.from_letters("I"), 0.5), (PauliString.from_letters("Z"), 0.5)]
+        1, [(PauliString.from_letters("I"), 1.0), (PauliString.from_letters("Z"), 1.0)]
     )
     p0, post = zero.project_z(0, 0)
     assert p0 == pytest.approx(1.0)
@@ -550,7 +550,7 @@ def test_project_z_matches_dense_projector():
 
 
 def test_project_z_rejects_complex_probability():
-    skew = _operator(1, {(0, 0): 0.5 + 0.5j, (0, 1): 0.5})
+    skew = _operator(1, {(0, 0): 1.0 + 1.0j, (0, 1): 1.0})
     with pytest.raises(ProtocolError, match="not real"):
         skew.project_z(0, 0)
 
@@ -565,14 +565,15 @@ def test_measure_z_equals_project_scale_reset(num_qubits):
     # Hermitian with small non-identity coefficients, so both probabilities
     # are real and near 1/2
     op = _random_sparse_operator(num_qubits, 120, seed=num_qubits)
-    terms = {k: 0.1 * 2.0**-num_qubits * complex(c).real for k, c in op.terms.items()}
-    terms[(0, 0)] = 2.0**-num_qubits
+    terms = {k: 0.1 * complex(c).real for k, c in op.terms.items()}
+    terms[(0, 0)] = 1.0
     op = _operator(num_qubits, terms)
     for qubit in sorted({0, num_qubits // 2, num_qubits - 1}):
-        for outcome, (p, state) in enumerate(op.measure_z([[qubit]])):
+        probs, post = op.measure_z([[qubit]])
+        for outcome, p in enumerate(probs):
             want_p, want = _measured_by_composition(op, qubit, outcome)
             assert p == want_p
-            _assert_identical(state, want)
+            _assert_identical(post(outcome), want)
 
 
 def test_measure_z_matches_dense_projector():
@@ -581,7 +582,8 @@ def test_measure_z_matches_dense_projector():
     rho = _random_operator(3, seed=43)
     dense = rho.to_dense()
     for qubit, outcome in [(0, 0), (0, 1), (2, 0), (2, 1)]:
-        p, state = rho.measure_z([[qubit]])[outcome]
+        probs, post = rho.measure_z([[qubit]])
+        p, state = probs[outcome], post(outcome)
         proj = np.diag([1.0, 0.0] if outcome == 0 else [0.0, 1.0])
         full = np.kron(proj, np.eye(4)) if qubit == 0 else np.kron(np.eye(4), proj)
         projected = full @ dense @ full
@@ -592,23 +594,27 @@ def test_measure_z_matches_dense_projector():
 
 
 def test_measure_z_of_a_basis_state_has_no_second_state():
-    zero = _operator(1, {(0, 0): 0.5, (0, 1): 0.5})
-    (p0, post0), (p1, post1) = zero.measure_z([[0]])
-    assert p0 == 1.0 and post0 == maximally_mixed(1)
-    assert p1 == 0.0 and post1 is None
+    zero = _operator(1, {(0, 0): 1.0, (0, 1): 1.0})
+    (p0, p1), post = zero.measure_z([[0]])
+    assert p0 == 1.0 and post(0) == maximally_mixed(1)
+    assert p1 == 0.0
+    with pytest.raises(UsageError, match="outcome 1 has probability 0.0"):
+        post(1)
 
 
 def test_measure_z_prunes_a_tiny_identity_like_project_z():
     # the identity term falls under PRUNE_TOL relative to the X term, so
     # both paths read probability 0 for both outcomes
     op = _operator(2, {(0, 0): 1e-14, (0b10, 0): 1.0})
-    for outcome, (p, state) in enumerate(op.measure_z([[0]])):
+    probs, post = op.measure_z([[0]])
+    for outcome, p in enumerate(probs):
         assert p == op.project_z(0, outcome)[0] == 0.0
-        assert state is None
+        with pytest.raises(UsageError):
+            post(outcome)
 
 
 def test_measure_z_rejects_complex_probability_and_bad_qubit():
-    skew = _operator(1, {(0, 0): 0.5 + 0.5j, (0, 1): 0.5})
+    skew = _operator(1, {(0, 0): 1.0 + 1.0j, (0, 1): 1.0})
     with pytest.raises(ProtocolError, match="not real"):
         skew.measure_z([[0]])
     with pytest.raises(UsageError):
@@ -632,9 +638,9 @@ def test_measure_z_of_parity_sets_matches_dense_projectors(sets):
     op = PauliOperator.from_dense((rho + flip @ rho @ flip) / 2)
     dense = op.to_dense()
     measured = [q for qs in sets for q in qs]
-    results = op.measure_z(sets)
-    assert len(results) == 2 ** len(sets)
-    for outcome, (p, state) in enumerate(results):
+    probs, post = op.measure_z(sets)
+    assert len(probs) == 2 ** len(sets)
+    for outcome, p in enumerate(probs):
         proj = np.eye(16)
         for j, qs in enumerate(sets):
             parity = (outcome >> (len(sets) - 1 - j)) & 1
@@ -642,8 +648,8 @@ def test_measure_z_of_parity_sets_matches_dense_projectors(sets):
         projected = proj @ dense @ proj
         assert p == pytest.approx(np.trace(projected).real, abs=1e-14)
         want = PauliOperator.from_dense(projected / p).reset_to_mixed(measured)
-        assert np.allclose(state.to_dense(), want.to_dense(), atol=1e-12)
-    assert sum(p for p, _ in results) == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(post(outcome).to_dense(), want.to_dense(), atol=1e-12)
+    assert sum(probs) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_measure_z_of_a_set_refuses_words_outside_its_parity_span():
@@ -652,7 +658,7 @@ def test_measure_z_of_a_set_refuses_words_outside_its_parity_span():
     with pytest.raises(ProtocolError, match="2 words .* outside the span"):
         zero_zero.measure_z([[0, 1]])
     # each qubit alone is always in span
-    assert [p for p, _ in zero_zero.measure_z([[0], [1]])] == [1.0, 0.0, 0.0, 0.0]
+    assert zero_zero.measure_z([[0], [1]])[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("sets", [[[0], [0]], [[0, 1], [1]], [[]], [[2]]])
@@ -719,7 +725,6 @@ def _ref_partial_trace(num_qubits, terms_in, traced):
     traced_set = set(traced)
     kept = [q for q in range(num_qubits) if q not in traced_set]
     kill = sum(1 << q for q in traced_set)
-    factor = 2.0 ** len(traced_set)
     terms = {}
     for (x, z), c in terms_in.items():
         if (x | z) & kill:
@@ -728,11 +733,11 @@ def _ref_partial_trace(num_qubits, terms_in, traced):
         for i, q in enumerate(kept):
             nx |= _bit(x, q) << i
             nz |= _bit(z, q) << i
-        terms[(nx, nz)] = terms.get((nx, nz), 0j) + c * factor
+        terms[(nx, nz)] = terms.get((nx, nz), 0j) + c
     return _ref_pruned(terms)
 
 
-def _ref_measure_z(num_qubits, terms_in, qubit):
+def _ref_measure_z(terms_in, qubit):
     zbit = 1 << qubit
     acc0, acc1 = {}, {}
     for key, c in terms_in.items():
@@ -755,7 +760,7 @@ def _ref_measure_z(num_qubits, terms_in, qubit):
             continue
         tol = PRUNE_TOL * biggest
         ident = acc.get((0, 0), 0j)
-        p = ((ident if abs(ident) >= tol else 0j) * 2**num_qubits).real
+        p = (ident if abs(ident) >= tol else 0j).real
         if p <= 0.0:
             out.append((p, None))
             continue
@@ -795,12 +800,12 @@ def _hermitian_sparse(num_qubits, num_terms, seed):
 def test_measure_z_matches_dict_engine(num_qubits):
     op = _hermitian_sparse(num_qubits, 300, seed=num_qubits)
     for qubit in _edges(num_qubits):
-        want = _ref_measure_z(num_qubits, op.terms, qubit)
-        for (p, state), (want_p, want_terms) in zip(op.measure_z([[qubit]]), want):
-            assert p == want_p
-            assert (state is None) == (want_terms is None)
-            if state is not None:
-                _assert_matches(state, num_qubits, want_terms)
+        want = _ref_measure_z(op.terms, qubit)
+        probs, post = op.measure_z([[qubit]])
+        for outcome, (want_p, want_terms) in enumerate(want):
+            assert probs[outcome] == want_p
+            if want_terms is not None:
+                _assert_matches(post(outcome), num_qubits, want_terms)
 
 
 @pytest.mark.parametrize("num_qubits", ENGINE_WIDTHS)

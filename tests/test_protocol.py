@@ -1,5 +1,8 @@
 """Deal / evaluate / reconstruct over the share grid."""
 
+import warnings
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -69,7 +72,7 @@ def test_strict_params():
 
 
 def test_relaxed_params():
-    params = SchemeParams.relaxed(n=3, s=2, budget=1)
+    params = SchemeParams(n=3, s=2, t=3)
     assert (params.s, params.t) == (2, 3)
     assert not params.strict_mode
     assert params.budget == 1
@@ -81,8 +84,8 @@ def test_relaxed_params():
         lambda: SchemeParams.strict(n=0, k=1, kprime=1),
         lambda: SchemeParams.strict(n=2, k=0, kprime=1),
         lambda: SchemeParams.strict(n=2, k=2, kprime=3),  # k'/k not an integer
-        lambda: SchemeParams.relaxed(n=2, s=0),
-        lambda: SchemeParams.relaxed(n=2, s=1, budget=-1),
+        lambda: SchemeParams(n=2, s=0, t=0),
+        lambda: SchemeParams(n=2, s=1, t=-3),
         lambda: SchemeParams(n=2, s=3, t=4),  # partial triple
         lambda: SchemeParams(n=2, s=2, t=3, strict_mode=True),  # s not 3k
         lambda: SchemeParams(n=2, s=3, t=0, strict_mode=True),  # no triple
@@ -141,7 +144,7 @@ def test_every_supported_kind_acts_logically(m):
     """Each kind supported at m, alone on a random mixed 2-row secret,
     reconstructs to its logical action: both even classes, and odd m on
     both sides of the S/Sdg swap (m = 1 and 3 mod 4)."""
-    params = SchemeParams.relaxed(n=m - 1, s=2)
+    params = SchemeParams(n=m - 1, s=2, t=0)
     rng = np.random.default_rng(800 + m)
     secret = random_density_matrix(2, rng)
     shared = deal(params, secret)
@@ -166,7 +169,7 @@ def test_logical_unitary_row_order():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_encoding_circuit_is_the_ladder_on_every_row(n):
-    layout = SchemeParams.relaxed(n=n, s=2, budget=1).layout()
+    layout = SchemeParams(n=n, s=2, t=3).layout()
     ladder = ladder_circuit(n + 1).gates
     gates = encoding_circuit(layout).gates
     assert len(gates) == layout.rows * len(ladder)
@@ -185,11 +188,11 @@ def test_deal_produces_trace_one_grid_state():
 
 
 def _dealt_word(params, word, coeff):
-    """Deal I/2^s + coeff * word (a state for |coeff| <= 2^-s) and return
-    the one non-identity dealt term."""
+    """Deal the secret with <I> = 1 and <word> = coeff (a state for
+    |coeff| <= 1) and return the one non-identity dealt term."""
     s = len(word)
     secret = PauliOperator.from_terms(
-        s, [(PauliString.identity(s), 2.0**-s), (PauliString.from_letters(word), coeff)]
+        s, [(PauliString.identity(s), 1.0), (PauliString.from_letters(word), coeff)]
     )
     shared = deal(params, secret)
     assert shared.state.num_terms == 2
@@ -199,32 +202,32 @@ def _dealt_word(params, word, coeff):
 
 def test_deal_worked_example_odd_width():
     # five columns: every letter of the secret word is copied down its row
-    params = SchemeParams.relaxed(n=4, s=3)
-    ps, coeff = _dealt_word(params, "XYZ", 0.15 * 0.12 * 0.09)
+    params = SchemeParams(n=4, s=3, t=0)
+    ps, coeff = _dealt_word(params, "XYZ", 0.30 * 0.24 * 0.18)
     assert ps.letters() == "XXXXX" + "YYYYY" + "ZZZZZ"
-    expected = 0.15 * 0.12 * 0.09 * 2.0**-12
+    expected = 0.30 * 0.24 * 0.18
     assert coeff == pytest.approx(expected)
 
 
 def test_deal_worked_example_even_width():
     # six columns: X keeps the dealer column clear, Y and Z mark it with Z
-    params = SchemeParams.relaxed(n=5, s=3)
-    ps, coeff = _dealt_word(params, "XYZ", 0.15 * 0.12 * 0.09)
+    params = SchemeParams(n=5, s=3, t=0)
+    ps, coeff = _dealt_word(params, "XYZ", 0.30 * 0.24 * 0.18)
     assert ps.letters() == "IXXXXX" + "ZYYYYY" + "ZZZZZZ"
-    expected = 0.15 * 0.12 * 0.09 * 2.0**-15
+    expected = 0.30 * 0.24 * 0.18
     assert coeff == pytest.approx(expected)
 
 
 def test_deal_worked_example_negative_y_sign():
     # four columns sit in the sign-flipping half of the period-four cycle
-    params = SchemeParams.relaxed(n=3, s=1)
-    ps, coeff = _dealt_word(params, "Y", 0.12)
+    params = SchemeParams(n=3, s=1, t=0)
+    ps, coeff = _dealt_word(params, "Y", 0.24)
     assert ps.letters() == "ZYYY"
-    assert coeff == pytest.approx(-0.12 * 2.0**-3)
+    assert coeff == pytest.approx(-0.24)
 
 
 def test_deal_of_maximally_mixed_secret_is_trivial():
-    params = SchemeParams.relaxed(n=3, s=2)
+    params = SchemeParams(n=3, s=2, t=0)
     shared = deal(params, maximally_mixed(2))
     assert shared.state.num_terms == 1
     ((ps, _),) = shared.state.items()
@@ -232,7 +235,7 @@ def test_deal_of_maximally_mixed_secret_is_trivial():
 
 
 def test_deal_validates_secret():
-    params = SchemeParams.relaxed(n=2, s=2)
+    params = SchemeParams(n=2, s=2, t=0)
     with pytest.raises(UsageError):
         deal(params, basis_secret(3, 0))  # wrong size
     with pytest.raises(UsageError):
@@ -242,8 +245,8 @@ def test_deal_validates_secret():
 
 
 def test_deal_at_the_last_normal_float64_scale_round_trips():
-    # 1,022 qubits: the identity coefficient is 2^-1022, float64's smallest
-    # normal number
+    # 1,022 qubits: a coefficient scaled by 2^-N would be 2^-1022 on the
+    # identity, float64's smallest normal number; <I> is 1 at any size
     secret = basis_secret(1, 0)
     shared = deal(SchemeParams(n=1021, s=1, t=0), secret)
     assert shared.state.num_qubits == 1022
@@ -251,16 +254,15 @@ def test_deal_at_the_last_normal_float64_scale_round_trips():
     assert reconstruct(shared).trace_distance(secret) <= 1e-10
 
 
-def test_deal_refuses_grids_past_the_normal_float64_range(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("built a term before the refusal")
-
-    monkeypatch.setattr(protocol, "_as_secret_operator", forbidden)
-    monkeypatch.setattr(protocol, "encoding_circuit", forbidden)
-    with pytest.raises(ResourceError, match="float64"):
-        deal(SchemeParams(n=1022, s=1, t=0), basis_secret(1, 0))
-    with pytest.raises(ResourceError, match=r"1212 requested"):
-        deal(SchemeParams(n=100, s=3, t=9), basis_secret(3, 0))
+@pytest.mark.parametrize("s, t", [(3, 9), (11, 0)])
+def test_deal_past_the_normal_float64_range_round_trips(s, t):
+    # 1,212 and 1,111 qubits, where 2^-N leaves float64's range (2^-1111
+    # is 0.0); a basis secret has 2^s words, each triple brings R's 29
+    secret = reduce(PauliOperator.tensor, [basis_secret(1, 1)] * s)
+    shared = deal(SchemeParams(n=100, s=s, t=t), secret)
+    assert shared.state.num_qubits == 101 * (s + t)
+    assert shared.state.num_terms == 2**s * 29 ** (t // 3)
+    assert reconstruct(shared).trace_distance(secret) <= 1e-10
 
 
 @pytest.mark.parametrize("case", ["basis", "generic"])
@@ -325,7 +327,7 @@ def test_a_gadget_leaves_the_unconsumed_triple_intact(mode, seed):
         assert branch.consumed_ancillas == frozenset({0})
         assert view(branch.state, 1).approx_equal(view(dealt, 1))
         mixed = view(branch.state, 0)
-        assert mixed.num_terms == 1 and coeff(mixed, "I" * 9) == pytest.approx(2.0**-9)
+        assert mixed.num_terms == 1 and coeff(mixed, "I" * 9) == pytest.approx(1.0)
         assert trace_distance(reconstruct(branch).to_dense(), target) < 1e-9
 
 
@@ -334,7 +336,7 @@ def test_a_letter_left_on_a_consumed_row_raises():
     # holding X on its first qubit
     core = generic_secret(3).embedded(9, range(0, 9, 3))
     stray = PauliOperator.from_terms(
-        9, [(PauliString.identity(9), 2.0**-9), (PauliString.from_letters("X" + "I" * 8), 2.0**-9)]
+        9, [(PauliString.identity(9), 1.0), (PauliString.from_letters("X" + "I" * 8), 1.0)]
     )
     with pytest.raises(ProtocolError, match="consumed ancilla triple"):
         protocol._settled(core.tensor(stray), (), 9)
@@ -362,10 +364,10 @@ def test_magic_state_operator_shape():
     assert op.num_qubits == 3
     assert op.num_terms == 29
     assert op.trace() == pytest.approx(1.0)
-    assert coeff(op, "III") == pytest.approx(0.125)
-    assert coeff(op, "IXX") == pytest.approx(0.0625)
-    # purity: sum of squared coefficients times the dimension is 1
-    purity = sum(abs(c) ** 2 for _, c in op.items()) * 8
+    assert coeff(op, "III") == pytest.approx(1.0)
+    assert coeff(op, "IXX") == pytest.approx(0.5)
+    # purity: sum of squared expectation values over the dimension is 1
+    purity = sum(abs(c) ** 2 for _, c in op.items()) / 8
     assert purity == pytest.approx(1.0)
 
 
@@ -377,7 +379,7 @@ def test_magic_state_operator_shape():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_round_trip_random_secret(n):
     rng = np.random.default_rng(100 + n)
-    params = SchemeParams.relaxed(n=n, s=2)
+    params = SchemeParams(n=n, s=2, t=0)
     secret = PauliOperator.from_dense(random_density_matrix(2, rng))
     assert _operator_distance(reconstruct(deal(params, secret)), secret) < 1e-12
 
@@ -389,7 +391,7 @@ def test_round_trip_with_ancillas():
 
 
 def test_reconstruct_requires_every_column():
-    params = SchemeParams.relaxed(n=2, s=1)
+    params = SchemeParams(n=2, s=1, t=0)
     shared = deal(params, basis_secret(1, 0))
     assert reconstruct(shared, columns=[1, 2, 3]).num_qubits == 1
     with pytest.raises(ProtocolError):
@@ -404,7 +406,7 @@ def test_reconstruct_requires_every_column():
 
 
 def test_empty_script_is_identity():
-    params = SchemeParams.relaxed(n=2, s=2)
+    params = SchemeParams(n=2, s=2, t=0)
     shared = deal(params, basis_secret(2, 1))
     branches, transcript = evaluate(shared, EvaluationScript(2, ()))
     assert len(branches) == 1
@@ -414,7 +416,7 @@ def test_empty_script_is_identity():
 
 
 def test_evaluate_checks_script_and_mode():
-    params = SchemeParams.relaxed(n=2, s=2)
+    params = SchemeParams(n=2, s=2, t=0)
     shared = deal(params, basis_secret(2, 0))
     with pytest.raises(UsageError):
         evaluate(shared, EvaluationScript(3, ()))
@@ -425,7 +427,7 @@ def test_evaluate_checks_script_and_mode():
 
 
 def test_single_clifford_matches_logical_action():
-    params = SchemeParams.relaxed(n=2, s=3)
+    params = SchemeParams(n=2, s=3, t=0)
     secret = basis_secret(3, 0)
     script = EvaluationScript(3, (Gate("H", (1,)),))
     (branch,), _ = evaluate(deal(params, secret), script)
@@ -435,7 +437,7 @@ def test_single_clifford_matches_logical_action():
 
 
 def test_cnot_at_even_width():
-    params = SchemeParams.relaxed(n=3, s=2)
+    params = SchemeParams(n=3, s=2, t=0)
     script = EvaluationScript(2, (Gate("CNOT", (1, 2)),))
     (branch,), _ = evaluate(deal(params, basis_secret(2, 0b10)), script)
     assert _operator_distance(reconstruct(branch), basis_secret(2, 0b11)) < 1e-12
@@ -444,7 +446,7 @@ def test_cnot_at_even_width():
 @pytest.mark.parametrize("n", [2, 3])
 def test_clifford_scripts_compose(n):
     rng = np.random.default_rng(7 * n)
-    params = SchemeParams.relaxed(n=n, s=3)
+    params = SchemeParams(n=n, s=3, t=0)
     secret = PauliOperator.from_dense(random_density_matrix(3, rng))
     script = random_clifford_script(params.n + 1, 3, 5, rng)
     (branch,), _ = evaluate(deal(params, secret), script)
@@ -634,7 +636,7 @@ def test_equal_operators_with_different_corrections_stay_apart():
     for grp in groups:
         ((bits, prob),) = zip(map(tuple, grp.outcomes.tolist()), grp.probs.tolist())
         assert prob == pytest.approx(0.5)
-        assert coeff(grp.op, "IZ") == pytest.approx(0.25 if bits == (0,) else -0.25)
+        assert coeff(grp.op, "IZ") == pytest.approx(1.0 if bits == (0,) else -1.0)
 
 
 @pytest.mark.parametrize(
@@ -810,7 +812,7 @@ def test_evaluating_an_evaluated_branch_records_only_the_new_bits():
 
 
 def test_clifford_only_script_announces_nothing():
-    params = SchemeParams.relaxed(n=2, s=3)
+    params = SchemeParams(n=2, s=3, t=0)
     report = announce_distribution(
         params, EvaluationScript(3, (Gate("H", (1,)),)), basis_secret(3, 0)
     )
@@ -856,18 +858,57 @@ def test_parse_secret_amplitudes():
     op = parse_secret({"amplitudes": [1, 0, 0, 0]}, s=2)
     assert op.num_terms == 4
     for word in ("II", "IZ", "ZI", "ZZ"):
-        assert coeff(op, word) == pytest.approx(0.25)
+        assert coeff(op, word) == pytest.approx(1.0)
 
 
 def test_parse_secret_amplitudes_normalize_and_accept_pairs():
     op = parse_secret({"amplitudes": [[3, 0], [0, 3]]})
-    assert coeff(op, "Y") == pytest.approx(0.5)
+    assert coeff(op, "Y") == pytest.approx(1.0)
     assert op.trace() == pytest.approx(1.0)
 
 
 def test_parse_secret_pauli_form():
     op = parse_secret({"pauli": {"I": 0.5, "Z": 0.5}}, s=1)
     assert np.allclose(op.to_dense(), np.diag([1.0, 0.0]))
+
+
+def test_parse_secret_pauli_words_match_one_string_at_a_time():
+    # 70 letters: two mask words; the file's c_P are stored as <P> = 2^70 c_P
+    rng = np.random.default_rng(5)
+    words = ["I" * 70] + ["".join(rng.choice(list("IXYZ"), size=70)) for _ in range(20)]
+    values = [2.0**-70] + [float(v) * 2.0**-72 for v in rng.normal(size=20)]
+    op = parse_secret({"pauli": dict(zip(words, values))})
+    want = PauliOperator.from_terms(
+        70, [(PauliString.from_letters(w), v * 2.0**70) for w, v in zip(words, values)]
+    )
+    assert op == want and op.trace() == 1.0
+
+
+@pytest.mark.parametrize(
+    "words, bad",
+    [({"XI": 0.5, "IQ": 0.5, "Z_": 0.5}, "'Q'"), ({"II": 0.5, "X\u00e9": 0.5}, "'\u00e9'")],
+)
+def test_parse_secret_names_the_first_bad_letter(words, bad):
+    with pytest.raises(UsageError, match=f"unknown Pauli letter {bad}"):
+        parse_secret({"pauli": words})
+
+
+def test_deal_refuses_a_pauli_secret_past_float64_without_a_warning():
+    # c_I = 1 on 1,030 qubits is <I> = 2^1030, past float64's range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = parse_secret({"pauli": {"I" * 1030: 1.0}})
+    with pytest.raises(UsageError, match="trace 1"):
+        deal(SchemeParams(n=1, s=1030, t=0), op)
+
+
+def test_deal_refuses_a_non_hermitian_secret_on_many_qubits():
+    # <X^40> = 0.5i; read as Tr(rho P) / 2^40 its imaginary part would fall
+    # under an absolute bound of 1e-12
+    op = parse_secret({"pauli": {"I" * 40: 2.0**-40, "X" * 40: [0, 2.0**-41]}})
+    assert not op.is_hermitian
+    with pytest.raises(UsageError, match="secret must be Hermitian"):
+        deal(SchemeParams(n=1, s=40, t=0), op)
 
 
 @pytest.mark.parametrize(
