@@ -28,10 +28,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuits import expected_ladder_pauli
 from .dense import _check_cap
 from .errors import ResourceError, UsageError
-from .paulis import PauliOperator
+from .paulis import PauliOperator, _is_zero
 from .protocol import (
     SchemeParams,
     SharedState,
@@ -151,9 +153,15 @@ def _tagged_residuals(params: SchemeParams, coalition: Coalition) -> int:
     secret: the non-identity words of K_C^s times, per triple, the
     magic-state words the view keeps."""
     kernel = _row_kernel(params, coalition)
-    kept_resource = sum(
-        set(ps.letters()) <= kernel.keys() for ps, _ in magic_state_operator().items()
-    )
+    resource = magic_state_operator()
+    x, z = resource.x, resource.z
+    # a word holds X where x & ~z, Y where x & z and Z where ~x & z; it is
+    # kept when none of its letters lies outside K_C
+    outside = np.zeros_like(x)
+    for sigma, where in (("X", x & ~z), ("Y", x & z), ("Z", ~x & z)):
+        if sigma not in kernel:
+            outside |= where
+    kept_resource = int(np.count_nonzero(_is_zero(outside)))
     return (len(kernel) ** params.s - 1) * kept_resource**params.budget
 
 

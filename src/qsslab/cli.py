@@ -281,25 +281,49 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
 _FANOUT_IMAGES = {"X": lambda m: "X" * m, "Y": lambda m: "Y" + "X" * (m - 1), "Z": lambda m: "Z" + "I" * (m - 1)}
 
 
-def _conjugation_error(u: np.ndarray, sigma: str, image: PauliString) -> float:
+def _dense_work(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays for the dense checks of up to m columns: two complex and
+    one real array of 4^m entries, which every check overwrites."""
+    size = 4**m
+    return np.empty(size, dtype=complex), np.empty(size, dtype=complex), np.empty(size)
+
+
+def _conjugation_error(
+    u: np.ndarray, sigma: str, image: PauliString, work: tuple[np.ndarray, ...]
+) -> float:
     """max|U P - Q U| for P = sigma (x) I^(m-1) and Q the expected image,
     which vanishes exactly when U P U^dag = Q for a unitary U. Both Paulis
     are signed permutations, so no d x d product is formed: U P gathers and
-    signs U's columns, and Q U is U's rows, each scaled by Q's entry in its
-    column, at Q's rows. The form is blind to a scaled or non-unitary U and
-    vacuous for P = I; _dense_error adds the unitarity check."""
+    signs U's columns, and Q U gathers U's rows. Q's rows, c ^ x, are an
+    involution, so row r of Q U is U's row rows[r] times Q's entry in column
+    rows[r]. Both gathers land in work, d x d views of _dense_work's arrays;
+    rows is a permutation, so mode="clip" never clips and, unlike the
+    default, writes straight into them. The form is blind to a scaled or
+    non-unitary U and vacuous for P = I; _dense_error adds the unitarity
+    check."""
+    up, qu, mag = work
     p = PauliString.from_letters(sigma + "I" * (image.num_qubits - 1))
     rows, _, vals = p._signed_permutation()
-    diff = np.take(u, rows, axis=1) * vals
+    np.take(u, rows, axis=1, out=up, mode="clip")
+    up *= vals
     rows, _, vals = image._signed_permutation()
-    diff[rows] -= u * vals[:, None]
-    return float(np.max(np.abs(diff)))
+    np.take(u, rows, axis=0, out=qu, mode="clip")
+    qu *= vals[rows, None]
+    up -= qu
+    return float(np.max(np.abs(up, out=mag)))
 
 
-def _dense_error(u: np.ndarray, images: dict[str, PauliString]) -> float:
-    """The largest entry of |U U^dag - I| and of every letter's |U P - Q U|."""
-    worst = float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
-    return max(worst, *(_conjugation_error(u, sigma, image) for sigma, image in images.items()))
+def _dense_error(u: np.ndarray, images: dict[str, PauliString], work: tuple[np.ndarray, ...]) -> float:
+    """The largest entry of |U U^dag - I| and of every letter's |U P - Q U|,
+    computed in d x d views of work, the arrays of _dense_work."""
+    d = len(u)
+    work = tuple(w[: d * d].reshape(d, d) for w in work)
+    prod, adj, mag = work
+    np.conjugate(u.T, out=adj)
+    np.matmul(u, adj, out=prod)
+    prod.reshape(-1)[:: d + 1] -= 1
+    worst = float(np.max(np.abs(prod, out=mag)))
+    return max(worst, *(_conjugation_error(u, sigma, image, work) for sigma, image in images.items()))
 
 
 def _letters_on_qubit_0(m: int) -> PauliOperator:
@@ -332,14 +356,17 @@ def cmd_verify_ladder(options: dict) -> Report:
                 mismatches += terms.get((want.x, want.z)) != want.phase_factor()
         report.add(f"ladder-symbolic-m{m}", mismatches, 0)
 
+    # one set of work arrays for every dense check, and one unitary alive
+    # at a time: each is built as the argument of its own check
+    work = _dense_work(dense_hi)
     for m in range(lo, dense_hi + 1):
-        U = build_unitary(ladder_circuit(m))
         images = {sigma: expected_ladder_pauli(m, sigma) for sigma in "XYZ"}
-        report.add(f"ladder-dense-m{m}", _dense_error(U, images), tol)
+        report.add(f"ladder-dense-m{m}", _dense_error(build_unitary(ladder_circuit(m)), images, work), tol)
 
-        A = build_unitary(ladder_fanout_circuit(m))
         images = {sigma: PauliString.from_letters(image(m)) for sigma, image in _FANOUT_IMAGES.items()}
-        report.add(f"fanout-lemma-m{m}", _dense_error(A, images), tol)
+        report.add(
+            f"fanout-lemma-m{m}", _dense_error(build_unitary(ladder_fanout_circuit(m)), images, work), tol
+        )
 
     report.notes.extend(LADDER_NOTES)
     return report

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qsslab.audit import AUDIT_TOLERANCE, Coalition
+from qsslab.audit import AUDIT_TOLERANCE, Coalition, _row_kernel
 from qsslab.circuits import CLIFFORD_KINDS, GATE_ARITY, Gate, column_kinds
 from qsslab.dense import GATE_MATRICES
 from qsslab.errors import UnsupportedGateError, UsageError
@@ -74,6 +74,18 @@ def kron_matrix(ps):
     """i^phase times the Kronecker product of the letter matrices."""
     mats = [GATE_MATRICES[ps.letter(q)] for q in range(ps.num_qubits)]
     return ps.phase_factor() * reduce(np.kron, mats, np.eye(1, dtype=complex))
+
+
+def dense_error(u, images):
+    """The largest entry of |U U^dag - I| and, for each letter sigma with
+    image Q, of |U P - Q U| with P = sigma on qubit 0: every P and Q a
+    Kronecker matrix and every product a full matrix product."""
+    m = len(u).bit_length() - 1
+    worst = np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
+    for sigma, image in images.items():
+        p = kron_matrix(PauliString.from_letters(sigma + "I" * (m - 1)))
+        worst = max(worst, np.max(np.abs(u @ p - kron_matrix(image) @ u)))
+    return float(worst)
 
 
 def column_of(layout, qubit):
@@ -140,6 +152,14 @@ def generic_secret(s):
             coeff *= _GENERIC_WEIGHTS[letter]
         entries.append((PauliString.from_letters("".join(word)), coeff))
     return PauliOperator.from_terms(s, entries)
+
+
+def tagged_residuals(params, coalition):
+    """(|K_C|^s - 1) R_C^budget, with R_C counted by reading each
+    magic-state word's letters and keeping it when all lie in K_C."""
+    kernel = _row_kernel(params, coalition)
+    kept = sum(set(ps.letters()) <= kernel.keys() for ps, _ in magic_state_operator().items())
+    return (len(kernel) ** params.s - 1) * kept**params.budget
 
 
 def flat_deal(params, secret):

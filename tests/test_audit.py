@@ -34,6 +34,7 @@ from reference import (
     eq16_form_check,
     generic_secret,
     maximally_mixed,
+    tagged_residuals,
 )
 
 
@@ -197,6 +198,23 @@ def _proper_coalitions(n):
     for size in range(1, len(parties)):
         for members in itertools.combinations(parties, size):
             yield Coalition(n, frozenset(members))
+
+
+def test_tagged_residuals_match_the_letters_based_count():
+    # the x/z mask test of each resource word against reading its letters,
+    # for every coalition: the covered ones and every uncovered one, the
+    # full and the dealer-less coalitions included
+    checked = 0
+    for n, s, budget in itertools.product(range(2, 8), (1, 3), range(3)):
+        params = SchemeParams(n=n, s=s, t=3 * budget)
+        parties = ["alice"] + [f"p{i}" for i in range(1, n + 1)]
+        for size in range(1, len(parties) + 1):
+            for members in itertools.combinations(parties, size):
+                coalition = Coalition(n, frozenset(members))
+                where = (n, s, budget, coalition.label())
+                assert _tagged_residuals(params, coalition) == tagged_residuals(params, coalition), where
+                checked += 1
+    assert checked == 6 * sum(2 ** (n + 1) - 1 for n in range(2, 8))
 
 
 def test_secret_row_terms_are_the_secret_dependent_terms():

@@ -14,6 +14,8 @@ from qsslab.cli import main
 from qsslab.errors import UsageError
 from qsslab.paulis import PauliOperator, PauliString
 
+from reference import dense_error
+
 TOP_LEVEL_KEYS = [
     "tool",
     "version",
@@ -172,13 +174,49 @@ def test_dense_ladder_error_catches_a_flipped_image_and_a_non_unitary_matrix():
     m = 4
     u = cli.build_unitary(circuits.ladder_circuit(m))
     images = {sigma: cli.expected_ladder_pauli(m, sigma) for sigma in "XYZ"}
-    assert cli._dense_error(u, images) == 0.0
+    work = cli._dense_work(m)
+    views = tuple(w.reshape(2**m, 2**m) for w in work)
+    assert cli._dense_error(u, images, work) == 0.0
     y = images["Y"]
     flipped = dict(images, Y=PauliString(y.num_qubits, y.x, y.z, y.phase + 2))
-    assert cli._dense_error(u, flipped) == pytest.approx(2.0)
+    assert cli._dense_error(u, flipped, work) == pytest.approx(2.0)
     for wrong, error in ((2 * u, 3.0), (np.zeros_like(u), 1.0)):
-        assert max(cli._conjugation_error(wrong, s, q) for s, q in images.items()) == 0.0
-        assert cli._dense_error(wrong, images) == pytest.approx(error)
+        assert max(cli._conjugation_error(wrong, s, q, views) for s, q in images.items()) == 0.0
+        assert cli._dense_error(wrong, images, work) == pytest.approx(error)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_dense_ladder_error_matches_full_matrix_products(m):
+    # the gathers against Kronecker matrices and full products, on matrices
+    # that are not unitary: near-unitary ones, where U P - Q U is the larger
+    # term, and unscaled ones, where U U^dag - I is; the images are random
+    # words whose phases include i, -1 and -i. The work arrays are sized for
+    # a wider ladder and hold NaN, so any entry a check reads but did not
+    # write shows up.
+    rng = np.random.default_rng(m)
+    d = 2**m
+    work = cli._dense_work(m + 1)
+    phases = set()
+    for trial in range(12):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        near = np.linalg.qr(g)[0] + 0.01 * g / np.sqrt(d)
+        images = {}
+        for sigma in "XYZ":
+            phase = int(rng.integers(4))
+            phases.add(phase)
+            letters = "".join(rng.choice(list("IXYZ"), size=m))
+            images[sigma] = PauliString.from_letters(letters, phase)
+        for u in (near, g):
+            for w in work:
+                w.fill(np.nan)
+            want = dense_error(u, images)
+            assert cli._dense_error(u, images, work) == pytest.approx(want, rel=1e-12), trial
+            for sigma, image in images.items():
+                one = {sigma: image}
+                assert cli._dense_error(u, one, work) == pytest.approx(
+                    dense_error(u, one), rel=1e-12
+                ), (trial, sigma)
+    assert phases == {0, 1, 2, 3}
 
 
 def test_verify_ladder_catches_a_scaled_unitary(tmp_path, monkeypatch):

@@ -91,6 +91,20 @@ def test_to_matrix_equals_kron_reference_exactly(n):
             assert np.array_equal(_to_matrix(ps), kron_matrix(ps)), (letters, phase)
 
 
+def test_signed_permutation_rows_are_a_permutation_and_an_involution():
+    # the dense ladder check gathers U's rows through Q's rows with
+    # mode="clip", which is exact only when rows permutes range(2^n), and
+    # reads row r of Q U from rows[r], which needs rows[rows] = cols
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(0, 11))
+        letters = "".join(rng.choice(list("IXYZ"), size=n))
+        rows, cols, _ = PauliString.from_letters(letters, int(rng.integers(4)))._signed_permutation()
+        assert np.array_equal(cols, np.arange(2**n)), letters
+        assert np.array_equal(np.sort(rows), cols), letters
+        assert np.array_equal(rows[rows], cols), letters
+
+
 def test_dense_cap_enforced():
     with pytest.raises(ResourceError):
         PauliString.identity(13)._signed_permutation()
