@@ -239,10 +239,12 @@ def secret_independence_check(
         )
     notes = []
     if not coalition.covered_by_security_argument:
+        reasons = [] if coalition.includes_alice else ["the dealer is absent"]
+        if all(h == "alice" for h in coalition.honest):
+            reasons.append("no participant besides the dealer is honest")
         notes.append(
-            "coalition leaves no honest participant besides the dealer side; "
-            "residuals are reported descriptively, without a pass/fail claim "
-            "from the security argument"
+            f"{' and '.join(reasons)}: residuals are reported descriptively, "
+            "without a pass/fail claim from the security argument"
         )
     residuals = _tagged_residuals(params, coalition)
 

@@ -12,7 +12,9 @@ The file format (one JSON object per line) is::
     {"g": "MEASURE_Z", "q": [2], "c": 0}
     {"g": "X", "q": [5], "cond": "b0^b2"}
 
-Conditions are XOR combinations of previously written classical bits.
+Conditions are XOR combinations of previously written classical bits. A
+gate holds its condition as the tuple of bit slots the XOR reads; the
+file's ``cond`` text is parsed once, into that tuple, as the file is read.
 """
 
 from __future__ import annotations
@@ -37,19 +39,14 @@ _COND_RE = re.compile(r"^b\d+(\^b\d+)*$")
 
 
 def parse_condition(expr: str) -> tuple[int, ...]:
-    """Bit slots of an XOR expression like ``"b0^b2"``."""
+    """Bit slots of an XOR expression like ``"b0^b2"``, ascending. A slot
+    XORed with itself cancels, so ``"b0^b0"`` reads none and never fires."""
     if not _COND_RE.match(expr):
         raise UsageError(f"malformed condition {expr!r}; expected e.g. 'b0^b2'")
-    return tuple(int(tok[1:]) for tok in expr.split("^"))
-
-
-def evaluate_condition(expr: str, bits: Sequence[int]) -> bool:
-    acc = 0
-    for slot in parse_condition(expr):
-        if slot >= len(bits):
-            raise UsageError(f"condition {expr!r} reads unwritten bit b{slot}")
-        acc ^= bits[slot]
-    return bool(acc)
+    odd: set[int] = set()
+    for tok in expr.split("^"):
+        odd ^= {int(tok[1:])}
+    return tuple(sorted(odd))
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class Gate:
     kind: str
     qubits: tuple[int, ...]
     classical_bit: int | None = None
-    condition: str | None = None
+    condition: tuple[int, ...] | None = None  # distinct bit slots, XORed
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_ARITY:
@@ -75,8 +72,8 @@ class Gate:
                 raise UsageError("measurements cannot be conditioned")
         elif self.classical_bit is not None:
             raise UsageError("only MEASURE_Z writes a classical bit")
-        if self.condition is not None:
-            parse_condition(self.condition)
+        if self.condition is not None and not isinstance(self.condition, tuple):
+            raise UsageError(f"a condition is a slot tuple, not {type(self.condition).__name__}")
 
 
 @dataclass(frozen=True)
@@ -88,12 +85,18 @@ class Circuit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
         written: set[int] = set()
+        # written slots only grow, so a condition object that passed once
+        # passes at every later gate sharing it
+        checked: set[int] = set()
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < self.num_qubits:
                     raise UsageError(f"gate {g.kind} touches qubit {q}, out of range")
-            if g.condition is not None:
-                for slot in parse_condition(g.condition):
+            if g.condition is not None and id(g.condition) not in checked:
+                checked.add(id(g.condition))
+                if len(set(g.condition)) != len(g.condition):
+                    raise UsageError(f"condition {g.condition!r} repeats a bit slot")
+                for slot in g.condition:
                     if slot not in written:
                         raise UsageError(
                             f"condition {g.condition!r} reads bit b{slot} before it is written"
@@ -137,14 +140,16 @@ def gates_from_lines(text: str) -> list[Gate]:
             raise UsageError(f"line {ln}: not valid JSON ({exc.msg})") from None
         if not isinstance(obj, dict) or "g" not in obj or "q" not in obj:
             raise UsageError(f"line {ln}: expected keys 'g' and 'q'")
-        gates.append(
-            Gate(
-                str(obj["g"]),
-                tuple(int(q) for q in obj["q"]),
-                obj.get("c"),
-                obj.get("cond"),
-            )
-        )
+        qubits, bit, cond = obj["q"], obj.get("c"), obj.get("cond")
+        # a JSON true is a Python int, and 1.7 would truncate to 1
+        if not isinstance(qubits, list) or any(type(q) is not int for q in qubits):
+            raise UsageError(f"line {ln}: 'q' must be a list of integers")
+        if bit is not None and type(bit) is not int:
+            raise UsageError(f"line {ln}: 'c' must be an integer")
+        if cond is not None and not isinstance(cond, str):
+            raise UsageError(f"line {ln}: 'cond' must be a string")
+        slots = None if cond is None else parse_condition(cond)
+        gates.append(Gate(str(obj["g"]), tuple(qubits), bit, slots))
     return gates
 
 
@@ -321,7 +326,7 @@ def column_kinds(kind: str, m: int) -> tuple[str, ...]:
 
 
 def _row_gates(
-    kind: str, rows: Sequence[int], layout: ShareLayout, condition: str | None = None
+    kind: str, rows: Sequence[int], layout: ShareLayout, condition: tuple[int, ...] | None = None
 ) -> list[Gate]:
     """Column-local gates realizing logical ``kind`` on the given rows, each
     carrying ``condition``; identity columns emit nothing."""
@@ -403,14 +408,12 @@ def toffoli_gadget(
     # X-basis readout of row t: rotate each qubit, then measure everything
     for y in range(1, m + 1):
         gates.append(Gate("H", (layout.index_of(t, y),)))
-    bit = 0
-    xor_bits: dict[int, list[int]] = {c1: [], c2: [], t: []}
-    for row in (c1, c2, t):
-        for y in range(1, m + 1):
+    cond = {}
+    for i, row in enumerate((c1, c2, t)):
+        # one slot tuple per row, shared by all of the row's corrections
+        cond[row] = tuple(range(i * m, (i + 1) * m))
+        for y, bit in enumerate(cond[row], start=1):
             gates.append(Gate("MEASURE_Z", (layout.index_of(row, y),), classical_bit=bit))
-            xor_bits[row].append(bit)
-            bit += 1
-    cond = {row: "^".join(f"b{b}" for b in xor_bits[row]) for row in (c1, c2, t)}
 
     gates += _row_gates("X", (a1,), layout, cond[c1])
     gates += _row_gates("CNOT", (a2, a3), layout, cond[c1])

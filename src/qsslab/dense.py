@@ -224,8 +224,6 @@ def run_circuit(circuit: "Circuit", initial: StateVector) -> list[tuple[tuple[in
     Returns [(bits, probability, post_state)] with bits indexed by classical
     slot; unwritten slots read 0. Probabilities sum to 1.
     """
-    from .circuits import evaluate_condition
-
     if circuit.num_qubits != initial.num_qubits:
         raise UsageError("circuit/state qubit count mismatch")
     frontier: list[tuple[list[int], float, StateVector]] = [
@@ -234,7 +232,7 @@ def run_circuit(circuit: "Circuit", initial: StateVector) -> list[tuple[tuple[in
     for gate in circuit.gates:
         nxt: list[tuple[list[int], float, StateVector]] = []
         for bits, prob, state in frontier:
-            if gate.condition is not None and not evaluate_condition(gate.condition, bits):
+            if gate.condition is not None and not sum(bits[s] for s in gate.condition) & 1:
                 nxt.append((bits, prob, state))
                 continue
             if gate.kind == "MEASURE_Z":

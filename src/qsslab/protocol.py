@@ -71,7 +71,6 @@ from .circuits import (
     gates_from_lines,
     ladder_circuit,
     magic_state_circuit,
-    parse_condition,
     toffoli_gadget,
     transversal_expand,
 )
@@ -406,19 +405,18 @@ def _merge(groups: list[_Group]) -> list[_Group]:
     ]
 
 
-def _measured_sets(gadget: Circuit) -> tuple[list[list[int]], dict[str, list[int]]]:
+def _measured_sets(gadget: Circuit) -> tuple[list[list[int]], dict[int, list[int]]]:
     """The gadget's measured bit slots, grouped into the sets whose parities
-    are measured, in the order of their last slots, and for each condition
-    the indices of the sets whose parities it XORs. The slots that exactly
-    the same conditions read form one set, so every condition is an XOR of
-    whole sets; a slot that no condition reads is a set of its own."""
+    are measured, in the order of their last slots, and for each condition,
+    keyed by the id of its slot tuple, the indices of the sets whose
+    parities it XORs. The slots that exactly the same conditions read form
+    one set, so every condition is an XOR of whole sets; a slot that no
+    condition reads is a set of its own."""
     slots = [g.classical_bit for g in gadget.gates if g.kind == "MEASURE_Z"]
-    reads: dict[str, set[int]] = {}
+    reads: dict[int, set[int]] = {}
     for g in gadget.gates:
-        if g.condition is not None and g.condition not in reads:
-            read = parse_condition(g.condition)
-            # a slot read twice cancels out of the XOR
-            reads[g.condition] = {s for s in read if read.count(s) % 2}
+        if g.condition is not None and id(g.condition) not in reads:
+            reads[id(g.condition)] = set(g.condition)
     by_readers: dict[object, list[int]] = {}
     for slot in slots:
         key = tuple(slot in read for read in reads.values())
@@ -510,11 +508,8 @@ def _run_gadget(
             drawn = [_draw(probs, list(qubit_of), sets, rng)]
         for pi, bits, p in drawn:
             parities = [(int(pi) >> (k - 1 - j)) & 1 for j in range(k)]
-            active = [
-                g
-                for g in corrections
-                if g.condition is None or sum(parities[j] for j in reads[g.condition]) % 2
-            ]
+            fires = {c: sum(parities[j] for j in js) % 2 for c, js in reads.items()}
+            active = [g for g in corrections if g.condition is None or fires[id(g.condition)]]
             row = np.array(parities if bits is None else bits, dtype=np.uint8)
             outcomes = np.hstack([grp.outcomes, np.broadcast_to(row, (len(grp.probs), len(row)))])
             out.append(_Group(post(pi).conjugate_circuit(active), outcomes, grp.probs * p))
@@ -728,6 +723,8 @@ def parse_secret(obj: dict, s: int | None = None) -> PauliOperator:
     if not isinstance(obj, dict):
         raise UsageError("secret file must hold a JSON object")
     if "amplitudes" in obj:
+        if not isinstance(obj["amplitudes"], list):
+            raise UsageError("'amplitudes' must be a list of numbers or [re, im] pairs")
         amps = np.array([_as_complex(a) for a in obj["amplitudes"]])
         num = int(amps.size).bit_length() - 1
         if 2**num != amps.size:

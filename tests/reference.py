@@ -5,7 +5,8 @@ with no shared kernel, so a test can compare the package's output with
 them exactly. The operator helpers stand in for constructors only the
 tests need, coeff reads one word's coefficient, bit_planes builds the bit
 planes of the Clifford kernel term by term, is_column_local is the locality
-check the circuit tests hold expansions to, and generic_secret is the input
+check the circuit tests hold expansions to, condition_slots and parity read
+a gate condition by counting slots one at a time, and generic_secret is the input
 of the audit's enumeration oracle. flat_deal is the dealt grid state
 expanded in one block, the form the factored SharedState.state must match.
 random_density_matrix, supported_logical_kinds and random_clifford_script
@@ -98,6 +99,24 @@ def column_of(layout, qubit):
 def is_column_local(circuit, layout):
     """True iff no gate touches two different columns."""
     return all(len({column_of(layout, q) for q in g.qubits}) <= 1 for g in circuit.gates)
+
+
+def condition_slots(expr):
+    """The slot tuple of an XOR text condition like "b0^b2": the slots read
+    an odd number of times, ascending."""
+    counts = {}
+    for token in expr.split("^"):
+        slot = int(token.removeprefix("b"))
+        counts[slot] = counts.get(slot, 0) + 1
+    return tuple(sorted(slot for slot, count in counts.items() if count % 2 == 1))
+
+
+def parity(condition, bits):
+    """Whether a slot-tuple condition fires on bits: the XOR of its slots."""
+    acc = 0
+    for slot in condition:
+        acc ^= bits[slot]
+    return acc == 1
 
 
 def pauli_operator(ps, coeff=1.0):

@@ -193,6 +193,23 @@ def test_all_participants_without_dealer_even_width():
     assert any("descriptively" in note for note in report.notes)
 
 
+@pytest.mark.parametrize(
+    "members, reasons",
+    [
+        ("p1,p3", ["the dealer is absent"]),
+        ("p1,p2,p3,p4", ["the dealer is absent", "no participant besides the dealer is honest"]),
+    ],
+)
+def test_uncovered_note_names_the_reasons_that_hold(members, reasons):
+    # alice, p2 and p4 are honest beside p1,p3, so only the dealer's absence
+    # leaves that coalition uncovered
+    report = secret_independence_check(SchemeParams(n=4, s=1, t=0), Coalition.parse(members, 4))
+    (note,) = [note for note in report.notes if "descriptively" in note]
+    assert note.startswith(" and ".join(reasons) + ":")
+    if len(reasons) == 1:
+        assert "honest" not in note
+
+
 def _proper_coalitions(n):
     parties = ["alice"] + [f"p{i}" for i in range(1, n + 1)]
     for size in range(1, len(parties)):

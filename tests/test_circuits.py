@@ -1,5 +1,7 @@
 """Gate/circuit model, ladder construction, share layout, gadget wiring."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from qsslab.circuits import (
     Circuit,
     Gate,
     ShareLayout,
-    evaluate_condition,
     expected_ladder_pauli,
     gates_from_lines,
     ladder_circuit,
@@ -21,7 +22,7 @@ from qsslab.dense import StateVector, build_unitary, run_circuit
 from qsslab.errors import UnsupportedGateError, UsageError
 from qsslab.paulis import PauliString
 
-from reference import is_column_local, kron_matrix, pauli_operator
+from reference import condition_slots, is_column_local, kron_matrix, pauli_operator
 
 
 # ---------------------------------------------------------------------------
@@ -31,21 +32,40 @@ from reference import is_column_local, kron_matrix, pauli_operator
 
 def test_parse_condition():
     assert parse_condition("b0") == (0,)
-    assert parse_condition("b3^b0^b12") == (3, 0, 12)
+    assert parse_condition("b3^b0^b12") == (0, 3, 12)
 
 
 @pytest.mark.parametrize("bad", ["", "b", "0", "b1^", "b1 ^ b2", "b1&b2", "c1"])
 def test_parse_condition_rejects_malformed(bad):
-    with pytest.raises(UsageError):
-        parse_condition(bad)
+    line = json.dumps({"g": "X", "q": [0], "cond": bad})
+    with pytest.raises(UsageError, match="malformed condition"):
+        gates_from_lines(line)
 
 
-def test_evaluate_condition_is_xor():
-    bits = [1, 0, 1]
-    assert evaluate_condition("b0", bits) is True
-    assert evaluate_condition("b0^b2", bits) is False
-    assert evaluate_condition("b0^b1^b2", bits) is False
-    assert evaluate_condition("b1^b2", bits) is True
+@pytest.mark.parametrize(
+    "text, slots",
+    [("b3^b0^b12", (0, 3, 12)), ("b0^b2^b0", (2,)), ("b0^b0", ()), ("b1^b1^b1", (1,))],
+)
+def test_gate_lines_read_a_condition_as_its_odd_slots(text, slots):
+    (gate,) = gates_from_lines(json.dumps({"g": "X", "q": [0], "cond": text}))
+    assert gate.condition == slots == condition_slots(text)
+
+
+def test_condition_is_xor():
+    # bits 1, 0, 1 are written, then each condition flips its own qubit
+    flips = {(0,): True, (0, 2): False, (0, 1, 2): False, (1, 2): True, (): False}
+    gates = [Gate("X", (0,)), Gate("X", (2,))]
+    gates += [Gate("MEASURE_Z", (q,), classical_bit=q) for q in range(3)]
+    gates += [Gate("X", (3 + j,), condition=c) for j, c in enumerate(flips)]
+    ((bits, prob, state),) = run_circuit(Circuit(8, 3, gates), StateVector.basis(8, 0))
+    assert bits == (1, 0, 1) and prob == pytest.approx(1.0)
+    expected = 0b10100000 | sum(1 << (4 - j) for j, fires in enumerate(flips.values()) if fires)
+    assert abs(state.amplitudes[expected]) == pytest.approx(1.0)
+
+
+def test_gate_refuses_a_text_condition():
+    with pytest.raises(UsageError, match="slot tuple"):
+        Gate("X", (0,), condition="b0")
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +85,7 @@ def test_gate_validation():
     with pytest.raises(UsageError):
         Gate("H", (0,), classical_bit=0)
     with pytest.raises(UsageError):
-        Gate("MEASURE_Z", (0,), classical_bit=0, condition="b0")
+        Gate("MEASURE_Z", (0,), classical_bit=0, condition=(0,))
 
 
 def test_circuit_rejects_out_of_range_qubit():
@@ -74,13 +94,23 @@ def test_circuit_rejects_out_of_range_qubit():
 
 
 def test_circuit_rejects_bit_read_before_write():
-    gates = (Gate("X", (0,), condition="b0"),)
+    gates = (Gate("X", (0,), condition=(0,)),)
     with pytest.raises(UsageError):
         Circuit(1, 1, gates)
     ok = Circuit(
-        1, 1, (Gate("MEASURE_Z", (0,), classical_bit=0), Gate("X", (0,), condition="b0"))
+        1, 1, (Gate("MEASURE_Z", (0,), classical_bit=0), Gate("X", (0,), condition=(0,)))
     )
     assert len(ok) == 2
+
+
+def test_circuit_checks_a_shared_condition_once_it_is_written():
+    # one tuple object on two gates: read before the write at the first
+    cond = (0,)
+    later = (Gate("MEASURE_Z", (0,), classical_bit=0), Gate("X", (0,), condition=cond))
+    with pytest.raises(UsageError, match="before it is written"):
+        Circuit(1, 1, (Gate("X", (0,), condition=cond),) + later)
+    with pytest.raises(UsageError, match="repeats a bit slot"):
+        Circuit(1, 1, later[:1] + (Gate("X", (0,), condition=(0, 0)),))
 
 
 def test_circuit_rejects_classical_bit_out_of_range():
@@ -116,7 +146,7 @@ def test_gate_lines_skip_comments_and_blanks():
         Gate("H", (0,)),
         Gate("CNOT", (0, 1)),
         Gate("MEASURE_Z", (1,), classical_bit=0),
-        Gate("Z", (0,), condition="b0"),
+        Gate("Z", (0,), condition=(0,)),
     ]
 
 
@@ -370,6 +400,28 @@ def test_gadget_measures_data_rows_row_major():
     assert measured == expected
     slots = [g.classical_bit for g in gadget if g.kind == "MEASURE_Z"]
     assert slots == list(range(9))
+
+
+def test_gadget_conditions_are_row_parities_at_n_1000():
+    # each correction reads the XOR of its row's m bits: c1's bits first,
+    # then c2's, then t's (the text form was "b0^b1^...^b1000" for c1)
+    layout = ShareLayout(s=3, t=3, n=1000)
+    m = layout.columns
+    gadget = toffoli_gadget((1, 2, 3), (4, 5, 6), layout)
+    texts = ["^".join(f"b{b}" for b in range(i * m, (i + 1) * m)) for i in range(3)]
+    # the corrected gate's kind and first row name the measured row it reads
+    row_of = {("X", 4): 0, ("CNOT", 5): 0, ("X", 5): 1, ("CNOT", 4): 1, ("Z", 6): 2, ("CZ", 4): 2}
+    shared = {0: set(), 1: set(), 2: set()}
+    counts = [0, 0, 0]
+    for g in gadget:
+        if g.condition is None:
+            continue
+        i = row_of[g.kind, g.qubits[0] // m + 1]
+        assert g.condition == condition_slots(texts[i])
+        shared[i].add(id(g.condition))
+        counts[i] += 1
+    assert counts == [2 * m] * 3
+    assert all(len(ids) == 1 for ids in shared.values())
 
 
 def test_gadget_refuses_even_width():

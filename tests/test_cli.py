@@ -302,6 +302,25 @@ def test_run_with_pauli_secret(tmp_path):
     assert _check(payload, "round-trip-distance")["passed"] is True
 
 
+SCRIPT_TYPE_CASES = {
+    "cond-not-a-string": ({"g": "X", "q": [1], "cond": 0}, "'cond' must be a string"),
+    "q-not-a-list": ({"g": "X", "q": 1}, "'q' must be a list of integers"),
+    "q-entry-a-string": ({"g": "X", "q": ["a"]}, "'q' must be a list of integers"),
+    "q-entry-a-float": ({"g": "X", "q": [1.7]}, "'q' must be a list of integers"),
+    "q-entry-a-bool": ({"g": "X", "q": [True]}, "'q' must be a list of integers"),
+    "c-not-an-integer": ({"g": "MEASURE_Z", "q": [1], "c": "0"}, "'c' must be an integer"),
+}
+
+
+@pytest.mark.parametrize("line, message", SCRIPT_TYPE_CASES.values(), ids=list(SCRIPT_TYPE_CASES))
+def test_script_line_of_the_wrong_json_type_exits_two(tmp_path, capsys, line, message):
+    # the bad line is the second, after a valid one
+    script = _write_script(tmp_path, {"g": "H", "q": [1]}, line)
+    code, payload = _run(tmp_path, "run", "--script", script)
+    assert code == 2 and payload is None
+    assert f"line 2: {message}" in capsys.readouterr().err
+
+
 def test_run_sampled_requires_seed(tmp_path):
     code, _ = _run(tmp_path, "run", "--mode", "sampled")
     assert code == 2

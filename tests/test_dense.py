@@ -236,7 +236,7 @@ def test_run_circuit_conditioned_correction():
         (
             Gate("H", (0,)),
             Gate("MEASURE_Z", (0,), classical_bit=0),
-            Gate("X", (0,), condition="b0"),
+            Gate("X", (0,), condition=(0,)),
         ),
     )
     branches = run_circuit(circuit, StateVector.basis(1, 0))
@@ -256,7 +256,7 @@ def test_run_circuit_xor_condition():
             Gate("H", (1,)),
             Gate("MEASURE_Z", (0,), classical_bit=0),
             Gate("MEASURE_Z", (1,), classical_bit=1),
-            Gate("X", (0,), condition="b0^b1"),
+            Gate("X", (0,), condition=(0, 1)),
         ),
     )
     branches = run_circuit(circuit, StateVector.basis(2, 0))

@@ -11,7 +11,6 @@ from qsslab.circuits import (
     GATE_ARITY,
     Circuit,
     Gate,
-    evaluate_condition,
     ladder_circuit,
     toffoli_gadget,
     transversal_expand,
@@ -45,6 +44,7 @@ from reference import (
     generic_secret,
     joint_distribution,
     maximally_mixed,
+    parity,
     pauli_operator,
     random_clifford_script,
     random_density_matrix,
@@ -115,7 +115,7 @@ def test_script_validation():
     with pytest.raises(UsageError):
         EvaluationScript(3, (Gate("MEASURE_Z", (1,), classical_bit=0),))
     with pytest.raises(UsageError):
-        EvaluationScript(3, (Gate("MEASURE_Z", (1,), classical_bit=0), Gate("X", (1,), condition="b0")))
+        EvaluationScript(3, (Gate("MEASURE_Z", (1,), classical_bit=0), Gate("X", (1,), condition=(0,))))
 
 
 def test_script_from_lines():
@@ -581,7 +581,7 @@ def _per_history_evaluate(shared, script):
             else:
                 branches = [
                     (bits, p, op)
-                    if g.condition is not None and not evaluate_condition(g.condition, bits[base:])
+                    if g.condition is not None and not parity(g.condition, bits[base:])
                     else (bits, p, op.conjugate_clifford(g))
                     for bits, p, op in branches
                 ]
@@ -627,7 +627,7 @@ def test_equal_operators_with_different_corrections_stay_apart():
         1,
         (
             Gate("MEASURE_Z", (0,), classical_bit=0),
-            Gate("X", (1,), condition="b0"),
+            Gate("X", (1,), condition=(0,)),
         ),
     )
     start = _Group(plus_zero, np.zeros((1, 0), dtype=np.uint8), np.ones(1))
@@ -742,7 +742,7 @@ def test_parity_outside_the_row_span_raises():
         (
             Gate("MEASURE_Z", (0,), classical_bit=0),
             Gate("MEASURE_Z", (1,), classical_bit=1),
-            Gate("X", (0,), condition="b0^b1"),
+            Gate("X", (0,), condition=(0, 1)),
         ),
     )
     start = _Group(zero_zero, np.zeros((1, 0), dtype=np.uint8), np.ones(1))
@@ -763,8 +763,8 @@ def test_sampled_draw_of_a_certain_outcome_takes_one_uniform_per_bit():
         (
             Gate("MEASURE_Z", (0,), classical_bit=0),
             Gate("MEASURE_Z", (1,), classical_bit=1),
-            Gate("X", (0,), condition="b0"),
-            Gate("X", (1,), condition="b1"),
+            Gate("X", (0,), condition=(0,)),
+            Gate("X", (1,), condition=(1,)),
         ),
     )
     start = _Group(zero_zero, np.zeros((1, 0), dtype=np.uint8), np.ones(1))
@@ -920,6 +920,7 @@ def test_deal_refuses_a_non_hermitian_secret_on_many_qubits():
         {"pauli": {}},
         {"pauli": {"I": 0.5, "ZZ": 0.5}},
         {"pauli": {"Q": 1.0}},
+        {"amplitudes": 5},
     ],
 )
 def test_parse_secret_rejects_malformed(obj):
