@@ -35,13 +35,13 @@ GATE_ARITY = {
 
 CLIFFORD_KINDS = SINGLE_QUBIT_CLIFFORDS + TWO_QUBIT_CLIFFORDS
 
-_COND_RE = re.compile(r"^b\d+(\^b\d+)*$")
+_COND_RE = re.compile(r"b\d+(\^b\d+)*", re.ASCII)  # ASCII digits: int() also reads other scripts' digits
 
 
 def parse_condition(expr: str) -> tuple[int, ...]:
     """Bit slots of an XOR expression like ``"b0^b2"``, ascending. A slot
     XORed with itself cancels, so ``"b0^b0"`` reads none and never fires."""
-    if not _COND_RE.match(expr):
+    if not _COND_RE.fullmatch(expr):
         raise UsageError(f"malformed condition {expr!r}; expected e.g. 'b0^b2'")
     odd: set[int] = set()
     for tok in expr.split("^"):
@@ -148,8 +148,11 @@ def gates_from_lines(text: str) -> list[Gate]:
             raise UsageError(f"line {ln}: 'c' must be an integer")
         if cond is not None and not isinstance(cond, str):
             raise UsageError(f"line {ln}: 'cond' must be a string")
-        slots = None if cond is None else parse_condition(cond)
-        gates.append(Gate(str(obj["g"]), tuple(qubits), bit, slots))
+        try:
+            slots = None if cond is None else parse_condition(cond)
+            gates.append(Gate(str(obj["g"]), tuple(qubits), bit, slots))
+        except UsageError as exc:
+            raise UsageError(f"line {ln}: {exc}") from None
     return gates
 
 

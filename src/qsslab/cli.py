@@ -47,9 +47,10 @@ from .circuits import (
 )
 from .dense import (
     DENSE_CAP,
+    GATE_MATRICES,
     PROBABILITY_CUTOFF,
     StateVector,
-    build_unitary,
+    monomial_unitary,
     random_state_vector,
     run_circuit,
     trace_distance,
@@ -281,49 +282,28 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
 _FANOUT_IMAGES = {"X": lambda m: "X" * m, "Y": lambda m: "Y" + "X" * (m - 1), "Z": lambda m: "Z" + "I" * (m - 1)}
 
 
-def _dense_work(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work arrays for the dense checks of up to m columns: two complex and
-    one real array of 4^m entries, which every check overwrites."""
-    size = 4**m
-    return np.empty(size, dtype=complex), np.empty(size, dtype=complex), np.empty(size)
+@cache
+def _signed_permutations(images: tuple[tuple[str, PauliString], ...]) -> tuple[np.ndarray, ...]:
+    """Rows and entries, column by column, of each P = sigma (x) I^(m-1)
+    (sigma on mask bit 0) and of its image Q, one letter per array row."""
+    p = [PauliString(image.num_qubits, s in "XY", s in "YZ")._signed_permutation() for s, image in images]
+    q = [image._signed_permutation() for _, image in images]
+    return tuple(np.array([perm[i] for perm in perms]) for perms in (p, q) for i in (0, 2))
 
 
-def _conjugation_error(
-    u: np.ndarray, sigma: str, image: PauliString, work: tuple[np.ndarray, ...]
-) -> float:
-    """max|U P - Q U| for P = sigma (x) I^(m-1) and Q the expected image,
-    which vanishes exactly when U P U^dag = Q for a unitary U. Both Paulis
-    are signed permutations, so no d x d product is formed: U P gathers and
-    signs U's columns, and Q U gathers U's rows. Q's rows, c ^ x, are an
-    involution, so row r of Q U is U's row rows[r] times Q's entry in column
-    rows[r]. Both gathers land in work, d x d views of _dense_work's arrays;
-    rows is a permutation, so mode="clip" never clips and, unlike the
-    default, writes straight into them. The form is blind to a scaled or
-    non-unitary U and vacuous for P = I; _dense_error adds the unitarity
-    check."""
-    up, qu, mag = work
-    p = PauliString.from_letters(sigma + "I" * (image.num_qubits - 1))
-    rows, _, vals = p._signed_permutation()
-    np.take(u, rows, axis=1, out=up, mode="clip")
-    up *= vals
-    rows, _, vals = image._signed_permutation()
-    np.take(u, rows, axis=0, out=qu, mode="clip")
-    qu *= vals[rows, None]
-    up -= qu
-    return float(np.max(np.abs(up, out=mag)))
-
-
-def _dense_error(u: np.ndarray, images: dict[str, PauliString], work: tuple[np.ndarray, ...]) -> float:
-    """The largest entry of |U U^dag - I| and of every letter's |U P - Q U|,
-    computed in d x d views of work, the arrays of _dense_work."""
-    d = len(u)
-    work = tuple(w[: d * d].reshape(d, d) for w in work)
-    prod, adj, mag = work
-    np.conjugate(u.T, out=adj)
-    np.matmul(u, adj, out=prod)
-    prod.reshape(-1)[:: d + 1] -= 1
-    worst = float(np.max(np.abs(prod, out=mag)))
-    return max(worst, *(_conjugation_error(u, sigma, image, work) for sigma, image in images.items()))
+def _monomial_error(perm: np.ndarray, phase: np.ndarray, images: dict[str, PauliString]) -> float:
+    """The largest entry of |U U^dag - I| and of each letter's |U P - Q U|
+    for U[perm[c], c] = phase[c]. U U^dag is diagonal, |phase|^2, when perm
+    is a bijection (else inf). Column c of U P holds phase[P_rows[c]]
+    P_vals[c] in row perm[P_rows[c]], and of Q U, phase[c] Q_vals[perm[c]]
+    in row Q_rows[perm[c]]: their difference in one row, else the larger."""
+    if np.bincount(perm, minlength=perm.size).max() > 1:  # some row taken twice
+        return math.inf
+    worst = float(np.abs(np.abs(phase) ** 2 - 1).max())
+    p_rows, p_vals, q_rows, q_vals = _signed_permutations(tuple(images.items()))
+    up, qu = phase[p_rows] * p_vals, q_vals[:, perm] * phase
+    apart = np.maximum(np.abs(up), np.abs(qu))
+    return max(worst, float(np.where(perm[p_rows] == q_rows[:, perm], np.abs(up - qu), apart).max()))
 
 
 def _letters_on_qubit_0(m: int) -> PauliOperator:
@@ -356,17 +336,12 @@ def cmd_verify_ladder(options: dict) -> Report:
                 mismatches += terms.get((want.x, want.z)) != want.phase_factor()
         report.add(f"ladder-symbolic-m{m}", mismatches, 0)
 
-    # one set of work arrays for every dense check, and one unitary alive
-    # at a time: each is built as the argument of its own check
-    work = _dense_work(dense_hi)
     for m in range(lo, dense_hi + 1):
         images = {sigma: expected_ladder_pauli(m, sigma) for sigma in "XYZ"}
-        report.add(f"ladder-dense-m{m}", _dense_error(build_unitary(ladder_circuit(m)), images, work), tol)
-
+        report.add(f"ladder-dense-m{m}", _monomial_error(*monomial_unitary(ladder_circuit(m)), images), tol)
         images = {sigma: PauliString.from_letters(image(m)) for sigma, image in _FANOUT_IMAGES.items()}
-        report.add(
-            f"fanout-lemma-m{m}", _dense_error(build_unitary(ladder_fanout_circuit(m)), images, work), tol
-        )
+        fanout = monomial_unitary(ladder_fanout_circuit(m))
+        report.add(f"fanout-lemma-m{m}", _monomial_error(*fanout, images), tol)
 
     report.notes.extend(LADDER_NOTES)
     return report
@@ -530,13 +505,8 @@ def _plaintext_gadget_fidelity(initial: StateVector) -> float:
         for gate in magic_state_circuit().gates
     )
     circuit = Circuit(6, gadget.num_classical_bits, prep + gadget.gates)
-    direct = build_unitary(
-        Circuit(3, 0, (Gate("TOFFOLI", (0, 1, 2)),))
-    )
-    target = direct @ initial.amplitudes
-    full = StateVector(
-        6, np.kron(initial.amplitudes, StateVector.basis(3, 0).amplitudes)
-    )
+    target = GATE_MATRICES["TOFFOLI"] @ initial.amplitudes
+    full = StateVector(6, np.kron(initial.amplitudes, StateVector.basis(3, 0).amplitudes))
     worst = 1.0
     for _, prob, post in run_circuit(circuit, full):
         if prob <= PROBABILITY_CUTOFF:
@@ -555,11 +525,7 @@ def cmd_gadget(options: dict) -> Report:
     state = run_circuit(magic_state_circuit(), StateVector.basis(3, 0))[0][2]
     target = np.zeros(8)
     target[[0, 2, 4, 7]] = 0.5
-    report.add(
-        "magic-state-amplitudes",
-        float(np.max(np.abs(state.amplitudes - target))),
-        1e-12,
-    )
+    report.add("magic-state-amplitudes", float(np.max(np.abs(state.amplitudes - target))), 1e-12)
 
     worst = 0.0
     for idx in range(8):

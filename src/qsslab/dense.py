@@ -3,8 +3,9 @@
 State vectors up to a 12-qubit cap, circuit unitaries, trace distance,
 and exhaustive Z-measurement branching. One tensor-reshape kernel applies
 every gate: to a state vector and to the row axes of a circuit's running
-unitary, so a gate never becomes a full 2^n x 2^n matrix. Qubit 0 is the
-leftmost tensor factor / most significant index bit.
+unitary, so a gate never becomes a full 2^n x 2^n matrix. A circuit without
+H is a monomial matrix, one entry per column, built in O(2^n) per gate.
+Qubit 0 is the leftmost tensor factor / most significant index bit.
 """
 
 from __future__ import annotations
@@ -168,6 +169,36 @@ def build_unitary(circuit: "Circuit") -> np.ndarray:
             raise UsageError("build_unitary requires a measurement-free circuit")
         u = _apply_unitary_vec(u, 2 * n, gate.kind, gate.qubits)
     return u.reshape(dim, dim)
+
+
+@cache
+def _monomial_moves(num_qubits: int, kind: str, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """For each basis index: the XOR mask that takes it to the row the gate
+    sends it to, and the gate's entry there (None if every entry is 1)."""
+    index = np.arange(2**num_qubits).reshape((2,) * num_qubits)
+    moved, value = np.empty_like(index), np.empty(index.shape, dtype=complex)
+    slabs = _slabs(num_qubits, qubits)
+    for row, col, entry in _SLAB_ENTRIES[kind]:
+        moved[slabs[col]], value[slabs[col]] = index[slabs[row]], entry
+    return (moved ^ index).reshape(-1), None if (value == 1).all() else value.reshape(-1)
+
+
+def monomial_unitary(circuit: "Circuit") -> tuple[np.ndarray, np.ndarray]:
+    """The circuit's unitary as (perm, phase): U[perm[c], c] = phase[c],
+    every other entry 0. A product of gates with one entry per row (all but
+    H) is a monomial matrix, so each gate costs O(2^n), not O(4^n).
+    """
+    _check_cap(circuit.num_qubits, "monomial_unitary")
+    n = circuit.num_qubits
+    perm, phase = np.arange(2**n), np.ones(2**n, dtype=complex)
+    for gate in circuit.gates:
+        if gate.condition is not None or _SLAB_ENTRIES.get(gate.kind) is None:
+            raise UsageError("monomial_unitary requires unconditioned gates of one entry per row (no H)")
+        flip, value = _monomial_moves(n, gate.kind, gate.qubits)
+        if value is not None:
+            phase *= value[perm]
+        perm ^= flip[perm]
+    return perm, phase
 
 
 # stays for perfbench/tracing.py, which wraps it by name, until the tracer is retargeted

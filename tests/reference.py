@@ -2,8 +2,9 @@
 
 The matrix helpers build their result entry by entry or factor by factor,
 with no shared kernel, so a test can compare the package's output with
-them exactly. The operator helpers stand in for constructors only the
-tests need, coeff reads one word's coefficient, bit_planes builds the bit
+them exactly; monomial_matrix scatters a (perm, phase) pair into one.
+The operator helpers stand in for constructors only the tests need,
+coeff reads one word's coefficient, bit_planes builds the bit
 planes of the Clifford kernel term by term, is_column_local is the locality
 check the circuit tests hold expansions to, condition_slots and parity read
 a gate condition by counting slots one at a time, and generic_secret is the input
@@ -75,6 +76,13 @@ def kron_matrix(ps):
     """i^phase times the Kronecker product of the letter matrices."""
     mats = [GATE_MATRICES[ps.letter(q)] for q in range(ps.num_qubits)]
     return ps.phase_factor() * reduce(np.kron, mats, np.eye(1, dtype=complex))
+
+
+def monomial_matrix(perm, phase):
+    """The matrix whose column c holds phase[c] in row perm[c], zeros elsewhere."""
+    u = np.zeros((perm.size, perm.size), dtype=complex)
+    u[perm, np.arange(perm.size)] = phase
+    return u
 
 
 def dense_error(u, images):

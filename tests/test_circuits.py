@@ -35,7 +35,7 @@ def test_parse_condition():
     assert parse_condition("b3^b0^b12") == (0, 3, 12)
 
 
-@pytest.mark.parametrize("bad", ["", "b", "0", "b1^", "b1 ^ b2", "b1&b2", "c1"])
+@pytest.mark.parametrize("bad", ["", "b", "0", "b1^", "b1 ^ b2", "b1&b2", "c1", "b0\n", "b0 ", "b\u0661"])
 def test_parse_condition_rejects_malformed(bad):
     line = json.dumps({"g": "X", "q": [0], "cond": bad})
     with pytest.raises(UsageError, match="malformed condition"):
@@ -148,6 +148,21 @@ def test_gate_lines_skip_comments_and_blanks():
         Gate("MEASURE_Z", (1,), classical_bit=0),
         Gate("Z", (0,), condition=(0,)),
     ]
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ({"g": "ROTATE", "q": [1]}, "line 2: unknown gate kind 'ROTATE'"),
+        ({"g": "X", "q": [1], "cond": "b0^"}, "line 2: malformed condition 'b0^'"),
+        ({"g": "CNOT", "q": [1]}, "line 2: CNOT takes 2 qubits, got 1"),
+    ],
+)
+def test_gate_lines_name_the_line_of_a_gate_error(second, message):
+    text = '{"g": "MEASURE_Z", "q": [0], "c": 0}\n' + json.dumps(second)
+    with pytest.raises(UsageError) as caught:
+        gates_from_lines(text)
+    assert str(caught.value).startswith(message)
 
 
 def test_gate_lines_reject_garbage():

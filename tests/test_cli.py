@@ -1,6 +1,7 @@
 """Command-line entry points and their JSON reports."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -11,10 +12,11 @@ from qsslab import circuits
 from qsslab import cli
 from qsslab.audit import covered_coalitions, parity_regime_check, secret_independence_check
 from qsslab.cli import main
+from qsslab.dense import build_unitary
 from qsslab.errors import UsageError
 from qsslab.paulis import PauliOperator, PauliString
 
-from reference import dense_error
+from reference import dense_error, monomial_matrix
 
 TOP_LEVEL_KEYS = [
     "tool",
@@ -170,59 +172,82 @@ def test_verify_ladder_catches_a_wrong_fanout_image(tmp_path, monkeypatch):
 
 def test_dense_ladder_error_catches_a_flipped_image_and_a_non_unitary_matrix():
     # U P = Q U alone also holds for 2 U and for U = 0; the unitarity term
-    # catches both, and a sign-flipped image fails on its own letter
+    # catches both, a sign-flipped image fails on its own letter, and a
+    # perm that is no bijection is no unitary at all
     m = 4
-    u = cli.build_unitary(circuits.ladder_circuit(m))
+    perm, phase = cli.monomial_unitary(circuits.ladder_circuit(m))
     images = {sigma: cli.expected_ladder_pauli(m, sigma) for sigma in "XYZ"}
-    work = cli._dense_work(m)
-    views = tuple(w.reshape(2**m, 2**m) for w in work)
-    assert cli._dense_error(u, images, work) == 0.0
+    assert cli._monomial_error(perm, phase, images) == 0.0
     y = images["Y"]
     flipped = dict(images, Y=PauliString(y.num_qubits, y.x, y.z, y.phase + 2))
-    assert cli._dense_error(u, flipped, work) == pytest.approx(2.0)
-    for wrong, error in ((2 * u, 3.0), (np.zeros_like(u), 1.0)):
-        assert max(cli._conjugation_error(wrong, s, q, views) for s, q in images.items()) == 0.0
-        assert cli._dense_error(wrong, images, work) == pytest.approx(error)
+    assert cli._monomial_error(perm, phase, flipped) == 2.0
+    assert cli._monomial_error(perm, 2 * phase, images) == 3.0
+    assert cli._monomial_error(perm, 0 * phase, images) == 1.0
+    merged = perm.copy()
+    merged[1] = merged[0]
+    assert cli._monomial_error(merged, phase, images) == math.inf
 
 
-@pytest.mark.parametrize("m", range(2, 6))
+def _corrupted(circuit, rng):
+    """The circuit with one random gate dropped, with one random CNOT
+    reversed, and with an S or a Z appended on a random qubit."""
+    gates = list(circuit.gates)
+    n = circuit.num_qubits
+    drop = int(rng.integers(len(gates)))
+    flip = int(rng.integers(len(gates)))
+    reversed_cnot = circuits.Gate("CNOT", gates[flip].qubits[::-1])
+    yield gates[:drop] + gates[drop + 1 :]
+    yield gates[:flip] + [reversed_cnot] + gates[flip + 1 :]
+    for kind in ("S", "Z"):
+        yield gates + [circuits.Gate(kind, (int(rng.integers(n)),))]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
 def test_dense_ladder_error_matches_full_matrix_products(m):
-    # the gathers against Kronecker matrices and full products, on matrices
-    # that are not unitary: near-unitary ones, where U P - Q U is the larger
-    # term, and unscaled ones, where U U^dag - I is; the images are random
-    # words whose phases include i, -1 and -i. The work arrays are sized for
-    # a wider ladder and hold NaN, so any entry a check reads but did not
-    # write shows up.
+    # the monomial error against Kronecker matrices and full products, on
+    # the ladder and its fan-out half with their images, and on corrupted
+    # copies of both, each letter alone and all together. A CNOT circuit's
+    # perm is GF(2)-affine, so U P and Q U put their entries in the same rows
+    # in every column or in none. Random perms mix the two; with real phases
+    # near 1 and Q = P = X (x) I, a pair in one row differs by at most 0.1,
+    # so a pair in two rows, worth about 1, sets the error
     rng = np.random.default_rng(m)
-    d = 2**m
-    work = cli._dense_work(m + 1)
-    phases = set()
-    for trial in range(12):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        near = np.linalg.qr(g)[0] + 0.01 * g / np.sqrt(d)
-        images = {}
-        for sigma in "XYZ":
-            phase = int(rng.integers(4))
-            phases.add(phase)
-            letters = "".join(rng.choice(list("IXYZ"), size=m))
-            images[sigma] = PauliString.from_letters(letters, phase)
-        for u in (near, g):
-            for w in work:
-                w.fill(np.nan)
-            want = dense_error(u, images)
-            assert cli._dense_error(u, images, work) == pytest.approx(want, rel=1e-12), trial
-            for sigma, image in images.items():
-                one = {sigma: image}
-                assert cli._dense_error(u, one, work) == pytest.approx(
-                    dense_error(u, one), rel=1e-12
-                ), (trial, sigma)
-    assert phases == {0, 1, 2, 3}
+    fanout = {sigma: PauliString.from_letters(image(m)) for sigma, image in cli._FANOUT_IMAGES.items()}
+    cases = [
+        (circuits.ladder_circuit(m), {sigma: cli.expected_ladder_pauli(m, sigma) for sigma in "XYZ"}),
+        (circuits.ladder_fanout_circuit(m), fanout),
+    ]
+    errors = set()
+    for circuit, images in cases:
+        letter_sets = (images, *({sigma: q} for sigma, q in images.items()))
+        for index, gates in enumerate([list(circuit.gates), *_corrupted(circuit, rng)]):
+            variant = circuits.Circuit(m, 0, tuple(gates))
+            perm, phase = cli.monomial_unitary(variant)
+            u = build_unitary(variant)
+            for letters in letter_sets:
+                want = dense_error(u, letters)
+                assert cli._monomial_error(perm, phase, letters) == want, (gates, letters)
+                assert want == 0.0 or index > 0
+                errors.add(want)
+        same_x = {"X": PauliString.from_letters("X" + "I" * (m - 1))}
+        for _ in range(4):
+            perm, phase = rng.permutation(2**m), 1 + 0.1 * rng.random(2**m)
+            for letters in (*letter_sets, same_x):
+                want = dense_error(monomial_matrix(perm, phase), letters)
+                assert cli._monomial_error(perm, phase, letters) == pytest.approx(want, rel=1e-12)
+    # entries in two rows, a flipped sign and an S phase all show
+    assert {1.0, 2.0, math.sqrt(2)} <= errors
 
 
 def test_verify_ladder_catches_a_scaled_unitary(tmp_path, monkeypatch):
     # every dense check, the fan-out lemma's included, reads U U^dag - I
-    build = cli.build_unitary
-    monkeypatch.setattr(cli, "build_unitary", lambda circuit: 2 * build(circuit))
+    build = cli.monomial_unitary
+
+    def doubled(circuit):
+        perm, phase = build(circuit)
+        return perm, 2 * phase
+
+    monkeypatch.setattr(cli, "monomial_unitary", doubled)
     code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..4")
     assert code == 1
     failed = sorted(c["name"] for c in payload["checks"] if not c["passed"])

@@ -1,5 +1,7 @@
 """Dense state-vector reference simulator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qsslab.dense import (
     apply_gate,
     build_unitary,
     measure_z,
+    monomial_unitary,
     partial_trace_dense,
     random_state_vector,
     run_circuit,
@@ -20,7 +23,7 @@ from qsslab.dense import (
 )
 from qsslab.errors import ResourceError, UsageError
 
-from reference import circuit_unitary, embedded_unitary, random_density_matrix
+from reference import circuit_unitary, embedded_unitary, monomial_matrix, random_density_matrix
 
 _SQRT_HALF = 2.0**-0.5
 
@@ -124,6 +127,47 @@ def test_slab_path_equals_embedded_reference_exactly(kind, monkeypatch):
     assert np.array_equal(got_vec, ref @ vec)
     assert np.array_equal(got_mat.reshape(2**n, 2**n), ref @ mat)
     assert np.array_equal(vec, kept)  # the input is not written
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_monomial_unitary_equals_build_unitary_exactly(n):
+    # every kind with one entry per row that fits, last after a random
+    # prefix of them, on distinct qubits in random order
+    rng = np.random.default_rng(300 + n)
+    kinds = [kind for kind in _ONE_ENTRY_PER_ROW if GATE_MATRICES[kind].shape[0] <= 2**n]
+    for kind in kinds:
+        gates = [_placed(str(k), n, rng) for k in rng.choice(kinds, size=12)]
+        gates.append(_placed(kind, n, rng))
+        circuit = Circuit(n, 0, tuple(Gate(k, q) for k, q in gates))
+        perm, phase = monomial_unitary(circuit)
+        assert np.array_equal(monomial_matrix(perm, phase), build_unitary(circuit)), gates
+
+
+def test_monomial_unitary_of_empty_circuit_is_the_identity():
+    perm, phase = monomial_unitary(Circuit(3, 0, ()))
+    assert np.array_equal(perm, np.arange(8))
+    assert np.array_equal(phase, np.ones(8))
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [
+        (Gate("CNOT", (0, 1)), Gate("H", (1,))),
+        (Gate("MEASURE_Z", (0,), classical_bit=0), Gate("X", (1,), condition=(0,))),
+        # a valid Circuit measures before it conditions, so this one is a bare stand-in
+        (Gate("X", (1,), condition=(0,)),),
+    ],
+    ids=["H", "measured", "conditioned"],
+)
+def test_monomial_unitary_refuses_h_and_classical_gates(gates):
+    circuit = SimpleNamespace(num_qubits=2, gates=gates)
+    with pytest.raises(UsageError, match="one entry per row"):
+        monomial_unitary(circuit)
+
+
+def test_monomial_unitary_guards_the_dense_cap():
+    with pytest.raises(ResourceError):
+        monomial_unitary(Circuit(13, 0, ()))
 
 
 def test_build_unitary_of_empty_circuit():
