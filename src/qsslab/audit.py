@@ -312,26 +312,11 @@ def distinguishability(
 
 @dataclass(frozen=True)
 class ParityRegimeReport:
-    params: SchemeParams
-    coalition: Coalition
     regime: str
     surviving_patterns: tuple[str, ...]
     expected_patterns: tuple[str, ...] | None
     verdict: str
     notes: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "params": {"n": self.params.n, "s": self.params.s, "t": self.params.t},
-            "coalition": self.coalition.label(),
-            "regime": self.regime,
-            "surviving_patterns": list(self.surviving_patterns),
-            "expected_patterns": (
-                None if self.expected_patterns is None else list(self.expected_patterns)
-            ),
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-        }
 
 
 def parity_regime_check(params: SchemeParams, coalition: Coalition) -> ParityRegimeReport:
@@ -357,9 +342,7 @@ def parity_regime_check(params: SchemeParams, coalition: Coalition) -> ParityReg
         notes.append(
             "uncovered coalition: surviving patterns listed descriptively"
         )
-        return ParityRegimeReport(
-            params, coalition, regime, patterns, None, "info", tuple(notes)
-        )
+        return ParityRegimeReport(regime, patterns, None, "info", tuple(notes))
 
     expected = ("I" * (layout.s * len(columns)),)
     ok = patterns == expected
@@ -378,8 +361,6 @@ def parity_regime_check(params: SchemeParams, coalition: Coalition) -> ParityReg
                         ok = False
                         notes.append("non-identity letter off the dealer's column")
     return ParityRegimeReport(
-        params,
-        coalition,
         regime,
         patterns,
         expected,

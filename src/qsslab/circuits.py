@@ -9,18 +9,17 @@ dealer (Alice) and column y by participant y-1.
 The file format (one JSON object per line) is::
 
     {"g": "CNOT", "q": [0, 3]}
-    {"g": "MEASURE_Z", "q": [2], "c": 0}
-    {"g": "X", "q": [5], "cond": "b0^b2"}
 
-Conditions are XOR combinations of previously written classical bits. A
-gate holds its condition as the tuple of bit slots the XOR reads; the
-file's ``cond`` text is parsed once, into that tuple, as the file is read.
+A file holds unitary gates only: scripts measure nothing, so a line with a
+``c`` (classical bit) or ``cond`` (condition) key, or a MEASURE_Z gate, is
+refused as it is read. Conditions are XOR combinations of previously written
+classical bits; a gate holds its condition as the tuple of bit slots the XOR
+reads.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Sequence
@@ -34,19 +33,6 @@ GATE_ARITY = {
 } | {"MEASURE_Z": 1}
 
 CLIFFORD_KINDS = SINGLE_QUBIT_CLIFFORDS + TWO_QUBIT_CLIFFORDS
-
-_COND_RE = re.compile(r"b\d+(\^b\d+)*", re.ASCII)  # ASCII digits: int() also reads other scripts' digits
-
-
-def parse_condition(expr: str) -> tuple[int, ...]:
-    """Bit slots of an XOR expression like ``"b0^b2"``, ascending. A slot
-    XORed with itself cancels, so ``"b0^b0"`` reads none and never fires."""
-    if not _COND_RE.fullmatch(expr):
-        raise UsageError(f"malformed condition {expr!r}; expected e.g. 'b0^b2'")
-    odd: set[int] = set()
-    for tok in expr.split("^"):
-        odd ^= {int(tok[1:])}
-    return tuple(sorted(odd))
 
 
 @dataclass(frozen=True)
@@ -140,17 +126,14 @@ def gates_from_lines(text: str) -> list[Gate]:
             raise UsageError(f"line {ln}: not valid JSON ({exc.msg})") from None
         if not isinstance(obj, dict) or "g" not in obj or "q" not in obj:
             raise UsageError(f"line {ln}: expected keys 'g' and 'q'")
-        qubits, bit, cond = obj["q"], obj.get("c"), obj.get("cond")
+        kind, qubits = str(obj["g"]), obj["q"]
+        if "c" in obj or "cond" in obj or kind == "MEASURE_Z":
+            raise UsageError(f"line {ln}: scripts hold unitary gates only, not MEASURE_Z, 'c' or 'cond'")
         # a JSON true is a Python int, and 1.7 would truncate to 1
         if not isinstance(qubits, list) or any(type(q) is not int for q in qubits):
             raise UsageError(f"line {ln}: 'q' must be a list of integers")
-        if bit is not None and type(bit) is not int:
-            raise UsageError(f"line {ln}: 'c' must be an integer")
-        if cond is not None and not isinstance(cond, str):
-            raise UsageError(f"line {ln}: 'cond' must be a string")
         try:
-            slots = None if cond is None else parse_condition(cond)
-            gates.append(Gate(str(obj["g"]), tuple(qubits), bit, slots))
+            gates.append(Gate(kind, tuple(qubits)))
         except UsageError as exc:
             raise UsageError(f"line {ln}: {exc}") from None
     return gates

@@ -50,6 +50,7 @@ from .dense import (
     GATE_MATRICES,
     PROBABILITY_CUTOFF,
     StateVector,
+    _check_cap,
     monomial_unitary,
     random_state_vector,
     run_circuit,
@@ -283,12 +284,31 @@ _FANOUT_IMAGES = {"X": lambda m: "X" * m, "Y": lambda m: "Y" + "X" * (m - 1), "Z
 
 
 @cache
+def _letter_monomial(letter: str) -> tuple[np.ndarray, np.ndarray]:
+    return monomial_unitary(Circuit(1, 0, (Gate(letter, (0,)),)))
+
+
+def _word_monomials(words: list[PauliString]) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-width Pauli words' matrices as (perms, phases), one word per
+    row: i^phase times the Kronecker product of the word's letter gates'
+    one-qubit monomials, qubit 0 the most significant index bit."""
+    _check_cap(words[0].num_qubits, "Pauli word matrix")
+    perm = np.zeros((len(words), 1), dtype=np.intp)
+    phase = np.array([[word.phase_factor()] for word in words])
+    for letters in zip(*(word.letters() for word in words)):
+        letter_perm, letter_phase = (np.array(part) for part in zip(*map(_letter_monomial, letters)))
+        perm = (perm[:, :, None] << 1 | letter_perm[:, None]).reshape(len(words), -1)
+        phase = (phase[:, :, None] * letter_phase[:, None]).reshape(len(words), -1)
+    return perm, phase
+
+
+@cache
 def _signed_permutations(images: tuple[tuple[str, PauliString], ...]) -> tuple[np.ndarray, ...]:
     """Rows and entries, column by column, of each P = sigma (x) I^(m-1)
-    (sigma on mask bit 0) and of its image Q, one letter per array row."""
-    p = [PauliString(image.num_qubits, s in "XY", s in "YZ")._signed_permutation() for s, image in images]
-    q = [image._signed_permutation() for _, image in images]
-    return tuple(np.array([perm[i] for perm in perms]) for perms in (p, q) for i in (0, 2))
+    (sigma on qubit 0) and of its image Q, one letter per array row."""
+    p = [PauliString(image.num_qubits, s in "XY", s in "YZ") for s, image in images]
+    perms, phases = _word_monomials(p + [image for _, image in images])
+    return perms[: len(p)], phases[: len(p)], perms[len(p) :], phases[len(p) :]
 
 
 def _monomial_error(perm: np.ndarray, phase: np.ndarray, images: dict[str, PauliString]) -> float:

@@ -3,8 +3,11 @@
 State vectors up to a 12-qubit cap, circuit unitaries, trace distance,
 and exhaustive Z-measurement branching. One tensor-reshape kernel applies
 every gate: to a state vector and to the row axes of a circuit's running
-unitary, so a gate never becomes a full 2^n x 2^n matrix. A circuit without
-H is a monomial matrix, one entry per column, built in O(2^n) per gate.
+unitary, so a gate never becomes a full 2^n x 2^n matrix. Branching runs
+on bare amplitude arrays; a StateVector, whose construction checks length
+and norm, is made only for the caller's input and each returned branch.
+A circuit without H is a monomial matrix, one entry per column, built in
+O(2^n) per gate.
 Qubit 0 is the leftmost tensor factor / most significant index bit.
 """
 
@@ -134,25 +137,6 @@ def _apply_unitary_vec(amps: np.ndarray, num_qubits: int, kind: str, qubits: tup
     return moved.reshape(-1)
 
 
-def apply_gate(state: StateVector, gate: tuple[str, tuple[int, ...]]) -> StateVector:
-    """Apply a unitary ``(kind, qubits)`` gate; measurements and conditions
-    belong to measure_z/run_circuit."""
-    kind, qubits = gate
-    if kind == "MEASURE_Z":
-        raise UsageError("measurements are handled by measure_z, not apply_gate")
-    try:
-        mat = GATE_MATRICES[kind]
-    except KeyError:
-        raise UsageError(f"unknown gate kind {kind!r}") from None
-    n = state.num_qubits
-    for q in qubits:
-        if not 0 <= q < n:
-            raise UsageError(f"qubit {q} out of range")
-    if len(set(qubits)) != len(qubits) or len(qubits) != int(np.log2(mat.shape[0])):
-        raise UsageError(f"gate {kind} takes distinct qubits of matching arity")
-    return StateVector(n, _apply_unitary_vec(state.amplitudes, n, kind, tuple(qubits)))
-
-
 def build_unitary(circuit: "Circuit") -> np.ndarray:
     """Ordered product of the circuit's gate matrices, first gate rightmost.
 
@@ -226,56 +210,44 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def measure_z(state: StateVector, qubit: int) -> list[tuple[int, float, StateVector]]:
-    """Exhaustive Z-measurement branches: [(outcome, probability, post-state)].
-
-    Branches of probability at most PROBABILITY_CUTOFF are omitted;
-    post-states are normalized.
-    """
-    n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise UsageError(f"qubit {qubit} out of range")
-    branches = []
-    t = np.moveaxis(state.amplitudes.reshape((2,) * n), qubit, 0)
-    for b in (0, 1):
-        part = np.zeros_like(t)
-        part[b] = t[b]
-        p = float(np.sum(np.abs(part) ** 2))
-        if p <= PROBABILITY_CUTOFF:
-            continue
-        post = np.moveaxis(part, 0, qubit).reshape(-1) / np.sqrt(p)
-        branches.append((b, p, StateVector(n, post)))
-    return branches
-
-
 def run_circuit(circuit: "Circuit", initial: StateVector) -> list[tuple[tuple[int, ...], float, StateVector]]:
     """Execute a circuit with measurements and conditioned gates, enumerating
     every measurement branch exactly.
 
+    Branches run on bare amplitude arrays: Gate and Circuit have checked
+    every kind, arity and qubit, so each gate goes straight to the kernel,
+    and a MEASURE_Z splits the array into its two outcomes, dropping one of
+    probability at most PROBABILITY_CUTOFF and normalising the other. Only
+    the returned post-states are made StateVectors.
+
     Returns [(bits, probability, post_state)] with bits indexed by classical
     slot; unwritten slots read 0. Probabilities sum to 1.
     """
-    if circuit.num_qubits != initial.num_qubits:
+    n = circuit.num_qubits
+    if n != initial.num_qubits:
         raise UsageError("circuit/state qubit count mismatch")
-    frontier: list[tuple[list[int], float, StateVector]] = [
-        ([0] * circuit.num_classical_bits, 1.0, initial)
-    ]
+    frontier = [([0] * circuit.num_classical_bits, 1.0, initial.amplitudes)]
     for gate in circuit.gates:
-        nxt: list[tuple[list[int], float, StateVector]] = []
-        for bits, prob, state in frontier:
+        nxt: list[tuple[list[int], float, np.ndarray]] = []
+        for bits, prob, amps in frontier:
             if gate.condition is not None and not sum(bits[s] for s in gate.condition) & 1:
-                nxt.append((bits, prob, state))
-                continue
-            if gate.kind == "MEASURE_Z":
+                nxt.append((bits, prob, amps))
+            elif gate.kind != "MEASURE_Z":
+                nxt.append((bits, prob, _apply_unitary_vec(amps, n, gate.kind, gate.qubits)))
+            else:
                 (q,) = gate.qubits
-                for outcome, p, post in measure_z(state, q):
+                t = np.moveaxis(amps.reshape((2,) * n), q, 0)
+                for outcome in (0, 1):
+                    part = np.zeros_like(t)
+                    part[outcome] = t[outcome]
+                    p = float(np.sum(np.abs(part) ** 2))
+                    if p <= PROBABILITY_CUTOFF:
+                        continue
                     nb = list(bits)
                     nb[gate.classical_bit] = outcome
-                    nxt.append((nb, prob * p, post))
-            else:
-                nxt.append((bits, prob, apply_gate(state, (gate.kind, gate.qubits))))
+                    nxt.append((nb, prob * p, np.moveaxis(part, 0, q).reshape(-1) / np.sqrt(p)))
         frontier = nxt
-    return [(tuple(bits), prob, state) for bits, prob, state in frontier]
+    return [(tuple(bits), prob, StateVector(n, amps)) for bits, prob, amps in frontier]
 
 
 def random_state_vector(num_qubits: int, rng: np.random.Generator) -> StateVector:

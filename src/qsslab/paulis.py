@@ -148,26 +148,6 @@ class PauliString:
     def phase_factor(self) -> complex:
         return 1j ** (self.phase % 4)
 
-    def _signed_permutation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The matrix's nonzero entries as (rows, cols, vals), one per column.
-
-        With Y = i X Z the string is i^(phase + |x & z|) X^x Z^z, so column c
-        (qubit 0 the most significant index bit) has its one entry in row
-        c ^ x, equal to i^(phase + |x & z|) (-1)^|z & c|.
-        """
-        _check_cap(self.num_qubits, "PauliString matrix")
-        n = self.num_qubits
-        cols = np.arange(2**n)
-        flip = 0
-        parity = np.zeros(2**n, dtype=np.intp)
-        for q in range(n):
-            bit = n - 1 - q
-            flip |= _bit(self.x, q) << bit
-            if _bit(self.z, q):
-                parity ^= (cols >> bit) & 1
-        unit = (1, 1j, -1, -1j)[(self.phase + (self.x & self.z).bit_count()) % 4]
-        return cols ^ flip, cols, unit * (1 - 2 * parity).astype(complex)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sign = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.phase % 4]
         return f"{sign}{self.letters()}"

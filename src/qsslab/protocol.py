@@ -709,10 +709,13 @@ def canonical_secret_family(s: int) -> list[tuple[str, PauliOperator]]:
 
 
 def _as_complex(value: object) -> complex:
-    if isinstance(value, (int, float)):
+    """A JSON number or [re, im] pair of numbers. The exact type test
+    refuses a JSON true or false, which Python reads as an int, and any
+    string."""
+    if type(value) in (int, float):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+    if isinstance(value, list) and len(value) == 2 and all(type(part) in (int, float) for part in value):
+        return complex(*value)
     raise UsageError(f"cannot read {value!r} as a complex number")
 
 

@@ -2,7 +2,9 @@
 
 The matrix helpers build their result entry by entry or factor by factor,
 with no shared kernel, so a test can compare the package's output with
-them exactly; monomial_matrix scatters a (perm, phase) pair into one.
+them exactly; monomial_matrix scatters a (perm, phase) pair into one, and
+branches runs a circuit's measurement branches with full gate and projector
+matrices.
 The operator helpers stand in for constructors only the tests need,
 coeff reads one word's coefficient, bit_planes builds the bit
 planes of the Clifford kernel term by term, is_column_local is the locality
@@ -25,7 +27,7 @@ import numpy as np
 
 from qsslab.audit import AUDIT_TOLERANCE, Coalition, _row_kernel
 from qsslab.circuits import CLIFFORD_KINDS, GATE_ARITY, Gate, column_kinds
-from qsslab.dense import GATE_MATRICES
+from qsslab.dense import GATE_MATRICES, PROBABILITY_CUTOFF
 from qsslab.errors import UnsupportedGateError, UsageError
 from qsslab.paulis import PauliOperator, PauliString
 from qsslab.protocol import (
@@ -83,6 +85,33 @@ def monomial_matrix(perm, phase):
     u = np.zeros((perm.size, perm.size), dtype=complex)
     u[perm, np.arange(perm.size)] = phase
     return u
+
+
+def branches(circuit, amplitudes):
+    """Every measurement branch of a circuit as [(bits, probability,
+    post-state)]: each gate is its embedded_unitary, and measuring qubit q
+    applies the projector (I +- Z_q)/2, Z_q the embedded Z, to the branch's
+    unnormalised vector, whose squared norm is the branch's probability. An
+    outcome of conditional probability at or under the cutoff is dropped."""
+    n = circuit.num_qubits
+    eye = np.eye(2**n)
+    out = [((0,) * circuit.num_classical_bits, np.asarray(amplitudes, dtype=complex))]
+    for gate in circuit.gates:
+        nxt = []
+        for bits, vec in out:
+            if gate.condition is not None and not parity(gate.condition, bits):
+                nxt.append((bits, vec))
+            elif gate.kind != "MEASURE_Z":
+                nxt.append((bits, embedded_unitary(n, gate.kind, gate.qubits) @ vec))
+            else:
+                z = embedded_unitary(n, "Z", gate.qubits)
+                slot = gate.classical_bit
+                for outcome, sign in ((0, 1), (1, -1)):
+                    part = ((eye + sign * z) / 2) @ vec
+                    if np.vdot(part, part).real > PROBABILITY_CUTOFF * np.vdot(vec, vec).real:
+                        nxt.append((bits[:slot] + (outcome,) + bits[slot + 1 :], part))
+        out = nxt
+    return [(bits, np.vdot(vec, vec).real, vec / np.linalg.norm(vec)) for bits, vec in out]
 
 
 def dense_error(u, images):

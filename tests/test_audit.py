@@ -374,20 +374,6 @@ def test_parity_regime_rejects_full_coalition():
         parity_regime_check(params, Coalition.parse("alice,p1,p2", n=2))
 
 
-def test_parity_regime_report_shape():
-    params = SchemeParams(n=2, s=1, t=0)
-    payload = parity_regime_check(params, Coalition.parse("alice,p1", n=2)).as_dict()
-    assert set(payload) == {
-        "params",
-        "coalition",
-        "regime",
-        "surviving_patterns",
-        "expected_patterns",
-        "verdict",
-        "notes",
-    }
-
-
 # ---------------------------------------------------------------------------
 # post-evaluation honest view
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from qsslab.circuits import (
     ladder_circuit,
     ladder_fanout_circuit,
     magic_state_circuit,
-    parse_condition,
     toffoli_gadget,
     transversal_expand,
 )
@@ -30,25 +29,34 @@ from reference import condition_slots, is_column_local, kron_matrix, pauli_opera
 # ---------------------------------------------------------------------------
 
 
+# Scripts measure nothing, so a script line never carries classical control:
+# its reader refuses a 'c' or 'cond' key, or a MEASURE_Z, before reading the
+# condition text or building the gate
+_NO_CLASSICAL_CONTROL = "scripts hold unitary gates only, not MEASURE_Z, 'c' or 'cond'"
+
+
 def test_parse_condition():
-    assert parse_condition("b0") == (0,)
-    assert parse_condition("b3^b0^b12") == (0, 3, 12)
+    lines = [
+        {"g": "X", "q": [0], "cond": "b0"},
+        {"g": "X", "q": [0], "cond": "b3^b0^b12"},
+        {"g": "X", "q": [0], "cond": 0},
+        {"g": "X", "q": [0], "c": 0},
+        {"g": "MEASURE_Z", "q": [0], "c": 0},
+        {"g": "MEASURE_Z", "q": [0], "c": "0"},
+        {"g": "MEASURE_Z", "q": [0]},
+    ]
+    for line in lines:
+        text = '{"g": "H", "q": [0]}\n' + json.dumps(line)
+        with pytest.raises(UsageError) as caught:
+            gates_from_lines(text)
+        assert str(caught.value) == f"line 2: {_NO_CLASSICAL_CONTROL}", line
 
 
 @pytest.mark.parametrize("bad", ["", "b", "0", "b1^", "b1 ^ b2", "b1&b2", "c1", "b0\n", "b0 ", "b\u0661"])
 def test_parse_condition_rejects_malformed(bad):
     line = json.dumps({"g": "X", "q": [0], "cond": bad})
-    with pytest.raises(UsageError, match="malformed condition"):
+    with pytest.raises(UsageError, match=f"^line 1: {_NO_CLASSICAL_CONTROL}$"):
         gates_from_lines(line)
-
-
-@pytest.mark.parametrize(
-    "text, slots",
-    [("b3^b0^b12", (0, 3, 12)), ("b0^b2^b0", (2,)), ("b0^b0", ()), ("b1^b1^b1", (1,))],
-)
-def test_gate_lines_read_a_condition_as_its_odd_slots(text, slots):
-    (gate,) = gates_from_lines(json.dumps({"g": "X", "q": [0], "cond": text}))
-    assert gate.condition == slots == condition_slots(text)
 
 
 def test_condition_is_xor():
@@ -140,26 +148,21 @@ def test_inverse_rejects_measurements():
 def test_gate_lines_skip_comments_and_blanks():
     text = (
         '# header\n\n{"g": "H", "q": [0]}\n  \n{"g": "CNOT", "q": [0, 1]}\n'
-        '{"g": "MEASURE_Z", "q": [1], "c": 0}\n{"g": "Z", "q": [0], "cond": "b0"}\n'
+        '# {"g": "MEASURE_Z", "q": [1], "c": 0}\n'
     )
-    assert gates_from_lines(text) == [
-        Gate("H", (0,)),
-        Gate("CNOT", (0, 1)),
-        Gate("MEASURE_Z", (1,), classical_bit=0),
-        Gate("Z", (0,), condition=(0,)),
-    ]
+    assert gates_from_lines(text) == [Gate("H", (0,)), Gate("CNOT", (0, 1))]
 
 
 @pytest.mark.parametrize(
     "second, message",
     [
         ({"g": "ROTATE", "q": [1]}, "line 2: unknown gate kind 'ROTATE'"),
-        ({"g": "X", "q": [1], "cond": "b0^"}, "line 2: malformed condition 'b0^'"),
+        ({"g": "X", "q": [1], "cond": "b0^"}, "line 2: scripts hold"),
         ({"g": "CNOT", "q": [1]}, "line 2: CNOT takes 2 qubits, got 1"),
     ],
 )
 def test_gate_lines_name_the_line_of_a_gate_error(second, message):
-    text = '{"g": "MEASURE_Z", "q": [0], "c": 0}\n' + json.dumps(second)
+    text = '{"g": "H", "q": [0]}\n' + json.dumps(second)
     with pytest.raises(UsageError) as caught:
         gates_from_lines(text)
     assert str(caught.value).startswith(message)

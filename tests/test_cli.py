@@ -240,12 +240,14 @@ def test_dense_ladder_error_matches_full_matrix_products(m):
 
 
 def test_verify_ladder_catches_a_scaled_unitary(tmp_path, monkeypatch):
-    # every dense check, the fan-out lemma's included, reads U U^dag - I
+    # every dense check, the fan-out lemma's included, reads U U^dag - I.
+    # Only the ladders' CNOT circuits are doubled: the Pauli letters'
+    # monomials, cached per process, come from the same function
     build = cli.monomial_unitary
 
     def doubled(circuit):
         perm, phase = build(circuit)
-        return perm, 2 * phase
+        return perm, 2 * phase if circuit.gates[0].kind == "CNOT" else phase
 
     monkeypatch.setattr(cli, "monomial_unitary", doubled)
     code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..4")
@@ -327,13 +329,31 @@ def test_run_with_pauli_secret(tmp_path):
     assert _check(payload, "round-trip-distance")["passed"] is True
 
 
+# a secret entry is a JSON number or an [re, im] pair of numbers: read as
+# numbers, these would deal |000> and exit 0
+SECRET_TYPE_CASES = {
+    "amplitude-a-bool": ({"amplitudes": [True] + [False] * 7}, True),
+    "pair-part-a-string": ({"amplitudes": [["1", "0"]] + [0] * 7}, ["1", "0"]),
+}
+
+
+@pytest.mark.parametrize("obj, bad", SECRET_TYPE_CASES.values(), ids=list(SECRET_TYPE_CASES))
+def test_secret_entry_of_the_wrong_json_type_exits_two(tmp_path, capsys, obj, bad):
+    secret = _write_secret(tmp_path, obj)
+    code, payload = _run(tmp_path, "run", "--s", "3", "--secret", secret)
+    assert code == 2 and payload is None
+    assert f"cannot read {bad!r} as a complex number" in capsys.readouterr().err
+
+
+_NO_CLASSICAL_CONTROL = "scripts hold unitary gates only, not MEASURE_Z, 'c' or 'cond'"
+
 SCRIPT_TYPE_CASES = {
-    "cond-not-a-string": ({"g": "X", "q": [1], "cond": 0}, "'cond' must be a string"),
+    "cond-not-a-string": ({"g": "X", "q": [1], "cond": 0}, _NO_CLASSICAL_CONTROL),
     "q-not-a-list": ({"g": "X", "q": 1}, "'q' must be a list of integers"),
     "q-entry-a-string": ({"g": "X", "q": ["a"]}, "'q' must be a list of integers"),
     "q-entry-a-float": ({"g": "X", "q": [1.7]}, "'q' must be a list of integers"),
     "q-entry-a-bool": ({"g": "X", "q": [True]}, "'q' must be a list of integers"),
-    "c-not-an-integer": ({"g": "MEASURE_Z", "q": [1], "c": "0"}, "'c' must be an integer"),
+    "c-not-an-integer": ({"g": "MEASURE_Z", "q": [1], "c": "0"}, _NO_CLASSICAL_CONTROL),
 }
 
 

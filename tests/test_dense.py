@@ -5,16 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qsslab.circuits import Circuit, Gate, ladder_circuit
+from qsslab.circuits import GATE_ARITY, Circuit, Gate, ladder_circuit
 from qsslab.dense import (
     GATE_MATRICES,
     PROBABILITY_CUTOFF,
     _SLAB_ENTRIES,
     StateVector,
     _apply_unitary_vec,
-    apply_gate,
     build_unitary,
-    measure_z,
     monomial_unitary,
     partial_trace_dense,
     random_state_vector,
@@ -23,7 +21,13 @@ from qsslab.dense import (
 )
 from qsslab.errors import ResourceError, UsageError
 
-from reference import circuit_unitary, embedded_unitary, monomial_matrix, random_density_matrix
+from reference import (
+    branches,
+    circuit_unitary,
+    embedded_unitary,
+    monomial_matrix,
+    random_density_matrix,
+)
 
 _SQRT_HALF = 2.0**-0.5
 
@@ -38,40 +42,59 @@ def test_gate_matrices_are_unitary(kind):
     assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]))
 
 
+def _run_gate(kind, qubits, state):
+    """The amplitudes after one gate, run as a one-gate circuit."""
+    circuit = Circuit(state.num_qubits, 0, (Gate(kind, qubits),))
+    ((_, _, out),) = run_circuit(circuit, state)
+    return out.amplitudes
+
+
+def _measure(state, qubit):
+    """[(outcome, probability, post-state)] of one Z measurement."""
+    circuit = Circuit(state.num_qubits, 1, (Gate("MEASURE_Z", (qubit,), classical_bit=0),))
+    return [(bits[0], p, post) for bits, p, post in run_circuit(circuit, state)]
+
+
 def test_hadamard_makes_plus_state():
-    out = apply_gate(StateVector.basis(1, 0), ("H", (0,)))
-    assert np.allclose(out.amplitudes, [_SQRT_HALF, _SQRT_HALF])
+    out = _run_gate("H", (0,), StateVector.basis(1, 0))
+    assert np.allclose(out, [_SQRT_HALF, _SQRT_HALF])
 
 
 def test_cnot_on_basis_states():
     # qubit 0 is the most significant bit of the basis index
-    out = apply_gate(StateVector.basis(2, 0b10), ("CNOT", (0, 1)))
-    assert out.amplitudes[0b11] == pytest.approx(1.0)
-    out = apply_gate(StateVector.basis(2, 0b01), ("CNOT", (0, 1)))
-    assert out.amplitudes[0b01] == pytest.approx(1.0)
+    out = _run_gate("CNOT", (0, 1), StateVector.basis(2, 0b10))
+    assert out[0b11] == pytest.approx(1.0)
+    out = _run_gate("CNOT", (0, 1), StateVector.basis(2, 0b01))
+    assert out[0b01] == pytest.approx(1.0)
 
 
 def test_toffoli_flips_only_when_both_controls_set():
-    out = apply_gate(StateVector.basis(3, 0b110), ("TOFFOLI", (0, 1, 2)))
-    assert out.amplitudes[0b111] == pytest.approx(1.0)
-    out = apply_gate(StateVector.basis(3, 0b100), ("TOFFOLI", (0, 1, 2)))
-    assert out.amplitudes[0b100] == pytest.approx(1.0)
+    out = _run_gate("TOFFOLI", (0, 1, 2), StateVector.basis(3, 0b110))
+    assert out[0b111] == pytest.approx(1.0)
+    out = _run_gate("TOFFOLI", (0, 1, 2), StateVector.basis(3, 0b100))
+    assert out[0b100] == pytest.approx(1.0)
 
 
-def test_apply_gate_rejects_measurement_and_bad_qubits():
+def test_run_circuit_inputs_are_checked_by_gate_and_circuit():
+    # run_circuit applies each gate unchecked: Gate refuses a bad kind,
+    # arity or repeated qubit, and Circuit an out-of-range qubit or slot
     with pytest.raises(UsageError):
-        apply_gate(StateVector.basis(1, 0), ("MEASURE_Z", (0,)))
+        Gate("MEASURE_Z", (0,))
     with pytest.raises(UsageError):
-        apply_gate(StateVector.basis(1, 0), ("H", (1,)))
+        Gate("CNOT", (0, 0))
     with pytest.raises(UsageError):
-        apply_gate(StateVector.basis(2, 0), ("CNOT", (0, 0)))
+        Circuit(1, 0, (Gate("H", (1,)),))
+    with pytest.raises(UsageError):
+        Circuit(1, 0, (Gate("MEASURE_Z", (0,), classical_bit=0),))
+    with pytest.raises(UsageError, match="qubit count mismatch"):
+        run_circuit(Circuit(2, 0, ()), StateVector.basis(1, 0))
 
 
-def test_embedded_unitary_matches_apply_gate():
+def test_embedded_unitary_matches_run_circuit():
     rng = np.random.default_rng(6)
     psi = random_state_vector(3, rng)
     u = embedded_unitary(3, "CNOT", (2, 0))
-    assert np.allclose(u @ psi.amplitudes, apply_gate(psi, ("CNOT", (2, 0))).amplitudes)
+    assert np.allclose(u @ psi.amplitudes, _run_gate("CNOT", (2, 0), psi))
 
 
 def _placed(kind, n, rng):
@@ -188,9 +211,9 @@ def test_ladder_unitary_on_basis_state():
 
 
 def test_partial_trace_of_bell_pair():
-    bell = _density(
-        apply_gate(apply_gate(StateVector.basis(2, 0), ("H", (0,))), ("CNOT", (0, 1)))
-    )
+    circuit = Circuit(2, 0, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
+    ((_, _, pair),) = run_circuit(circuit, StateVector.basis(2, 0))
+    bell = _density(pair)
     assert np.allclose(partial_trace_dense(bell, [0]), np.eye(2) / 2)
     assert np.allclose(partial_trace_dense(bell, [1]), np.eye(2) / 2)
 
@@ -217,7 +240,7 @@ def test_trace_distance_of_basis_states(pair, expected):
 
 def test_trace_distance_zero_plus():
     zero = StateVector.basis(1, 0)
-    plus = apply_gate(zero, ("H", (0,)))
+    plus = StateVector(1, _run_gate("H", (0,), zero))
     got = trace_distance(_density(zero), _density(plus))
     assert got == pytest.approx(0.7071067811865476)
 
@@ -225,20 +248,19 @@ def test_trace_distance_zero_plus():
 def test_measure_z_branches_are_complete():
     rng = np.random.default_rng(8)
     psi = random_state_vector(3, rng)
-    branches = measure_z(psi, 1)
-    assert sum(p for _, p, _ in branches) == pytest.approx(1.0)
-    for outcome, _, post in branches:
-        again = measure_z(post, 1)
+    outcomes = _measure(psi, 1)
+    assert sum(p for _, p, _ in outcomes) == pytest.approx(1.0)
+    for outcome, _, post in outcomes:
+        again = _measure(post, 1)
         assert len(again) == 1 and again[0][0] == outcome
 
 
 def test_measure_z_skips_impossible_outcome():
-    branches = measure_z(StateVector.basis(2, 0b00), 0)
-    assert [b for b, _, _ in branches] == [0]
+    assert [b for b, _, _ in _measure(StateVector.basis(2, 0b00), 0)] == [0]
 
 
 def _amplitudes_at_cutoff():
-    """Two amplitudes whose squares sum, in measure_z's order, to
+    """Two amplitudes whose squares sum, in run_circuit's order, to
     PROBABILITY_CUTOFF exactly. No float squares to 1e-14 itself, so the
     first is the square root of the cutoff, rounded below it, and the second
     is searched among the np.nextafter neighbours of the square root of what
@@ -258,7 +280,7 @@ def _amplitudes_at_cutoff():
 def test_measure_z_drops_an_outcome_at_the_cutoff_exactly():
     a, b = _amplitudes_at_cutoff()
     psi = StateVector(2, np.array([np.sqrt(1.0 - PROBABILITY_CUTOFF), 0.0, a, b]))
-    assert [outcome for outcome, _, _ in measure_z(psi, 0)] == [0]
+    assert [outcome for outcome, _, _ in _measure(psi, 0)] == [0]
 
 
 def test_run_circuit_without_measurements():
@@ -310,6 +332,60 @@ def test_run_circuit_xor_condition():
         flipped = bits[0] ^ bits[1]
         top = bits[0] ^ flipped
         assert abs(state.amplitudes[2 * top + bits[1]]) == pytest.approx(1.0)
+
+
+def _classical_circuit(n, rng):
+    """Every gate kind that fits n qubits, four Z measurements each writing
+    its own slot, and 16 more gates or measurements, shuffled; each gate
+    after the first measurement is conditioned, half the time, on a random
+    set of the slots written so far."""
+    kinds = [kind for kind, mat in sorted(GATE_MATRICES.items()) if mat.shape[0] <= 2**n]
+    order = kinds + ["MEASURE_Z"] * 4 + list(rng.choice(kinds + ["MEASURE_Z"], size=16))
+    gates, written = [], 0
+    for kind in map(str, rng.permutation(order)):
+        arity = GATE_ARITY[kind]
+        qubits = tuple(int(q) for q in rng.permutation(n)[:arity])
+        if kind == "MEASURE_Z":
+            gates.append(Gate(kind, qubits, classical_bit=written))
+            written += 1
+        elif written and rng.random() < 0.5:
+            size = int(rng.integers(1, written + 1))
+            slots = tuple(sorted(int(b) for b in rng.choice(written, size=size, replace=False)))
+            gates.append(Gate(kind, qubits, condition=slots))
+        else:
+            gates.append(Gate(kind, qubits))
+    return Circuit(n, written, tuple(gates))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_run_circuit_equals_projector_reference(n):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(10):
+        circuit = _classical_circuit(n, rng)
+        psi = random_state_vector(n, rng)
+        got = run_circuit(circuit, psi)
+        want = branches(circuit, psi.amplitudes)
+        assert [bits for bits, _, _ in got] == [bits for bits, _, _ in want]
+        for (_, p, post), (_, q, ref) in zip(got, want):
+            assert abs(p - q) <= 1e-12
+            assert np.max(np.abs(post.amplitudes - ref)) <= 1e-12
+
+
+def test_run_circuit_builds_one_state_vector_per_returned_branch(monkeypatch):
+    rng = np.random.default_rng(12)
+    circuit = _classical_circuit(4, rng)
+    psi = random_state_vector(4, rng)
+    built = []
+    check = StateVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    got = run_circuit(circuit, psi)
+    assert len(got) > 1
+    assert [id(state) for _, _, state in got] == [id(state) for state in built]
 
 
 def test_state_vector_validation():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qsslab.circuits import Gate
+from qsslab.cli import _word_monomials
 from qsslab.errors import ProtocolError, ResourceError, UsageError
 from qsslab.paulis import (
     PRUNE_TOL,
@@ -23,6 +24,7 @@ from reference import (
     embedded_unitary,
     kron_matrix,
     maximally_mixed,
+    monomial_matrix,
     pauli_operator,
     random_density_matrix,
 )
@@ -75,39 +77,46 @@ def test_phase_wraps_mod_four():
     assert PauliString.from_letters("X", phase=2).phase_factor() == -1
 
 
-def _to_matrix(ps):
-    """The matrix the CLI's dense ladder check reads as a signed permutation."""
-    rows, cols, vals = ps._signed_permutation()
-    out = np.zeros((cols.size, cols.size), dtype=complex)
-    out[rows, cols] = vals
-    return out
+def _to_matrices(words):
+    """The matrices the CLI's dense ladder check reads: each word's row of
+    the (perms, phases) its letter gates' monomials give."""
+    perms, phases = _word_monomials(words)
+    return [monomial_matrix(perm, phase) for perm, phase in zip(perms, phases)]
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_to_matrix_equals_kron_reference_exactly(n):
-    for letters in itertools.product("IXYZ", repeat=n):
-        for phase in range(4):
-            ps = PauliString.from_letters("".join(letters), phase)
-            assert np.array_equal(_to_matrix(ps), kron_matrix(ps)), (letters, phase)
+    # every word of n letters at every phase, all in one batch; shuffled,
+    # since in product order a word reading the reversed batch's letters
+    # swaps I with Z and X with Y, which have the same perms
+    words = [
+        PauliString.from_letters("".join(letters), phase)
+        for letters in itertools.product("IXYZ", repeat=n)
+        for phase in range(4)
+    ]
+    words = [words[i] for i in np.random.default_rng(n).permutation(len(words))]
+    for ps, got in zip(words, _to_matrices(words), strict=True):
+        assert np.array_equal(got, kron_matrix(ps)), ps
 
 
 def test_signed_permutation_rows_are_a_permutation_and_an_involution():
-    # the dense ladder check gathers U's rows through Q's rows with
-    # mode="clip", which is exact only when rows permutes range(2^n), and
-    # reads row r of Q U from rows[r], which needs rows[rows] = cols
+    # the dense ladder check reads row r of Q U from perm[r], which is exact
+    # only when perm permutes range(2^n), and a Pauli word squares to a
+    # scalar, so perm[perm] is the identity
     rng = np.random.default_rng(7)
     for _ in range(200):
         n = int(rng.integers(0, 11))
-        letters = "".join(rng.choice(list("IXYZ"), size=n))
-        rows, cols, _ = PauliString.from_letters(letters, int(rng.integers(4)))._signed_permutation()
-        assert np.array_equal(cols, np.arange(2**n)), letters
-        assert np.array_equal(np.sort(rows), cols), letters
-        assert np.array_equal(rows[rows], cols), letters
+        letters = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(3)]
+        perms, _ = _word_monomials([PauliString.from_letters(w, int(rng.integers(4))) for w in letters])
+        cols = np.arange(2**n)
+        for perm in perms:
+            assert np.array_equal(np.sort(perm), cols), letters
+            assert np.array_equal(perm[perm], cols), letters
 
 
 def test_dense_cap_enforced():
     with pytest.raises(ResourceError):
-        PauliString.identity(13)._signed_permutation()
+        _word_monomials([PauliString.identity(13)])
 
 
 # ---------------------------------------------------------------------------

@@ -921,6 +921,12 @@ def test_deal_refuses_a_non_hermitian_secret_on_many_qubits():
         {"pauli": {"I": 0.5, "ZZ": 0.5}},
         {"pauli": {"Q": 1.0}},
         {"amplitudes": 5},
+        {"amplitudes": [True, False]},
+        {"amplitudes": [["1", 0], 0]},
+        {"amplitudes": [[1, False], 0]},
+        {"amplitudes": ["0.5", "0.5"]},
+        {"pauli": {"I": True}},
+        {"pauli": {"I": [0.5, "0"]}},
     ],
 )
 def test_parse_secret_rejects_malformed(obj):
