@@ -183,23 +183,21 @@ def expected_ladder_pauli(m: int, sigma: str) -> PauliString:
 
       odd m:   X -> X^m,  Y -> +-Y^m,        Z -> Z^m
       even m:  X -> I (x) X^(m-1),  Y -> +-Z (x) Y^(m-1),  Z -> Z^m
+
+    The masks follow from conjugation being linear over GF(2): Y is X times
+    Z up to phase, so Y's image takes its x mask from X's image and its z
+    mask from Z's. X reaches every column but the dealer's (bit 0) at even
+    m, and Z reaches every column.
     """
     if m < 1:
         raise UsageError("m must be positive")
     if sigma not in ("I", "X", "Y", "Z"):
         raise UsageError(f"unknown Pauli letter {sigma!r}")
-    if sigma == "I":
-        return PauliString.identity(m)
-    phase = 0
-    if sigma == "Y":
-        phase = 2 * (((m - 1) // 2) % 2)
-    if m % 2 == 1:
-        return PauliString.from_letters(sigma * m, phase)
-    if sigma == "X":
-        return PauliString.from_letters("I" + "X" * (m - 1))
-    if sigma == "Y":
-        return PauliString.from_letters("Z" + "Y" * (m - 1), phase)
-    return PauliString.from_letters("Z" * m)
+    every = (1 << m) - 1
+    x = (every if m % 2 else every - 1) if sigma in "XY" else 0
+    z = every if sigma in "YZ" else 0
+    phase = 2 * (((m - 1) // 2) % 2) if sigma == "Y" else 0
+    return PauliString(m, x, z, phase)
 
 
 def magic_state_circuit() -> Circuit:

@@ -89,31 +89,11 @@ BUDGET_NOTE = (
 
 
 @dataclass
-class Check:
-    name: str
-    measured: float | int | None
-    tolerance: float | int | None
-    passed: bool | None
-    detail: dict | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-@dataclass
 class Report:
     command: str
     seed: int | None
     config: dict
-    checks: list[Check] = field(default_factory=list)
+    checks: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
@@ -124,16 +104,17 @@ class Report:
         tolerance: float | int | None,
         passed: bool | None = None,
         detail: dict | None = None,
-    ) -> Check:
+    ) -> None:
         if passed is None and measured is not None and tolerance is not None:
             passed = bool(measured <= tolerance)
-        check = Check(name, measured, tolerance, passed, detail)
+        check = {"name": name, "measured": measured, "tolerance": tolerance, "passed": passed}
+        if detail:
+            check["detail"] = detail
         self.checks.append(check)
-        return check
 
     @property
     def verdict(self) -> str:
-        graded = [c.passed for c in self.checks if c.passed is not None]
+        graded = [c["passed"] for c in self.checks if c["passed"] is not None]
         return "pass" if all(graded) else "fail"
 
     def as_dict(self) -> dict:
@@ -144,7 +125,7 @@ class Report:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "seed": self.seed,
             "config": self.config,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": self.checks,
             "notes": self.notes,
             "verdict": self.verdict,
         }
@@ -302,15 +283,6 @@ def _word_monomials(words: list[PauliString]) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
-@cache
-def _signed_permutations(images: tuple[tuple[str, PauliString], ...]) -> tuple[np.ndarray, ...]:
-    """Rows and entries, column by column, of each P = sigma (x) I^(m-1)
-    (sigma on qubit 0) and of its image Q, one letter per array row."""
-    p = [PauliString(image.num_qubits, s in "XY", s in "YZ") for s, image in images]
-    perms, phases = _word_monomials(p + [image for _, image in images])
-    return perms[: len(p)], phases[: len(p)], perms[len(p) :], phases[len(p) :]
-
-
 def _monomial_error(perm: np.ndarray, phase: np.ndarray, images: dict[str, PauliString]) -> float:
     """The largest entry of |U U^dag - I| and of each letter's |U P - Q U|
     for U[perm[c], c] = phase[c]. U U^dag is diagonal, |phase|^2, when perm
@@ -320,7 +292,11 @@ def _monomial_error(perm: np.ndarray, phase: np.ndarray, images: dict[str, Pauli
     if np.bincount(perm, minlength=perm.size).max() > 1:  # some row taken twice
         return math.inf
     worst = float(np.abs(np.abs(phase) ** 2 - 1).max())
-    p_rows, p_vals, q_rows, q_vals = _signed_permutations(tuple(images.items()))
+    # rows and entries, column by column, of each P = sigma (x) I^(m-1)
+    # (sigma on qubit 0), then of each image Q, one letter per array row
+    p = [PauliString(image.num_qubits, s in "XY", s in "YZ") for s, image in images.items()]
+    rows, vals = _word_monomials(p + list(images.values()))
+    (p_rows, q_rows), (p_vals, q_vals) = np.split(rows, 2), np.split(vals, 2)
     up, qu = phase[p_rows] * p_vals, q_vals[:, perm] * phase
     apart = np.maximum(np.abs(up), np.abs(qu))
     return max(worst, float(np.where(perm[p_rows] == q_rows[:, perm], np.abs(up - qu), apart).max()))
@@ -664,6 +640,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         command, options = _parse_options(argv)
         if options.get("mode") == "sampled" and options.get("seed") is None:
             raise UsageError("sampled mode requires --seed")
+        if options.get("seed", 0) < 0:
+            raise UsageError("seed must be non-negative")
         # the negated comparison also refuses nan
         if options.get("tolerance") is not None and not 0 < options["tolerance"] < math.inf:
             raise UsageError("tolerance must be positive and finite")

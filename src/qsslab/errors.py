@@ -16,7 +16,7 @@ class ResourceError(RuntimeError):
 
 
 class ProtocolError(RuntimeError):
-    """The scheme's rules forbid the requested step (budget, missing shares)."""
+    """The scheme's rules forbid the requested step (budget, measurement)."""
 
 
 class UnsupportedGateError(ProtocolError):

@@ -346,16 +346,13 @@ def deal(params: SchemeParams, secret: object) -> SharedState:
     return SharedState(layout, core, frozenset(range(params.t // 3)))
 
 
-def reconstruct(
-    shared: SharedState, columns: Sequence[int] | None = None
-) -> PauliOperator:
+def reconstruct(shared: SharedState) -> PauliOperator:
     """Undo the ladder on every secret row, discard everything but the
     dealer's column of those rows, return the s-qubit operator. Only the
-    core is read: every R and I/2 factor traces to 1. All columns are
-    required — the scheme is n-of-n."""
+    core is read: every R and I/2 factor traces to 1. The decoding ladder
+    acts on every column of a row, so it reads every share: the scheme is
+    n-of-n."""
     layout = shared.layout
-    if columns is not None and set(columns) != set(range(1, layout.columns + 1)):
-        raise ProtocolError("reconstruction requires all shares")
     rows = ShareLayout(s=layout.s, t=0, n=layout.n)
     op = shared.core.conjugate_circuit(_decoding_circuit(rows).gates)
     keep = {rows.index_of(x, 1) for x in range(1, layout.s + 1)}
@@ -573,7 +570,7 @@ def evaluate(
     simulates each of the 8 outcomes once, standing for the 2^(3n) strings
     with its parities, and merges equal operators after the corrections.
     Sampled mode draws one string from the parity distribution with the
-    mandatory seed, one generator draw per bit in slot order.
+    mandatory non-negative seed, one generator draw per bit in slot order.
 
     Returns one SharedState per transcript row, in the same lexicographic
     bit order (every history that reached one merged operator holds the same
@@ -587,6 +584,8 @@ def evaluate(
     if mode == "sampled":
         if seed is None:
             raise UsageError("sampled mode requires a seed")
+        if seed < 0:
+            raise UsageError("seed must be non-negative")
         rng = np.random.default_rng(seed)
     elif mode == "exact":
         rng = None
@@ -607,7 +606,6 @@ def evaluate(
     # a gadget runs on the secret rows and the one triple it consumes: an
     # (s + 3)-row layout whose triple 0 stands for that triple
     work = ShareLayout(s=layout.s, t=3, n=layout.n)
-    unconsumed = set(shared.unconsumed)
     groups = [_Group(shared.core, np.zeros((1, 0), dtype=np.uint8), np.ones(1))]
     origins: list[BitOrigin] = []
     sets: list[list[int]] = []  # every measured set, as transcript slots
@@ -649,12 +647,11 @@ def evaluate(
                 f"{gi}; rerun in sampled mode or raise branch_cap"
             )
         num_bits += gadget.num_classical_bits
-        unconsumed.discard(triple)
     for grp in groups:
         grp.op = _settled(grp.op, pending, width)
 
     bits, probs, op_index = _histories(groups, sets, num_bits)
-    left = frozenset(unconsumed)
+    left = frozenset(available)
     merged = [SharedState(layout, grp.op, left) for grp in groups]
     states = tuple([merged[i] for i in op_index.tolist()])
     return states, Transcript(tuple(origins), bits, probs)

@@ -7,7 +7,8 @@ branches runs a circuit's measurement branches with full gate and projector
 matrices.
 The operator helpers stand in for constructors only the tests need,
 coeff reads one word's coefficient, bit_planes builds the bit
-planes of the Clifford kernel term by term, is_column_local is the locality
+planes of the Clifford kernel term by term, ladder_word is the ladder's
+closed-form image written out letter by letter, is_column_local is the locality
 check the circuit tests hold expansions to, condition_slots and parity read
 a gate condition by counting slots one at a time, and generic_secret is the input
 of the audit's enumeration oracle. flat_deal is the dealt grid state
@@ -124,6 +125,18 @@ def dense_error(u, images):
         p = kron_matrix(PauliString.from_letters(sigma + "I" * (m - 1)))
         worst = max(worst, np.max(np.abs(u @ p - kron_matrix(image) @ u)))
     return float(worst)
+
+
+def ladder_word(m, sigma):
+    """The image of sigma (x) I^(m-1) under the m-column ladder, spelled as
+    the table of expected_ladder_pauli's docstring and parsed from letters."""
+    if sigma == "I":
+        return PauliString.identity(m)
+    phase = 2 * (((m - 1) // 2) % 2) if sigma == "Y" else 0
+    if m % 2 == 1:
+        return PauliString.from_letters(sigma * m, phase)
+    word = {"X": "I" + "X" * (m - 1), "Y": "Z" + "Y" * (m - 1), "Z": "Z" * m}[sigma]
+    return PauliString.from_letters(word, phase)
 
 
 def column_of(layout, qubit):

@@ -111,9 +111,9 @@ def test_c03_fanout_half_lemma_and_reported_resolution():
 
     report = cmd_verify_ladder({"m_range": "2..8"})
     assert report.verdict == "pass"
-    fanout_checks = [c for c in report.checks if c.name.startswith("fanout-lemma")]
+    fanout_checks = [c for c in report.checks if c["name"].startswith("fanout-lemma")]
     assert len(fanout_checks) == 7
-    assert all(c.passed for c in fanout_checks)
+    assert all(c["passed"] for c in fanout_checks)
     assert any("fan-out" in note for note in report.notes)
     print(f"criterion 03: PASS fan-out lemma m=2..8, worst {worst:.2e}, noted in report")
 

@@ -21,7 +21,7 @@ from qsslab.dense import StateVector, build_unitary, run_circuit
 from qsslab.errors import UnsupportedGateError, UsageError
 from qsslab.paulis import PauliString
 
-from reference import condition_slots, is_column_local, kron_matrix, pauli_operator
+from reference import condition_slots, is_column_local, kron_matrix, ladder_word, pauli_operator
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +225,14 @@ def test_expected_ladder_pauli_frozen_table(m, sigma):
     got = expected_ladder_pauli(m, sigma)
     assert got.letters() == letters
     assert got.phase == phase
+
+
+def test_expected_ladder_pauli_masks_match_the_letter_words():
+    # past m = 64 the x and z masks span two 64-bit words
+    for m in range(1, 102):
+        for sigma in "IXYZ":
+            got, want = expected_ladder_pauli(m, sigma), ladder_word(m, sigma)
+            assert (got.x, got.z, got.phase) == (want.x, want.z, want.phase), (m, sigma)
 
 
 @pytest.mark.parametrize("m", range(2, 34))

@@ -390,16 +390,6 @@ def test_round_trip_with_ancillas():
     assert _operator_distance(reconstruct(deal(params, secret)), secret) < 1e-12
 
 
-def test_reconstruct_requires_every_column():
-    params = SchemeParams(n=2, s=1, t=0)
-    shared = deal(params, basis_secret(1, 0))
-    assert reconstruct(shared, columns=[1, 2, 3]).num_qubits == 1
-    with pytest.raises(ProtocolError):
-        reconstruct(shared, columns=[1, 2])
-    with pytest.raises(ProtocolError):
-        reconstruct(shared, columns=[2, 3])
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -519,6 +509,12 @@ def test_exact_branch_cap_raises():
     script = EvaluationScript(3, (Gate("H", (1,)), Gate("TOFFOLI", (1, 2, 3))))
     with pytest.raises(ResourceError, match=r"reached 512 bit histories.* cap of 256.* script gate 1"):
         evaluate(shared, script, branch_cap=256)
+
+
+def test_sampled_mode_refuses_a_negative_seed():
+    shared = deal(SchemeParams(n=2, s=1, t=0), basis_secret(1, 0))
+    with pytest.raises(UsageError, match="seed must be non-negative"):
+        evaluate(shared, EvaluationScript(1, ()), mode="sampled", seed=-1)
 
 
 def test_sampled_mode_is_reproducible():
