@@ -10,13 +10,15 @@ sets, Cleve-Gottesman-Lo, PRL 83, 648 (1999)).
 
 Because the ladder is row-local, which words survive is decided one row at
 a time. Let K_C be the letters whose ladder image is I on every honest
-column. The words w whose image the trace keeps are exactly K_C^s, and the
-kept resource words of a triple are the R_C magic-state words with all
-three letters in K_C. So the secret-dependent view terms number
-(|K_C|^s - 1) * R_C^budget, and the secret-row patterns of the view are the
-row-by-row images of K_C^s on the coalition's columns. These counts need
-no deal and no partial trace, so they stay exact at any s; dense trace
-distances between concrete secret pairs cross-check them at small sizes.
+column: with the image as GF(2) x/z masks and the honest columns as one
+mask, sigma is in K_C when (x | z) & honest == 0. The words w whose image
+the trace keeps are exactly K_C^s, and the kept resource words of a triple
+are the R_C magic-state words with all three letters in K_C. So the
+secret-dependent view terms number (|K_C|^s - 1) * R_C^budget, and the
+secret-row patterns of the view are the row-by-row images of K_C^s on the
+coalition's columns. These counts need no deal and no partial trace, so
+they stay exact at any s; dense trace distances between concrete secret
+pairs cross-check them at small sizes.
 
 Coalitions containing the dealer but missing at least one participant are
 the ones the security argument covers; anything else is measured and
@@ -33,7 +35,7 @@ import numpy as np
 from .circuits import expected_ladder_pauli
 from .dense import _check_cap
 from .errors import ResourceError, UsageError
-from .paulis import PauliOperator, _is_zero
+from .paulis import PauliOperator, PauliString, _is_zero
 from .protocol import (
     SchemeParams,
     SharedState,
@@ -56,64 +58,55 @@ PATTERN_CAP = 2**16
 
 @dataclass(frozen=True)
 class Coalition:
-    """A subset of {alice, p1..pn}; everyone else is honest."""
+    """A subset of {alice, p1..pn} as its sorted share columns: column 1 is
+    alice, the dealer, and column i + 1 is pi. Every other column is honest."""
 
     n: int
-    members: frozenset[str]
+    columns: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        valid = {"alice"} | {f"p{i}" for i in range(1, self.n + 1)}
-        bad = self.members - valid
-        if bad:
-            raise UsageError(f"unknown parties {sorted(bad)} for n={self.n}")
-        if not self.members:
+        if not self.columns:
             raise UsageError("coalition cannot be empty")
+        bounds = (0, *self.columns, self.n + 2)
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise UsageError(
+                f"coalition columns {self.columns} must rise strictly within 1..{self.n + 1}"
+            )
 
     @classmethod
     def parse(cls, spec: str, n: int) -> Coalition:
-        """From a comma list like "alice,1,2" or "alice,p1,p2"."""
-        members = set()
+        """From a comma list like "alice,1,2" or "alice,p1,p2": a participant
+        is an optional p followed by ASCII digits."""
+        columns, unknown = set(), set()
         for token in spec.split(","):
             token = token.strip().lower()
-            if not token:
-                continue
+            digits = token.removeprefix("p")
             if token == "alice":
-                members.add("alice")
-            elif token.startswith("p") and token[1:].isdigit():
-                members.add(token)
-            elif token.isdigit():
-                members.add(f"p{int(token)}")
-            else:
+                columns.add(1)
+            elif digits.isascii() and digits.isdigit():
+                i = int(digits)
+                (columns if 1 <= i <= n else unknown).add(i + 1)
+            elif token:
                 raise UsageError(f"cannot read coalition member {token!r}")
-        return cls(n, frozenset(members))
+        if unknown:
+            raise UsageError(f"unknown parties {sorted(f'p{y - 1}' for y in unknown)} for n={n}")
+        return cls(n, tuple(sorted(columns)))
 
     @property
     def includes_alice(self) -> bool:
-        return "alice" in self.members
-
-    @property
-    def honest(self) -> frozenset[str]:
-        everyone = {"alice"} | {f"p{i}" for i in range(1, self.n + 1)}
-        return frozenset(everyone - self.members)
+        return self.columns[0] == 1
 
     @property
     def is_full(self) -> bool:
-        return not self.honest
+        return len(self.columns) == self.n + 1
 
     @property
     def covered_by_security_argument(self) -> bool:
         """True when the dealer is in and >= 1 participant is honest."""
-        return self.includes_alice and any(h != "alice" for h in self.honest)
-
-    def columns(self) -> tuple[int, ...]:
-        cols = []
-        for name in self.members:
-            cols.append(1 if name == "alice" else int(name[1:]) + 1)
-        return tuple(sorted(cols))
+        return self.includes_alice and not self.is_full
 
     def label(self) -> str:
-        ordered = sorted(self.members, key=lambda p: -1 if p == "alice" else int(p[1:]))
-        return ",".join(ordered)
+        return ",".join(["alice" if y == 1 else f"p{y - 1}" for y in self.columns])
 
 
 def adversary_view(shared: SharedState, coalition: Coalition) -> PauliOperator:
@@ -123,7 +116,7 @@ def adversary_view(shared: SharedState, coalition: Coalition) -> PauliOperator:
     layout = shared.layout
     if coalition.n != layout.n:
         raise UsageError("coalition does not match the layout")
-    keep_cols = set(coalition.columns())
+    keep_cols = set(coalition.columns)
     traced = [
         q
         for y in range(1, layout.columns + 1)
@@ -133,18 +126,20 @@ def adversary_view(shared: SharedState, coalition: Coalition) -> PauliOperator:
     return shared.state.partial_trace(traced)
 
 
-def _row_kernel(params: SchemeParams, coalition: Coalition) -> dict[str, str]:
+def _row_kernel(params: SchemeParams, coalition: Coalition) -> dict[str, PauliString]:
     """K_C: each letter whose ladder image is I on every honest column,
-    mapped to its image's letters on the coalition's columns. The ladder is
-    row-local, so the s-row words the view keeps are exactly K_C^s."""
+    mapped to its image. An image misses the honest columns when its x and
+    z masks do. The ladder is row-local, so the s-row words the view keeps
+    are exactly K_C^s."""
     if coalition.n != params.n:
         raise UsageError("coalition does not match the layout")
-    m, columns = params.n + 1, coalition.columns()
+    m = params.n + 1
+    honest = (1 << m) - 1 - sum(1 << (y - 1) for y in coalition.columns)
     kernel = {}
     for sigma in "IXYZ":
-        image = expected_ladder_pauli(m, sigma).letters()
-        if all(image[y - 1] == "I" for y in range(1, m + 1) if y not in columns):
-            kernel[sigma] = "".join(image[y - 1] for y in columns)
+        image = expected_ladder_pauli(m, sigma)
+        if (image.x | image.z) & honest == 0:
+            kernel[sigma] = image
     return kernel
 
 
@@ -173,7 +168,8 @@ def _secret_row_patterns(params: SchemeParams, coalition: Coalition) -> tuple[st
         raise ResourceError(
             f"{len(images)}^{params.s} secret-row patterns exceed the listing cap {PATTERN_CAP}"
         )
-    return tuple(sorted("".join(rows) for rows in itertools.product(images, repeat=params.s)))
+    rows = ["".join([image.letter(y - 1) for y in coalition.columns]) for image in images]
+    return tuple(sorted("".join(word) for word in itertools.product(rows, repeat=params.s)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +234,18 @@ def secret_independence_check(
         )
     notes = []
     if not coalition.covered_by_security_argument:
-        reasons = [] if coalition.includes_alice else ["the dealer is absent"]
-        if all(h == "alice" for h in coalition.honest):
-            reasons.append("no participant besides the dealer is honest")
+        # the full coalition was refused above, so here the dealer is absent
+        reason = "the dealer is absent"
+        if len(coalition.columns) == coalition.n:
+            reason += " and no participant besides the dealer is honest"
         notes.append(
-            f"{' and '.join(reasons)}: residuals are reported descriptively, "
+            f"{reason}: residuals are reported descriptively, "
             "without a pass/fail claim from the security argument"
         )
     residuals = _tagged_residuals(params, coalition)
 
     max_td = 0.0
-    view_qubits = params.layout().rows * len(coalition.columns())
+    view_qubits = params.layout().rows * len(coalition.columns)
     if view_qubits <= 8:
         if dealt is None:
             dealt = []
@@ -292,7 +289,7 @@ def distinguishability(
     A view above the dense cap is refused before anything is dealt;
     secret_independence_check's symbolic count has no such cap."""
     layout = params.layout()
-    _check_cap(layout.rows * len(coalition.columns()), "coalition view")
+    _check_cap(layout.rows * len(coalition.columns), "coalition view")
     views = []
     for secret in (secret_a, secret_b):
         if not isinstance(secret, SharedState):
@@ -324,23 +321,25 @@ def parity_regime_check(params: SchemeParams, coalition: Coalition) -> ParityReg
     theta (x) (I^s)^(columns-1) with theta collapsed to I^s, since every
     non-identity row letter puts a non-identity letter on the honest
     participant's column. Uncovered coalitions get their patterns listed
-    with no expectation.
+    with no expectation, and a note naming K_C.
     """
     if coalition.is_full:
         raise UsageError("parity regimes concern proper coalitions only")
     patterns = _secret_row_patterns(params, coalition)
     regime = _regime(params.n)
     if not coalition.covered_by_security_argument:
-        notes = ("uncovered coalition: surviving patterns listed descriptively",)
+        kernel = ", ".join(_row_kernel(params, coalition))
+        notes = (
+            "uncovered coalition: surviving patterns listed descriptively",
+            f"K_C = {{{kernel}}}: the letters whose ladder image misses every honest column",
+        )
         return ParityRegimeReport(regime, patterns, "info", notes)
-    ok = patterns == ("I" * (params.s * len(coalition.columns())),)
+    ok = patterns == ("I" * (params.s * len(coalition.columns)),)
     return ParityRegimeReport(regime, patterns, "pass" if ok else "fail", ())
 
 
 def covered_coalitions(n: int) -> list[Coalition]:
-    """All coalitions of the dealer plus n-1 participants."""
-    out = []
-    for missing in range(1, n + 1):
-        members = {"alice"} | {f"p{i}" for i in range(1, n + 1) if i != missing}
-        out.append(Coalition(n, frozenset(members)))
-    return out
+    """All coalitions of the dealer plus n-1 participants, p1 missing first."""
+    everyone = tuple(range(1, n + 2))
+    # participant pi is column i + 1, at index i of everyone
+    return [Coalition(n, everyone[:i] + everyone[i + 1 :]) for i in range(1, n + 1)]

@@ -451,9 +451,9 @@ def cmd_audit(options: dict) -> Report:
     for coalition in coalitions:
         audit = secret_independence_check(params, coalition, tolerance=tol, dealt=dealt)
         audit_dicts.append(audit.as_dict())
-        covered = coalition.covered_by_security_argument
+        covered, label = coalition.covered_by_security_argument, coalition.label()
         report.add(
-            f"independence-{coalition.label()}",
+            f"independence-{label}",
             audit.tagged_residuals,
             0 if covered else None,
             passed=(audit.verdict == "pass") if covered else None,
@@ -461,7 +461,7 @@ def cmd_audit(options: dict) -> Report:
         )
         regime = parity_regime_check(params, coalition)
         report.add(
-            f"parity-regime-{coalition.label()}",
+            f"parity-regime-{label}",
             len(regime.surviving_patterns),
             None,
             passed=(regime.verdict == "pass") if covered else None,
@@ -474,7 +474,7 @@ def cmd_audit(options: dict) -> Report:
             if note not in report.notes:
                 report.notes.append(note)
 
-    view_qubits = params.layout().rows * len(coalitions[0].columns())
+    view_qubits = params.layout().rows * len(coalitions[0].columns)
     if view_qubits <= DENSE_CAP and coalitions[0].covered_by_security_argument:
         # the cross-check's family starts with |0...0> and |1...1>; views too
         # large for the cross-check left it empty

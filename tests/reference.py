@@ -8,7 +8,8 @@ matrices.
 The operator helpers stand in for constructors only the tests need,
 coeff reads one word's coefficient, bit_planes builds the bit
 planes of the Clifford kernel term by term, ladder_word is the ladder's
-closed-form image written out letter by letter, is_column_local is the locality
+closed-form image written out letter by letter, row_kernel reads the
+audit's K_C off those letters, is_column_local is the locality
 check the circuit tests hold expansions to, condition_slots and parity read
 a gate condition by counting slots one at a time, and generic_secret is the input
 of the audit's enumeration oracle. flat_deal is the dealt grid state
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qsslab.audit import AUDIT_TOLERANCE, Coalition, _row_kernel
+from qsslab.audit import AUDIT_TOLERANCE, Coalition
 from qsslab.circuits import CLIFFORD_KINDS, GATE_ARITY, Gate, column_kinds
 from qsslab.dense import GATE_MATRICES, PROBABILITY_CUTOFF
 from qsslab.errors import UnsupportedGateError, UsageError
@@ -223,10 +224,23 @@ def generic_secret(s):
     return PauliOperator.from_terms(s, entries)
 
 
+def row_kernel(params, coalition):
+    """K_C letter by letter: each letter whose ladder_word is I on every
+    honest column, mapped to its letters on the coalition's columns."""
+    m, columns = params.n + 1, coalition.columns
+    kernel = {}
+    for sigma in "IXYZ":
+        image = ladder_word(m, sigma).letters()
+        if all(image[y - 1] == "I" for y in range(1, m + 1) if y not in columns):
+            kernel[sigma] = "".join(image[y - 1] for y in columns)
+    return kernel
+
+
 def tagged_residuals(params, coalition):
-    """(|K_C|^s - 1) R_C^budget, with R_C counted by reading each
-    magic-state word's letters and keeping it when all lie in K_C."""
-    kernel = _row_kernel(params, coalition)
+    """(|K_C|^s - 1) R_C^budget, with K_C from row_kernel and R_C counted
+    by reading each magic-state word's letters and keeping it when all lie
+    in K_C."""
+    kernel = row_kernel(params, coalition)
     kept = sum(set(ps.letters()) <= kernel.keys() for ps, _ in magic_state_operator().items())
     return (len(kernel) ** params.s - 1) * kept**params.budget
 
@@ -343,7 +357,7 @@ def eq16_form_check(branches, honest, transcript=None, announcement=None):
     if not branches:
         raise UsageError("no branches to check")
     layout = branches[0].layout
-    columns = Coalition.parse(str(honest), layout.n).columns()
+    columns = Coalition.parse(str(honest), layout.n).columns
     if len(columns) != 1 or columns[0] == 1:
         raise UsageError("honest party must be one participant, e.g. 'p2'")
     (y,) = columns

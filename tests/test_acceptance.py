@@ -174,7 +174,7 @@ def test_c06_parity_regimes_have_the_expected_term_sets():
                 report = parity_regime_check(params, coalition)
                 assert report.regime == regime
                 assert report.verdict == "pass", (n, s, coalition.label())
-                expected = ("I" * (s * len(coalition.columns())),)
+                expected = ("I" * (s * len(coalition.columns)),)
                 assert report.surviving_patterns == expected
     print("criterion 06: PASS parity regimes, all-identity survivor sets only")
 

@@ -12,6 +12,7 @@ from qsslab.audit import (
     AUDIT_TOLERANCE,
     PATTERN_CAP,
     Coalition,
+    _row_kernel,
     _secret_row_patterns,
     _tagged_residuals,
     adversary_view,
@@ -35,6 +36,7 @@ from reference import (
     eq16_form_check,
     generic_secret,
     maximally_mixed,
+    row_kernel,
     tagged_residuals,
 )
 
@@ -46,9 +48,31 @@ from reference import (
 
 def test_coalition_parse_accepts_mixed_spellings():
     got = Coalition.parse("alice, P2, 3", n=3)
-    assert got.members == frozenset({"alice", "p2", "p3"})
-    assert got.columns() == (1, 3, 4)
+    assert got == Coalition(3, (1, 3, 4))
+    assert got.columns == (1, 3, 4)
     assert got.label() == "alice,p2,p3"
+
+
+@pytest.mark.parametrize(
+    "token, columns",
+    [("\u00b2", None), ("\u0661", None), ("01", (1, 2)), ("p01", (1, 2))],
+)
+def test_coalition_parse_reads_ascii_digits_only(token, columns):
+    # a superscript two or an Arabic-Indic one passes str.isdigit but is no
+    # party number; a leading zero reads the same with or without the p
+    spec = f"alice,{token}"
+    if columns is None:
+        with pytest.raises(UsageError, match="cannot read coalition member"):
+            Coalition.parse(spec, n=3)
+    else:
+        assert Coalition.parse(spec, n=3).columns == columns
+
+
+@pytest.mark.parametrize("columns", [(), (2, 1), (1, 1), (0, 1), (1, 4)])
+def test_coalition_refuses_bad_columns(columns):
+    # empty, unsorted, repeated, below column 1 and past column n + 1 = 3
+    with pytest.raises(UsageError):
+        Coalition(2, columns)
 
 
 def test_coalition_parse_rejects_garbage():
@@ -63,7 +87,7 @@ def test_coalition_parse_rejects_garbage():
 def test_coalition_properties():
     c = Coalition.parse("alice,p1", n=2)
     assert c.includes_alice
-    assert c.honest == frozenset({"p2"})
+    assert c.columns == (1, 2)
     assert not c.is_full
     assert c.covered_by_security_argument
 
@@ -77,10 +101,10 @@ def test_coalition_properties():
 
 def test_covered_coalitions_enumeration():
     crowd = covered_coalitions(3)
-    assert len(crowd) == 3
+    assert [c.columns for c in crowd] == [(1, 3, 4), (1, 2, 4), (1, 2, 3)]
     for c in crowd:
         assert c.includes_alice
-        assert len(c.members) == 3
+        assert len(c.columns) == 3
         assert c.covered_by_security_argument
 
 
@@ -215,7 +239,7 @@ def _proper_coalitions(n):
     parties = ["alice"] + [f"p{i}" for i in range(1, n + 1)]
     for size in range(1, len(parties)):
         for members in itertools.combinations(parties, size):
-            yield Coalition(n, frozenset(members))
+            yield Coalition.parse(",".join(members), n)
 
 
 def test_tagged_residuals_match_the_letters_based_count():
@@ -228,11 +252,31 @@ def test_tagged_residuals_match_the_letters_based_count():
         parties = ["alice"] + [f"p{i}" for i in range(1, n + 1)]
         for size in range(1, len(parties) + 1):
             for members in itertools.combinations(parties, size):
-                coalition = Coalition(n, frozenset(members))
+                coalition = Coalition.parse(",".join(members), n)
                 where = (n, s, budget, coalition.label())
                 assert _tagged_residuals(params, coalition) == tagged_residuals(params, coalition), where
                 checked += 1
     assert checked == 6 * sum(2 ** (n + 1) - 1 for n in range(2, 8))
+
+
+def test_row_kernel_masks_match_the_letters_based_kernel():
+    # the x/z mask test of each ladder image against reading its letters,
+    # for every coalition at n = 1..7, the full ones included: the same
+    # letters, each with the same image on the coalition's columns
+    checked = 0
+    for n in range(1, 8):
+        params = SchemeParams(n=n, s=1, t=0)
+        parties = ["alice"] + [f"p{i}" for i in range(1, n + 1)]
+        for size in range(1, len(parties) + 1):
+            for members in itertools.combinations(parties, size):
+                coalition = Coalition.parse(",".join(members), n)
+                got = {
+                    sigma: "".join(image.letter(y - 1) for y in coalition.columns)
+                    for sigma, image in _row_kernel(params, coalition).items()
+                }
+                assert got == row_kernel(params, coalition), (n, coalition.label())
+                checked += 1
+    assert checked == sum(2 ** (n + 1) - 1 for n in range(1, 8))
 
 
 def test_secret_row_terms_are_the_secret_dependent_terms():
@@ -256,7 +300,7 @@ def test_secret_row_terms_are_the_secret_dependent_terms():
         for coalition in _proper_coalitions(n):
             where = (n, s, budget, coalition.label())
             view = adversary_view(generic, coalition)
-            secret_qubits = s * len(coalition.columns())
+            secret_qubits = s * len(coalition.columns)
             counted, patterns = set(), set()
             for ps, _ in view.items():
                 pattern = ps.letters()[:secret_qubits]
@@ -382,6 +426,17 @@ def test_parity_regime_uncovered_lists_patterns():
     report = parity_regime_check(params, Coalition.parse("p1,p2,p3", n=3))
     assert report.verdict == "info"
     assert report.surviving_patterns == ("IIIIII", "IIIXXX", "XXXIII", "XXXXXX")
+
+
+def test_parity_regime_names_the_kernel_of_an_uncovered_coalition():
+    # at m = 4 the X image skips the dealer's column, so the dealer-less
+    # crowd keeps I and X; a covered coalition gets no note
+    params = SchemeParams(n=3, s=1, t=0)
+    report = parity_regime_check(params, Coalition.parse("p1,p2,p3", n=3))
+    assert report.notes[-1] == (
+        "K_C = {I, X}: the letters whose ladder image misses every honest column"
+    )
+    assert parity_regime_check(params, covered_coalitions(3)[0]).notes == ()
 
 
 def test_parity_regime_rejects_full_coalition():

@@ -573,6 +573,14 @@ def test_audit_bad_coalition_exits_two(tmp_path):
     assert code == 2
 
 
+def test_audit_non_ascii_digit_exits_two(tmp_path, capsys):
+    # a superscript two passes str.isdigit, and int() would raise on it
+    code, payload = _run(tmp_path, "audit", "--n", "3", "--coalition", "alice,²")
+    assert code == 2
+    assert payload is None
+    assert "cannot read coalition member" in capsys.readouterr().err
+
+
 def test_audit_strict_sizes_by_s_and_t(tmp_path):
     code, payload = _run(tmp_path, "audit", "--strict", "--s", "6", "--t", "6")
     assert code == 0
