@@ -152,18 +152,22 @@ def _ladder_cnots(j: int) -> tuple[Gate, Gate]:
     return Gate("CNOT", (0, j)), Gate("CNOT", (j, 0))
 
 
-@cache
-def ladder_circuit(m: int) -> Circuit:
+def ladder_gates(m: int) -> tuple[Gate, ...]:
     """Per-row encoding unitary on m qubits: CNOT fan-out from qubit 0 to
     each other qubit, then CNOT fan-in from each back onto qubit 0 —
     2(m-1) gates in total. The fan-out half equals the block map
-    |0><0| (x) I^(m-1) + |1><1| (x) X^(m-1). Circuits are frozen, so each
-    width is built and validated once per process.
-    """
+    |0><0| (x) I^(m-1) + |1><1| (x) X^(m-1)."""
     if m < 2:
         raise UsageError("the ladder needs at least 2 qubits")
     fan_out, fan_in = zip(*(_ladder_cnots(j) for j in range(1, m)))
-    return Circuit(m, 0, fan_out + fan_in)
+    return fan_out + fan_in
+
+
+@cache
+def ladder_circuit(m: int) -> Circuit:
+    """ladder_gates(m) as a circuit. Circuits are frozen, so each width is
+    built and validated once per process."""
+    return Circuit(m, 0, ladder_gates(m))
 
 
 @cache

@@ -42,6 +42,7 @@ from .circuits import (
     expected_ladder_pauli,
     ladder_circuit,
     ladder_fanout_circuit,
+    ladder_gates,
     magic_state_circuit,
     toffoli_gadget,
 )
@@ -180,7 +181,7 @@ def _json_text(obj: object, newline: str = "\n") -> str:
 
 def _emit(report: Report, out_path: str | None) -> int:
     text = _json_text(report.as_dict())
-    if out_path:
+    if out_path is not None:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
@@ -264,23 +265,23 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
 _FANOUT_IMAGES = {"X": lambda m: "X" * m, "Y": lambda m: "Y" + "X" * (m - 1), "Z": lambda m: "Z" + "I" * (m - 1)}
 
 
-@cache
-def _letter_monomial(letter: str) -> tuple[np.ndarray, np.ndarray]:
-    return monomial_unitary(Circuit(1, 0, (Gate(letter, (0,)),)))
-
-
 def _word_monomials(words: list[PauliString]) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width Pauli words' matrices as (perms, phases), one word per
-    row: i^phase times the Kronecker product of the word's letter gates'
-    one-qubit monomials, qubit 0 the most significant index bit."""
-    _check_cap(words[0].num_qubits, "Pauli word matrix")
-    perm = np.zeros((len(words), 1), dtype=np.intp)
-    phase = np.array([[word.phase_factor()] for word in words])
-    for letters in zip(*(word.letters() for word in words)):
-        letter_perm, letter_phase = (np.array(part) for part in zip(*map(_letter_monomial, letters)))
-        perm = (perm[:, :, None] << 1 | letter_perm[:, None]).reshape(len(words), -1)
-        phase = (phase[:, :, None] * letter_phase[:, None]).reshape(len(words), -1)
-    return perm, phase
+    row, qubit 0 the most significant index bit. Y = iXZ, so a word is
+    i^(p + |x & z|) X^x Z^z, and its column c holds i^(p + |x & z|)
+    (-1)^|z & c| in row c ^ x, the masks read in index bit order."""
+    m = words[0].num_qubits
+    _check_cap(m, "Pauli word matrix")
+    cols = np.arange(2**m)
+    parity = np.zeros_like(cols)  # |c| mod 2 for each index c
+    for q in range(m):
+        parity ^= cols >> q & 1
+    # qubit q is index bit m - 1 - q: reverse each mask's m bits
+    x = np.array([int(f"{w.x:0{m}b}"[::-1], 2) for w in words])
+    z = np.array([int(f"{w.z:0{m}b}"[::-1], 2) for w in words])
+    turns = np.array([w.phase + bin(w.x & w.z).count("1") for w in words])
+    quarter = turns[:, None] + 2 * parity[z[:, None] & cols]
+    return x[:, None] ^ cols, np.array([1, 1j, -1, -1j])[quarter % 4]
 
 
 def _monomial_error(perm: np.ndarray, phase: np.ndarray, images: dict[str, PauliString]) -> float:
@@ -321,7 +322,7 @@ def cmd_verify_ladder(options: dict) -> Report:
     for m in range(lo, hi + 1):
         # one 4-term operator per width; each letter's image is looked up by
         # its expected word, so the storage order cannot matter
-        image = _letters_on_qubit_0(m).conjugate_circuit(ladder_circuit(m).gates)
+        image = _letters_on_qubit_0(m).conjugate_circuit(ladder_gates(m))
         mismatches = 4  # a lost or merged term leaves every letter unverified
         if image.num_terms == 4:
             terms = image.terms
@@ -366,11 +367,11 @@ def cmd_run(options: dict) -> Report:
         },
     )
 
-    if options.get("secret"):
+    if "secret" in options:
         secret = load_secret(options["secret"], params.s)
     else:
         _, secret = canonical_secret_family(params.s)[0]
-    if options.get("script"):
+    if "script" in options:
         script = EvaluationScript.from_lines(
             Path(options["script"]).read_text(encoding="utf-8"), params.s
         )
@@ -441,7 +442,7 @@ def cmd_audit(options: dict) -> Report:
             "tolerance": tol,
         },
     )
-    if options.get("coalition"):
+    if "coalition" in options:
         coalitions = [Coalition.parse(options["coalition"], params.n)]
     else:
         coalitions = covered_coalitions(params.n)
@@ -621,7 +622,7 @@ def _parse_options(argv: list[str]) -> tuple[str, dict]:
     the command and the explicit flags, so the explicit flags win."""
     parser = _build_parser()
     args, unknown = parser.parse_known_args(argv)
-    if args.config and not unknown:
+    if args.config is not None and not unknown:
         tokens = _config_tokens(args.config, _config_keys(args.command))
         args, unknown = parser.parse_known_args(argv[:1] + tokens + argv[1:])
     options = vars(args)

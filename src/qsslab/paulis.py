@@ -551,7 +551,8 @@ class PauliOperator:
         planes it touches plus a T-bit sign mask, whatever T is; the planes
         are transposed back into word rows once. Sign rules are stated on
         input bits; all were verified against the dense 4x4/8x8 conjugation
-        oracle (see tests).
+        oracle (see tests). When no term's sign flips, the result shares
+        ``self.coeffs``, which no operator writes, and skips the sign pass.
         """
         n = self.num_qubits
         for g in gates:
@@ -601,6 +602,8 @@ class PauliOperator:
             else:  # Z
                 sign ^= x[q]
         new_x, new_z = _words_from_planes(x, z, count)
+        if not sign:
+            return PauliOperator(n, new_x, new_z, self.coeffs)
         flip = np.unpackbits(
             np.frombuffer(sign.to_bytes(8 * -(-count // 64), "little"), dtype=np.uint8),
             count=count,

@@ -55,6 +55,7 @@ SharedState. The branch cap counts bit histories, not merged states.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -684,19 +685,20 @@ def _settled(op: PauliOperator, gates: Sequence[Gate], width: int) -> PauliOpera
 def canonical_secret_family(s: int) -> list[tuple[str, PauliOperator]]:
     """All-zero, all-one and all-plus product secrets on s qubits.
 
-    They are built densely, so s above the dense cap is refused before the
-    2^s x 2^s outer products are allocated."""
+    The basis secrets are built densely, so s above the dense cap is refused
+    before the 2^s x 2^s outer products are allocated. |+...+> is built from
+    its 2^s words in {I, X}^s, each <P> exactly 1, with no 2^(-s/2) rounding."""
     _check_cap(s, "canonical secrets")
     dim = 2**s
     zero = np.zeros(dim)
     zero[0] = 1.0
     one = np.zeros(dim)
     one[-1] = 1.0
-    plus = np.full(dim, dim**-0.5)
+    plus = ["".join(word) for word in itertools.product("IX", repeat=s)]
     return [
         ("|" + "0" * s + ">", PauliOperator.from_dense(np.outer(zero, zero))),
         ("|" + "1" * s + ">", PauliOperator.from_dense(np.outer(one, one))),
-        ("|" + "+" * s + ">", PauliOperator.from_dense(np.outer(plus, plus))),
+        ("|" + "+" * s + ">", PauliOperator.from_words(s, plus, np.ones(dim))),
     ]
 
 

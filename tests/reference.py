@@ -2,7 +2,8 @@
 
 The matrix helpers build their result entry by entry or factor by factor,
 with no shared kernel, so a test can compare the package's output with
-them exactly; monomial_matrix scatters a (perm, phase) pair into one, and
+them exactly; monomial_matrix scatters a (perm, phase) pair into one,
+word_monomials builds Pauli words' (perm, phase) pairs letter by letter, and
 branches runs a circuit's measurement branches with full gate and projector
 matrices.
 The operator helpers stand in for constructors only the tests need,
@@ -13,7 +14,8 @@ audit's K_C off those letters, is_column_local is the locality
 check the circuit tests hold expansions to, condition_slots and parity read
 a gate condition by counting slots one at a time, and generic_secret is the input
 of the audit's enumeration oracle. flat_deal is the dealt grid state
-expanded in one block, the form the factored SharedState.state must match.
+expanded in one block, the form the factored SharedState.state must match,
+and dense_plus_secret the all-plus secret as a dense outer product.
 random_density_matrix, supported_logical_kinds and random_clifford_script
 draw the random secrets and Clifford scripts of the logical-action tests.
 announce_distribution (criterion c10) and eq16_form_check (the form of
@@ -22,14 +24,14 @@ command runs.
 """
 
 import itertools
-from functools import reduce
+from functools import cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from qsslab.audit import AUDIT_TOLERANCE, Coalition
-from qsslab.circuits import CLIFFORD_KINDS, GATE_ARITY, Gate, column_kinds
-from qsslab.dense import GATE_MATRICES, PROBABILITY_CUTOFF
+from qsslab.circuits import CLIFFORD_KINDS, GATE_ARITY, Circuit, Gate, column_kinds
+from qsslab.dense import GATE_MATRICES, PROBABILITY_CUTOFF, monomial_unitary
 from qsslab.errors import UnsupportedGateError, UsageError
 from qsslab.paulis import PauliOperator, PauliString
 from qsslab.protocol import (
@@ -87,6 +89,24 @@ def monomial_matrix(perm, phase):
     u = np.zeros((perm.size, perm.size), dtype=complex)
     u[perm, np.arange(perm.size)] = phase
     return u
+
+
+@cache
+def _letter_monomial(letter):
+    return monomial_unitary(Circuit(1, 0, (Gate(letter, (0,)),)))
+
+
+def word_monomials(words):
+    """Equal-width Pauli words' matrices as (perms, phases), one word per
+    row: i^phase times the Kronecker product of the word's letter gates'
+    one-qubit monomials, qubit 0 the most significant index bit."""
+    perm = np.zeros((len(words), 1), dtype=np.intp)
+    phase = np.array([[word.phase_factor()] for word in words])
+    for letters in zip(*(word.letters() for word in words)):
+        letter_perm, letter_phase = (np.array(part) for part in zip(*map(_letter_monomial, letters)))
+        perm = (perm[:, :, None] << 1 | letter_perm[:, None]).reshape(len(words), -1)
+        phase = (phase[:, :, None] * letter_phase[:, None]).reshape(len(words), -1)
+    return perm, phase
 
 
 def branches(circuit, amplitudes):
@@ -260,6 +280,12 @@ def flat_deal(params, secret):
     for _ in range(params.t // 3):
         block = block.tensor(on_dealer_column(magic_state_operator()))
     return block.conjugate_circuit(encoding_circuit(layout).gates)
+
+
+def dense_plus_secret(s):
+    """|+...+><+...+| on s qubits from 2^(-s/2) amplitudes, expanded densely."""
+    plus = np.full(2**s, 2 ** (-s / 2))
+    return PauliOperator.from_dense(np.outer(plus, plus))
 
 
 def random_density_matrix(num_qubits, rng):

@@ -2,11 +2,13 @@
 its partial-trace enumeration, dense cross-checks and honest views."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from qsslab.circuits import Gate
+from qsslab.cli import main
 from qsslab.errors import ResourceError, UsageError
 from qsslab.audit import (
     AUDIT_TOLERANCE,
@@ -391,6 +393,36 @@ def test_basis_pair_views_at_n2_are_equal_and_need_no_eigensolver(monkeypatch):
         first, second = (adversary_view(shared, coalition) for shared in pair)
         assert first == second
         assert distinguishability(params, coalition, *pair) == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("s", range(1, 4))
+def test_covered_views_of_the_canonical_secrets_are_equal(n, s):
+    # each secret's coefficients are exact, so the views agree bit for bit
+    # and the cross-check's distances take the zero-difference short cut
+    params = SchemeParams(n=n, s=s, t=0)
+    dealt = [deal(params, op) for _, op in canonical_secret_family(s)]
+    for coalition in covered_coalitions(n):
+        first, *rest = (adversary_view(shared, coalition) for shared in dealt)
+        assert all(view == first for view in rest), coalition.label()
+
+
+@pytest.mark.parametrize("argv", [["--n", "1"], ["--n", "2", "--t", "0"]])
+def test_small_audits_run_the_cross_check_without_an_eigensolve(tmp_path, monkeypatch, argv):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    out = tmp_path / "report.json"
+    assert main(["audit", *argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert any(note.startswith("dense cross-check over 3") for note in report["notes"])
+    assert [audit["max_trace_distance"] for audit in report["audits"]] == [0.0] * len(report["audits"])
+    assert calls == []
 
 
 def test_distinguishability_guards_the_dense_cap():

@@ -13,6 +13,7 @@ from qsslab.circuits import (
     gates_from_lines,
     ladder_circuit,
     ladder_fanout_circuit,
+    ladder_gates,
     magic_state_circuit,
     toffoli_gadget,
     transversal_expand,
@@ -197,6 +198,15 @@ def test_ladder_gate_count(m):
 def test_ladder_rejects_single_column():
     with pytest.raises(UsageError):
         ladder_circuit(1)
+    with pytest.raises(UsageError):
+        ladder_gates(1)
+
+
+def test_ladder_circuit_holds_the_ladder_gates_themselves():
+    # the symbolic ladder sweep conjugates ladder_gates(m) with no Circuit
+    # built; the cached circuit must hold those very Gate objects
+    for m in range(2, 102):
+        assert all(a is b for a, b in zip(ladder_circuit(m).gates, ladder_gates(m), strict=True))
 
 
 # frozen closed form of the ladder's conjugation action; the sign on the

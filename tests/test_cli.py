@@ -157,6 +157,19 @@ def test_verify_ladder_catches_one_wrong_image_at_77_columns(tmp_path, monkeypat
     assert [(c["name"], c["measured"]) for c in failed] == [("ladder-symbolic-m77", 1)]
 
 
+def test_verify_ladder_sweeps_the_gates_it_names(tmp_path, monkeypatch):
+    # the symbolic sweep conjugates ladder_gates(m) itself: a ladder missing
+    # its last fan-in CNOT must fail at every width, while the dense half,
+    # which runs the cached ladder_circuit, still passes
+    gates = cli.ladder_gates
+    monkeypatch.setattr(cli, "ladder_gates", lambda m: gates(m)[:-1])
+    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..8")
+    assert code == 1
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [f"ladder-symbolic-m{m}" for m in range(2, 9)]
+    assert all(c["measured"] > 0 for c in failed)
+
+
 def test_verify_ladder_catches_a_wrong_fanout_image(tmp_path, monkeypatch):
     # the fan-out of X at m = 5 is X^5; claiming X^4 (x) I must fail there only
     images = dict(cli._FANOUT_IMAGES)
@@ -867,6 +880,37 @@ def test_files_that_are_not_utf8_exit_two(tmp_path, flag, capsys):
     path = tmp_path / "latin1"
     path.write_bytes(b'{"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]} # \xff\n')
     assert main(["run", flag, str(path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+EMPTY_VALUES = [
+    ("audit", "coalition", "coalition cannot be empty"),
+    ("run", "secret", "usage error"),
+    ("run", "script", "usage error"),
+    ("run", "out", "usage error"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,key,message", EMPTY_VALUES, ids=[key for _, key, _ in EMPTY_VALUES])
+def test_an_empty_value_is_not_read_as_absent(tmp_path, monkeypatch, capsys, source, command, key, message):
+    # an empty path names the working directory, which no file read or
+    # write accepts, and an empty coalition names no party; neither falls
+    # back to the default
+    monkeypatch.chdir(tmp_path)
+    if source == "flag":
+        argv = [command, f"--{key}", ""]
+    else:
+        (tmp_path / "config.cfg").write_text(f"{key} =\n")
+        argv = [command, "--config", "config.cfg"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+def test_an_empty_config_path_exits_two(capsys):
+    assert main(["run", "--config", ""]) == 2
     assert "usage error" in capsys.readouterr().err
 
 

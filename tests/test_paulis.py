@@ -27,6 +27,7 @@ from reference import (
     monomial_matrix,
     pauli_operator,
     random_density_matrix,
+    word_monomials,
 )
 
 
@@ -112,6 +113,22 @@ def test_signed_permutation_rows_are_a_permutation_and_an_involution():
         for perm in perms:
             assert np.array_equal(np.sort(perm), cols), letters
             assert np.array_equal(perm[perm], cols), letters
+
+
+@pytest.mark.parametrize("m", range(6, 11))
+def test_word_monomials_from_masks_match_the_letter_by_letter_product(m):
+    # the mask form reads a word's row and sign off its x/z bits; the
+    # reference multiplies the letters' one-qubit monomials in turn
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        count = int(rng.integers(1, 8))
+        words = [
+            PauliString.from_letters("".join(rng.choice(list("IXYZ"), size=m)), int(rng.integers(4)))
+            for _ in range(count)
+        ]
+        got, want = _word_monomials(words), word_monomials(words)
+        assert np.array_equal(got[0], want[0]), words
+        assert np.array_equal(got[1], want[1]), words
 
 
 def test_dense_cap_enforced():

@@ -40,6 +40,7 @@ from reference import (
     coeff,
     announce_distribution,
     basis_secret,
+    dense_plus_secret,
     flat_deal,
     generic_secret,
     joint_distribution,
@@ -843,6 +844,17 @@ def test_canonical_secret_family():
     for _, op in family:
         assert op.trace() == pytest.approx(1.0)
         assert op.num_qubits == 2
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_all_plus_secret_is_exact(s):
+    # built from its words, |+...+> has <P> = 1 on each word of {I, X}^s
+    # with no 2^(-s/2) rounding, and it is the dense outer product's state
+    _, plus = canonical_secret_family(s)[2]
+    assert plus.num_terms == 2**s
+    assert np.all(plus.coeffs == 1.0)
+    assert plus.trace() == 1.0
+    assert plus.approx_equal(dense_plus_secret(s))
 
 
 # ---------------------------------------------------------------------------
