@@ -21,8 +21,9 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cache
+from operator import or_
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .dense import (
     trace_distance,
 )
 from .errors import ProtocolError, ResourceError, UsageError
-from .paulis import PauliOperator, PauliString, _num_words
+from .paulis import PauliString, _clifford_planes, _masks_of, _num_words, _words_from_planes
 from .protocol import (
     EvaluationScript,
     SchemeParams,
@@ -77,6 +78,9 @@ LADDER_NOTES = (
     "with the Hermitian Y convention the ladder's Y image carries the sign "
     "(-1)^floor((m-1)/2); X and Z images are sign-free",
 )
+# the widest ladder verify-ladder checks: it covers the 3,001-column grids of
+# run --n 3000, and the symbolic sweep's time grows with the square of the width
+LADDER_MAX_COLUMNS = 4096
 BUDGET_NOTE = (
     "the per-party gate budget is exposed as t/3 consumable ancilla triples; "
     "whether it should instead scale with the secret row count is ambiguous, "
@@ -303,34 +307,41 @@ def _monomial_error(perm: np.ndarray, phase: np.ndarray, images: dict[str, Pauli
     return max(worst, float(np.where(perm[p_rows] == q_rows[:, perm], np.abs(up - qu), apart).max()))
 
 
-def _letters_on_qubit_0(m: int) -> PauliOperator:
-    """I, X, Y and Z on qubit 0 of m, each with coefficient 1, written as
-    word rows: only bit 0 of the first mask word is ever set."""
-    x = np.zeros((4, _num_words(m)), dtype=np.uint64)
-    z = np.zeros_like(x)
-    x[:, 0] = (0, 1, 1, 0)
-    z[:, 0] = (0, 0, 1, 1)
-    return PauliOperator(m, x, z, np.ones(4, dtype=complex))
+def _ladder_images(lo: int, hi: int) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
+    """(m, images) for m = lo..hi: the (x, z, phase) of I, X, Y and Z on
+    qubit 0 conjugated by ladder_gates(m), phase 2 for a negated image. Each
+    width runs its own m planes through the gate loop. 16 widths share a
+    64-term block, width k at terms 4k..4k+3: its planes start at those bits,
+    where the bitwise loop keeps them, so one transpose reads the block back."""
+    for start in range(lo, hi + 1, 16):
+        widths = range(start, min(start + 16, hi + 1))
+        block_x, block_z = ([0] * 64 * _num_words(widths[-1]) for _ in "xz")
+        sign = 0
+        for k, m in enumerate(widths):
+            x, z = [0b0110 << 4 * k] + [0] * (m - 1), [0b1100 << 4 * k] + [0] * (m - 1)
+            sign |= _clifford_planes(x, z, ladder_gates(m))
+            block_x[:m] = map(or_, block_x, x)
+            block_z[:m] = map(or_, block_z, z)
+        rows = _words_from_planes(block_x, block_z, 4 * len(widths))
+        xs, zs = (_masks_of(words) for words in rows)
+        for k, m in enumerate(widths):
+            yield m, [(xs[j], zs[j], 2 * (sign >> j & 1)) for j in range(4 * k, 4 * k + 4)]
 
 
 def cmd_verify_ladder(options: dict) -> Report:
     lo, hi = _parse_m_range(options.get("m_range", "2..16"))
+    if hi > LADDER_MAX_COLUMNS:
+        raise ResourceError(
+            f"m-range ends at {hi} columns; the symbolic sweep's time grows with the "
+            f"square of the width, so verify-ladder checks at most {LADDER_MAX_COLUMNS}"
+        )
     tol = options.get("tolerance", 1e-12)
     report = Report("verify-ladder", options.get("seed"), {"m_range": f"{lo}..{hi}", "tolerance": tol})
     dense_hi = min(hi, 8, DENSE_CAP)
 
-    for m in range(lo, hi + 1):
-        # one 4-term operator per width; each letter's image is looked up by
-        # its expected word, so the storage order cannot matter
-        image = _letters_on_qubit_0(m).conjugate_circuit(ladder_gates(m))
-        mismatches = 4  # a lost or merged term leaves every letter unverified
-        if image.num_terms == 4:
-            terms = image.terms
-            mismatches = 0
-            for sigma in "IXYZ":
-                want = expected_ladder_pauli(m, sigma)
-                # the stored coefficient carries the word's phase, i^phase
-                mismatches += terms.get((want.x, want.z)) != want.phase_factor()
+    for m, images in _ladder_images(lo, hi):
+        wants = (expected_ladder_pauli(m, sigma) for sigma in "IXYZ")
+        mismatches = sum(image != (w.x, w.z, w.phase) for image, w in zip(images, wants))
         report.add(f"ladder-symbolic-m{m}", mismatches, 0)
 
     for m in range(lo, dense_hi + 1):

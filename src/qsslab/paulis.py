@@ -268,6 +268,48 @@ def _words_from_planes(x: list[int], z: list[int], count: int) -> tuple[np.ndarr
     return np.ascontiguousarray(rows[:width].T), np.ascontiguousarray(rows[width:].T)
 
 
+def _clifford_planes(x: list[int], z: list[int], gates: Sequence["Gate"]) -> int:
+    """Conjugate the bit planes x[q], z[q] (bit i of a plane is bit q of term
+    i) in place by Clifford gates, with the tableau rules of Aaronson and
+    Gottesman, PRA 70, 052328 (2004), stated on input bits and checked against
+    the dense oracle (see tests). Returns the sign plane, bit i set where term
+    i is negated. Qubits are the caller's to check; an unknown kind raises."""
+    sign = 0
+    for g in gates:
+        kind = g.kind
+        if kind == "CNOT":
+            c, t = g.qubits
+            sign ^= x[c] & z[t] & ~(x[t] ^ z[c])  # X(x)Z / Y(x)Y pick up -1
+            x[t] ^= x[c]
+            z[c] ^= z[t]
+            continue
+        if kind == "CZ":
+            a, b = g.qubits
+            sign ^= x[a] & x[b] & (z[a] ^ z[b])
+            z[a] ^= x[b]
+            z[b] ^= x[a]
+            continue
+        q = g.qubits[0]
+        if kind == "H":
+            sign ^= x[q] & z[q]  # Y -> -Y
+            x[q], z[q] = z[q], x[q]
+        elif kind == "S":
+            sign ^= x[q] & z[q]  # Y -> -X
+            z[q] ^= x[q]
+        elif kind == "Sdg":
+            sign ^= x[q] & ~z[q]  # X -> -Y
+            z[q] ^= x[q]
+        elif kind == "X":
+            sign ^= z[q]
+        elif kind == "Y":
+            sign ^= x[q] ^ z[q]
+        elif kind == "Z":
+            sign ^= x[q]
+        else:
+            raise UsageError(f"unsupported Clifford kind {kind!r}")
+    return sign
+
+
 def _is_zero(words: np.ndarray) -> np.ndarray:
     """Per row: no bit set in any of its words."""
     out = words[:, 0] == 0
@@ -543,17 +585,11 @@ class PauliOperator:
         return self._conjugate_cliffords(list(gates))
 
     def _conjugate_cliffords(self, gates: Sequence["Gate"]) -> PauliOperator:
-        """Conjugate by a run of Clifford gates on bit planes.
-
-        Every gate is validated before any work. The word rows are
-        bit-transposed once into planes x[q], z[q], each a T-bit int holding
-        bit q of every term, so a gate is a few XOR/AND operations on the
-        planes it touches plus a T-bit sign mask, whatever T is; the planes
-        are transposed back into word rows once. Sign rules are stated on
-        input bits; all were verified against the dense 4x4/8x8 conjugation
-        oracle (see tests). When no term's sign flips, the result shares
-        ``self.coeffs``, which no operator writes, and skips the sign pass.
-        """
+        """Conjugate by a run of Clifford gates: every gate is validated
+        before any work, the word rows are transposed once into bit planes,
+        _clifford_planes runs the gates on them, and one transpose reads them
+        back. When no term's sign flips, the result shares ``self.coeffs``,
+        which no operator writes, and skips the sign pass."""
         n = self.num_qubits
         for g in gates:
             if g.kind == "TOFFOLI":
@@ -570,37 +606,7 @@ class PauliOperator:
         if not gates or not count:
             return self
         x, z = _planes(self.x, self.z)
-        sign = 0
-        for g in gates:
-            kind = g.kind
-            if kind == "CNOT":
-                c, t = g.qubits
-                sign ^= x[c] & z[t] & ~(x[t] ^ z[c])  # X(x)Z / Y(x)Y pick up -1
-                x[t] ^= x[c]
-                z[c] ^= z[t]
-                continue
-            if kind == "CZ":
-                a, b = g.qubits
-                sign ^= x[a] & x[b] & (z[a] ^ z[b])
-                z[a] ^= x[b]
-                z[b] ^= x[a]
-                continue
-            (q,) = g.qubits
-            if kind == "H":
-                sign ^= x[q] & z[q]  # Y -> -Y
-                x[q], z[q] = z[q], x[q]
-            elif kind == "S":
-                sign ^= x[q] & z[q]  # Y -> -X
-                z[q] ^= x[q]
-            elif kind == "Sdg":
-                sign ^= x[q] & ~z[q]  # X -> -Y
-                z[q] ^= x[q]
-            elif kind == "X":
-                sign ^= z[q]
-            elif kind == "Y":
-                sign ^= x[q] ^ z[q]
-            else:  # Z
-                sign ^= x[q]
+        sign = _clifford_planes(x, z, gates)
         new_x, new_z = _words_from_planes(x, z, count)
         if not sign:
             return PauliOperator(n, new_x, new_z, self.coeffs)

@@ -9,7 +9,8 @@ matrices.
 The operator helpers stand in for constructors only the tests need,
 coeff reads one word's coefficient, bit_planes builds the bit
 planes of the Clifford kernel term by term, ladder_word is the ladder's
-closed-form image written out letter by letter, row_kernel reads the
+closed-form image written out letter by letter, ladder_sweep is
+verify-ladder's symbolic sweep run one operator per width, row_kernel reads the
 audit's K_C off those letters, is_column_local is the locality
 check the circuit tests hold expansions to, condition_slots and parity read
 a gate condition by counting slots one at a time, and generic_secret is the input
@@ -30,7 +31,15 @@ from typing import NamedTuple
 import numpy as np
 
 from qsslab.audit import AUDIT_TOLERANCE, Coalition
-from qsslab.circuits import CLIFFORD_KINDS, GATE_ARITY, Circuit, Gate, column_kinds
+from qsslab.circuits import (
+    CLIFFORD_KINDS,
+    GATE_ARITY,
+    Circuit,
+    Gate,
+    column_kinds,
+    expected_ladder_pauli,
+    ladder_gates,
+)
 from qsslab.dense import GATE_MATRICES, PROBABILITY_CUTOFF, monomial_unitary
 from qsslab.errors import UnsupportedGateError, UsageError
 from qsslab.paulis import PauliOperator, PauliString
@@ -158,6 +167,22 @@ def ladder_word(m, sigma):
         return PauliString.from_letters(sigma * m, phase)
     word = {"X": "I" + "X" * (m - 1), "Y": "Z" + "Y" * (m - 1), "Z": "Z" * m}[sigma]
     return PauliString.from_letters(word, phase)
+
+
+def ladder_sweep(lo, hi, gates=ladder_gates):
+    """verify-ladder's symbolic sweep one width at a time: I, X, Y and Z on
+    qubit 0 as one 4-term operator, conjugated by conjugate_circuit(gates(m)),
+    each letter's image looked up by its expected word. Yields (m,
+    mismatches, images), images the (x, z, phase) of the stored terms in
+    letter order, phase 2 for coefficient -1."""
+    for m in range(lo, hi + 1):
+        letters = [sigma + "I" * (m - 1) for sigma in "IXYZ"]
+        image = PauliOperator.from_words(m, letters, np.ones(4)).conjugate_circuit(gates(m))
+        mismatches = 4  # a lost or merged term leaves every letter unverified
+        if image.num_terms == 4:
+            mismatches = sum(coeff(image, expected_ladder_pauli(m, sigma)) != 1 for sigma in "IXYZ")
+        images = [(ps.x, ps.z, {1: 0, -1: 2}[c]) for ps, c in image.items()]
+        yield m, mismatches, images
 
 
 def column_of(layout, qubit):

@@ -14,9 +14,9 @@ from qsslab.audit import covered_coalitions, parity_regime_check, secret_indepen
 from qsslab.cli import main
 from qsslab.dense import build_unitary
 from qsslab.errors import UsageError
-from qsslab.paulis import PauliOperator, PauliString
+from qsslab.paulis import PauliString
 
-from reference import dense_error, monomial_matrix
+from reference import dense_error, ladder_sweep, monomial_matrix
 
 TOP_LEVEL_KEYS = [
     "tool",
@@ -68,19 +68,26 @@ def test_verify_ladder_symbolic_only_above_dense_cap(tmp_path):
     assert names == ["ladder-symbolic-m14", "ladder-symbolic-m15"]
 
 
-def test_verify_ladder_looks_up_each_image_by_its_word(tmp_path, monkeypatch):
-    # regrouped storage (the image's rows reversed) cannot change the verdict,
-    # and a wrong phase on one expected image is exactly one mismatch
-    conjugate = PauliOperator.conjugate_circuit
+def test_verify_ladder_compares_each_image_in_its_own_slot(tmp_path, monkeypatch):
+    # a readback that rotates the second block's rows by one term hands each
+    # of its widths another letter's image, so every width of that block
+    # fails and no other does; and a wrong phase on one expected image is
+    # exactly one mismatch
+    words_from_planes = cli._words_from_planes
+    blocks = []
 
-    def reversed_rows(op, gates):
-        image = conjugate(op, gates)
-        return PauliOperator(image.num_qubits, image.x[::-1], image.z[::-1], image.coeffs[::-1])
+    def rotated_second_block(x, z, count):
+        blocks.append(count)
+        rows = words_from_planes(x, z, count)
+        return tuple(np.roll(r, 1, axis=0) for r in rows) if len(blocks) == 2 else rows
 
-    monkeypatch.setattr(PauliOperator, "conjugate_circuit", reversed_rows)
-    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "9..10")
-    assert code == 0
-    assert _check(payload, "ladder-symbolic-m9")["measured"] == 0
+    monkeypatch.setattr(cli, "_words_from_planes", rotated_second_block)
+    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "9..50")
+    assert code == 1
+    assert blocks == [64, 64, 40]
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [f"ladder-symbolic-m{m}" for m in range(25, 41)]
+    monkeypatch.undo()
 
     expected = cli.expected_ladder_pauli
 
@@ -92,6 +99,44 @@ def test_verify_ladder_looks_up_each_image_by_its_word(tmp_path, monkeypatch):
     code, payload = _run(tmp_path, "verify-ladder", "--m-range", "9..10")
     assert code == 1
     assert _check(payload, "ladder-symbolic-m10")["measured"] == 1
+
+
+@pytest.mark.parametrize("spec", ["2..140", "5..70"])
+@pytest.mark.parametrize(
+    "gates",
+    [circuits.ladder_gates, lambda m: circuits.ladder_gates(m) + (circuits.Gate("S", (0,)),)],
+    ids=["ladder", "ladder-then-S"],
+)
+def test_verify_ladder_matches_the_per_width_reference(tmp_path, monkeypatch, spec, gates):
+    # both ranges cross the 64-column word boundary, 2..140 the 128-column
+    # one too, and both end on a partial block of widths; a trailing S on
+    # qubit 0 maps X to Y and Y to -X there, so the images, signs and
+    # mismatch counts of a wrong ladder must agree too
+    lo, hi = map(int, spec.split(".."))
+    want = list(ladder_sweep(lo, hi, gates))
+    monkeypatch.setattr(cli, "ladder_gates", gates)
+    assert list(cli._ladder_images(lo, hi)) == [(m, images) for m, _, images in want]
+    _, payload = _run(tmp_path, "verify-ladder", "--m-range", spec)
+    symbolic = [(c["name"], c["measured"]) for c in payload["checks"] if "symbolic" in c["name"]]
+    assert symbolic == [(f"ladder-symbolic-m{m}", count) for m, count, _ in want]
+
+
+def test_verify_ladder_refuses_a_range_past_the_column_cap_before_any_work(tmp_path, monkeypatch, capsys):
+    gates = cli.ladder_gates
+
+    def forbidden(m):
+        raise AssertionError("a ladder was built before the column cap refused")
+
+    monkeypatch.setattr(cli, "ladder_gates", forbidden)
+    for spec in (f"2..{cli.LADDER_MAX_COLUMNS + 1}", "2..100000"):
+        code, payload = _run(tmp_path, "verify-ladder", "--m-range", spec)
+        assert code == 3 and payload is None
+        assert "verify-ladder checks at most 4096" in capsys.readouterr().err
+    # the cap itself is accepted
+    monkeypatch.setattr(cli, "ladder_gates", gates)
+    monkeypatch.setattr(cli, "LADDER_MAX_COLUMNS", 20)
+    assert _run(tmp_path, "verify-ladder", "--m-range", "2..20")[0] == 0
+    assert _run(tmp_path, "verify-ladder", "--m-range", "20..21")[0] == 3
 
 
 def test_verify_ladder_builds_each_ladder_gate_once(tmp_path, monkeypatch):

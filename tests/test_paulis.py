@@ -14,6 +14,7 @@ from qsslab.paulis import (
     TWO_QUBIT_CLIFFORDS,
     PauliOperator,
     PauliString,
+    _clifford_planes,
     _planes,
     _words_from_planes,
 )
@@ -480,6 +481,19 @@ def test_bad_gate_raises_before_any_work(bad, match):
         op.conjugate_circuit([Gate("H", (0,)), Gate("CZ", (1, 2)), bad])
     with pytest.raises(UsageError, match=match):
         op.conjugate_clifford(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [Gate("I", (0,)), Gate("TOFFOLI", (0, 1, 2)), Gate("MEASURE_Z", (0,), classical_bit=0)],
+    ids=lambda g: g.kind,
+)
+def test_gate_loop_refuses_a_kind_it_has_no_rule_for(bad):
+    # the ladder sweep runs the loop without the kernel's validation pass, so
+    # the loop itself must not read an unknown kind as one of its rules
+    x, z = [0b0110, 0, 0], [0b1100, 0, 0]
+    with pytest.raises(UsageError, match=f"unsupported Clifford kind {bad.kind!r}"):
+        _clifford_planes(x, z, [Gate("H", (0,)), bad])
 
 
 def test_conjugate_clifford_rejects_toffoli():
