@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cache
-from operator import or_
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -79,7 +78,7 @@ LADDER_NOTES = (
     "(-1)^floor((m-1)/2); X and Z images are sign-free",
 )
 # the widest ladder verify-ladder checks: it covers the 3,001-column grids of
-# run --n 3000, and the symbolic sweep's time grows with the square of the width
+# run --n 3000; the symbolic sweep runs about hi^2/64 gate steps up to width hi
 LADDER_MAX_COLUMNS = 4096
 BUDGET_NOTE = (
     "the per-party gate budget is exposed as t/3 consumable ancilla triples; "
@@ -247,13 +246,20 @@ def _params_from(options: dict) -> SchemeParams:
     )
 
 
+def _ascii_int(text: str) -> int:
+    """An integer flag: ASCII digits after at most one "-" (int() also reads "1_0" and "٣")."""
+    if not (text.removeprefix("-").isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_m_range(spec: str) -> tuple[int, int]:
     if ".." not in spec:
         raise UsageError(f"m-range {spec!r} must look like A..B")
     lo_text, _, hi_text = spec.partition("..")
     try:
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
+        lo, hi = _ascii_int(lo_text), _ascii_int(hi_text)
+    except argparse.ArgumentTypeError:
         raise UsageError(f"m-range {spec!r} must use integers") from None
     if lo < 2:
         raise UsageError("the ladder needs at least 2 columns; m-range starts at 2")
@@ -309,21 +315,27 @@ def _monomial_error(perm: np.ndarray, phase: np.ndarray, images: dict[str, Pauli
 
 def _ladder_images(lo: int, hi: int) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
     """(m, images) for m = lo..hi: the (x, z, phase) of I, X, Y and Z on
-    qubit 0 conjugated by ladder_gates(m), phase 2 for a negated image. Each
-    width runs its own m planes through the gate loop. 16 widths share a
-    64-term block, width k at terms 4k..4k+3: its planes start at those bits,
-    where the bitwise loop keeps them, so one transpose reads the block back."""
-    for start in range(lo, hi + 1, 16):
-        widths = range(start, min(start + 16, hi + 1))
-        block_x, block_z = ([0] * 64 * _num_words(widths[-1]) for _ in "xz")
-        sign = 0
-        for k, m in enumerate(widths):
-            x, z = [0b0110 << 4 * k] + [0] * (m - 1), [0b1100 << 4 * k] + [0] * (m - 1)
-            sign |= _clifford_planes(x, z, ladder_gates(m))
-            block_x[:m] = map(or_, block_x, x)
-            block_z[:m] = map(or_, block_z, z)
-        rows = _words_from_planes(block_x, block_z, 4 * len(widths))
-        xs, zs = (_masks_of(words) for words in rows)
+    qubit 0 conjugated by ladder_gates(m), phase 2 for a negated image. Up to
+    64 widths, width k at terms 4k..4k+3, share one run of ladder_gates(top),
+    top their widest; the ladders nest, so width m is checked against the gates
+    of ladder_gates(top) on qubits below m, and each other gate is undone there."""
+    for start in range(lo, hi + 1, 64):
+        widths = range(start, min(start + 64, hi + 1))
+        x, z = ([int(c * len(widths), 16)] + [0] * (64 * _num_words(widths[-1]) - 1) for c in "6c")
+        sign, shared = 0, []
+        for g in ladder_gates(widths[-1]):
+            if (j := max(g.qubits)) < start:
+                shared.append(g)
+                continue
+            sign ^= _clifford_planes(x, z, shared)
+            shared, saved = [], [(q, x[q], z[q]) for q in g.qubits]
+            # no sign mask: every sign rule has a factor from qubit j's planes, 0 in skipped widths
+            sign ^= _clifford_planes(x, z, (g,))
+            hold = (1 << 4 * (j + 1 - start)) - 1
+            for q, xq, zq in saved:
+                x[q], z[q] = x[q] & ~hold | xq & hold, z[q] & ~hold | zq & hold
+        sign ^= _clifford_planes(x, z, shared)
+        xs, zs = (_masks_of(words) for words in _words_from_planes(x, z, 4 * len(widths)))
         for k, m in enumerate(widths):
             yield m, [(xs[j], zs[j], 2 * (sign >> j & 1)) for j in range(4 * k, 4 * k + 4)]
 
@@ -332,8 +344,8 @@ def cmd_verify_ladder(options: dict) -> Report:
     lo, hi = _parse_m_range(options.get("m_range", "2..16"))
     if hi > LADDER_MAX_COLUMNS:
         raise ResourceError(
-            f"m-range ends at {hi} columns; the symbolic sweep's time grows with the "
-            f"square of the width, so verify-ladder checks at most {LADDER_MAX_COLUMNS}"
+            f"m-range ends at {hi} columns; the symbolic sweep runs about {hi}^2/64 gate steps, "
+            f"growing with the square of the width, so verify-ladder checks at most {LADDER_MAX_COLUMNS}"
         )
     tol = options.get("tolerance", 1e-12)
     report = Report("verify-ladder", options.get("seed"), {"m_range": f"{lo}..{hi}", "tolerance": tol})
@@ -600,7 +612,7 @@ _FLAG_SETTINGS = {
     "tolerance": {"type": float},
     "strict": {"action": "store_true"},
     "mode": {"choices": ("exact", "sampled")},
-    **dict.fromkeys(("n", "k", "kprime", "s", "t", "seed"), {"type": int}),
+    **dict.fromkeys(("n", "k", "kprime", "s", "t", "seed"), {"type": _ascii_int}),
 }
 
 

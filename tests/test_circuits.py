@@ -209,6 +209,17 @@ def test_ladder_circuit_holds_the_ladder_gates_themselves():
         assert all(a is b for a, b in zip(ladder_circuit(m).gates, ladder_gates(m), strict=True))
 
 
+def test_ladders_nest():
+    # verify-ladder checks every width of a chunk against one run of its
+    # widest ladder: ladder_gates(m) must be exactly the gates of
+    # ladder_gates(hi) on qubits below m, in the same order
+    for hi in range(2, 201):
+        gates = ladder_gates(hi)
+        tops = [max(g.qubits) for g in gates]
+        for m in range(2, hi + 1):
+            assert ladder_gates(m) == tuple(g for g, j in zip(gates, tops) if j < m)
+
+
 # frozen closed form of the ladder's conjugation action; the sign on the
 # Y image alternates with period four in the column count
 EXPECTED_LADDER = {

@@ -69,24 +69,25 @@ def test_verify_ladder_symbolic_only_above_dense_cap(tmp_path):
 
 
 def test_verify_ladder_compares_each_image_in_its_own_slot(tmp_path, monkeypatch):
-    # a readback that rotates the second block's rows by one term hands each
-    # of its widths another letter's image, so every width of that block
-    # fails and no other does; and a wrong phase on one expected image is
-    # exactly one mismatch
+    # 9..140 runs as chunks of 64, 64 and 4 widths, read back as 256, 256
+    # and 16 terms; a readback that rotates the second chunk's rows by one
+    # term hands each of its widths another letter's image, so every width
+    # of that chunk fails and no other does; and a wrong phase on one
+    # expected image is exactly one mismatch
     words_from_planes = cli._words_from_planes
-    blocks = []
+    chunks = []
 
-    def rotated_second_block(x, z, count):
-        blocks.append(count)
+    def rotated_second_chunk(x, z, count):
+        chunks.append(count)
         rows = words_from_planes(x, z, count)
-        return tuple(np.roll(r, 1, axis=0) for r in rows) if len(blocks) == 2 else rows
+        return tuple(np.roll(r, 1, axis=0) for r in rows) if len(chunks) == 2 else rows
 
-    monkeypatch.setattr(cli, "_words_from_planes", rotated_second_block)
-    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "9..50")
+    monkeypatch.setattr(cli, "_words_from_planes", rotated_second_chunk)
+    code, payload = _run(tmp_path, "verify-ladder", "--m-range", "9..140")
     assert code == 1
-    assert blocks == [64, 64, 40]
+    assert chunks == [256, 256, 16]
     failed = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == [f"ladder-symbolic-m{m}" for m in range(25, 41)]
+    assert [c["name"] for c in failed] == [f"ladder-symbolic-m{m}" for m in range(73, 137)]
     monkeypatch.undo()
 
     expected = cli.expected_ladder_pauli
@@ -203,15 +204,17 @@ def test_verify_ladder_catches_one_wrong_image_at_77_columns(tmp_path, monkeypat
 
 
 def test_verify_ladder_sweeps_the_gates_it_names(tmp_path, monkeypatch):
-    # the symbolic sweep conjugates ladder_gates(m) itself: a ladder missing
-    # its last fan-in CNOT must fail at every width, while the dense half,
-    # which runs the cached ladder_circuit, still passes
+    # the symbolic sweep conjugates by the ladder_gates it names: ladders
+    # missing column 3's fan-in CNOT (3 -> 0) at every width must fail at
+    # the widths 4..8 that have column 3 and pass at 2 and 3, while the
+    # dense half, which runs the cached ladder_circuit, still passes
     gates = cli.ladder_gates
-    monkeypatch.setattr(cli, "ladder_gates", lambda m: gates(m)[:-1])
+    monkeypatch.setattr(cli, "ladder_gates", lambda m: tuple(g for g in gates(m) if g.qubits != (3, 0)))
     code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..8")
     assert code == 1
+    assert len(payload["checks"]) == 3 * 7
     failed = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == [f"ladder-symbolic-m{m}" for m in range(2, 9)]
+    assert [c["name"] for c in failed] == [f"ladder-symbolic-m{m}" for m in range(4, 9)]
     assert all(c["measured"] > 0 for c in failed)
 
 
@@ -637,6 +640,37 @@ def test_audit_non_ascii_digit_exits_two(tmp_path, capsys):
     assert code == 2
     assert payload is None
     assert "cannot read coalition member" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("audit", "n", "1_0"),
+        ("audit", "n", "٣"),
+        ("audit", "k", "+1"),
+        ("audit", "kprime", "١"),
+        ("audit", "s", "３"),
+        ("audit", "t", "0_3"),
+        ("run", "seed", "٣"),
+        ("gadget", "seed", "--1"),
+        ("verify-ladder", "m_range", "٢..٥"),
+        ("verify-ladder", "m_range", "1_0..1_2"),
+        ("verify-ladder", "m_range", "2..1_2"),
+    ],
+)
+def test_integer_flags_read_ascii_digits_only(tmp_path, via, command, key, value):
+    # int() reads "1_0" as 10 and "٣" (Arabic-Indic three) as 3; an integer
+    # flag takes ASCII digits after at most one "-", from flags and config
+    if via == "flag":
+        argv = (command, f"--{key.replace('_', '-')}={value}")
+    else:
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key}={value}\n", encoding="utf-8")
+        argv = (command, "--config", str(config))
+    code, payload = _run(tmp_path, *argv)
+    assert code == 2
+    assert payload is None
 
 
 def test_audit_strict_sizes_by_s_and_t(tmp_path):
