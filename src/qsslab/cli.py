@@ -142,14 +142,16 @@ _JSON_TYPES = (str, int, float, list, tuple, dict)
 _EXACT_JSON_TYPES = frozenset(_JSON_TYPES + (bool, type(None)))
 _INT_ONLY = frozenset((int,))
 _escape = json.encoder.encode_basestring_ascii
+#: each scalar type's text but float's, which needs json's NaN and Infinity
+_SCALAR_TEXT = {str: _escape, int: int.__repr__, bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
 
 
 def _json_text(obj: object, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` byte for byte. Strings use json's own C
-    escaper and each container is joined once, which avoids the pure-Python
-    encoder that json falls back to whenever ``indent`` is set. ``newline``
-    is a line break plus the current indent. Types json cannot encode, and
-    dict keys that are not strings, raise TypeError."""
+    escaper, each container is joined once and same-shape rows share one
+    template (_rows_text): no pure-Python encoder, which json falls back to
+    whenever ``indent`` is set. ``newline`` is a line break plus the current
+    indent. Types json cannot encode, and non-str dict keys, raise TypeError."""
     kind = type(obj)
     if kind not in _EXACT_JSON_TYPES:
         # a subclass encodes as json encodes it, by the first base it matches
@@ -162,12 +164,8 @@ def _json_text(obj: object, newline: str = "\n") -> str:
         if math.isfinite(obj):
             return float.__repr__(obj)
         return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
+    if kind in _SCALAR_TEXT:  # int, bool or None
+        return _SCALAR_TEXT[kind](obj)
     brackets = "{}" if kind is dict else "[]"
     if not obj:
         return brackets
@@ -175,11 +173,43 @@ def _json_text(obj: object, newline: str = "\n") -> str:
     if kind is dict:
         # the escaper raises TypeError on a key that is not a str
         items = [_escape(key) + ": " + _json_text(value, inner) for key, value in obj.items()]
-    elif _INT_ONLY.issuperset(map(type, obj)):  # the transcript's bit lists
+    elif _INT_ONLY.issuperset(map(type, obj)):  # int lists, a bits template among them
         items = map(int.__repr__, obj)
     else:
-        items = [_json_text(item, inner) for item in obj]
+        items = _rows_text(obj, inner) or [_json_text(item, inner) for item in obj]
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _rows_text(rows: list, newline: str) -> list[str] | None:
+    """The texts of 64 or more rows from one ``%`` template that _json_text lays out, or None
+    unless all rows are dicts with the first row's key order and int-list lengths, else scalars."""
+    first = rows[0]
+    if len(rows) < 64 or type(first) is not dict or dict in map(type, first.values()):
+        return None  # recursion is faster below 64 rows (on a collected heap) and for nested dicts
+    keys = list(first)
+    if any(type(row) is not dict or list(row) != keys for row in rows):
+        return None
+    floats: dict[float, str] = {}  # each finite float's text, written once per list
+
+    def text(value):  # None where a value breaks the shape, NaN and infinities included
+        if type(value) is not float:
+            return _SCALAR_TEXT[type(value)](value) if type(value) in _SCALAR_TEXT else None
+        if value and math.isfinite(value):  # not 0.0, which is -0.0's dict key
+            return floats.get(value) or floats.setdefault(value, float.__repr__(value))
+        return None if value else float.__repr__(value)
+
+    columns = []
+    for head, column in zip(first.values(), zip(*(row.values() for row in rows))):
+        if type(head) in (list, tuple) and all(type(v) in (list, tuple) and len(v) == len(head) > 0
+                                               and _INT_ONLY.issuperset(map(type, v)) for v in column):
+            bits = _json_text([0] * len(head), newline + "  ").replace("0", "%d")
+            column = [bits % tuple(v) for v in column]
+        elif None in (column := list(map(text, column))):  # text(a list) is None too
+            return None
+        columns.append(column)
+    template = _json_text(dict.fromkeys(keys, "%s"), newline)  # each value written "%s"
+    plain = template.count('"%s"') == template.count("%") == len(keys)  # no key holds a %
+    return list(map(template.replace('"%s"', "%s").__mod__, zip(*columns))) if plain else None
 
 
 def _emit(report: Report, out_path: str | None) -> int:

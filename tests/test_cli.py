@@ -729,15 +729,18 @@ LAYOUT_CASES = {
 }
 
 
-def _assert_json_dumps_layout(text):
-    """text is json.dumps(indent=2) of its own content plus a newline. A
-    mismatch names the first differing character instead of having the
-    whole report diffed."""
-    want = json.dumps(json.loads(text), indent=2) + "\n"
+def _assert_same_text(text, want):
+    """A mismatch names the first differing character instead of having the
+    whole text diffed, which takes minutes for a large report."""
     if text != want:
         at = len(os.path.commonprefix([text, want]))
         around = slice(max(at - 30, 0), at + 30)
         pytest.fail(f"layout differs at character {at}: {text[around]!r} != {want[around]!r}")
+
+
+def _assert_json_dumps_layout(text):
+    """text is json.dumps(indent=2) of its own content plus a newline."""
+    _assert_same_text(text, json.dumps(json.loads(text), indent=2) + "\n")
 
 
 @pytest.mark.parametrize("argv", LAYOUT_CASES.values(), ids=list(LAYOUT_CASES))
@@ -757,10 +760,21 @@ def test_exact_toffoli_report_is_encoded_without_json_dumps(tmp_path, monkeypatc
     def forbidden(*args, **kwargs):
         raise AssertionError("json.dumps called on the report path")
 
+    calls = []
+    json_text = cli._json_text
+
+    def counted(*args):
+        calls.append(args)
+        return json_text(*args)
+
     monkeypatch.setattr(json, "dumps", forbidden)
+    monkeypatch.setattr(cli, "_json_text", counted)
     assert main(["run", "--strict", "--k", "1", "--script", script]) == 0
     monkeypatch.undo()
     assert len(json.loads(capsys.readouterr().out)["transcript"]["branches"]) == 512
+    # one template writes the rows; through the recursive path they make about
+    # four calls each, some 2,100 in all
+    assert len(calls) < 512
 
 
 ENCODER_CASES = {
@@ -772,14 +786,36 @@ ENCODER_CASES = {
     "tuples": (1, (2.5, "x"), (), [(0, 1)]),
     "bool-beside-int": [True, 1, False, 0, None, {"t": True, "one": 1, "bits": [1, 0]}],
     "scalars": [0, -7, 10**30, "plain", 2.5],
+    # lists of 64 or more same-shape rows, which one template writes, and rows that break the shape
+    "bits-1": [{"bits": [i % 2], "probability": 0.5**i} for i in range(64)],
+    "bits-3003": [
+        {"bits": [i % 3 % 2 for i in range(3003)], "p": 2.0**-1074}, {"bits": [1] * 3003, "p": 0.5}
+    ] * 32,
+    "bits-empty": [{"bits": [], "probability": 1.0}] * 64,
+    "repeated-floats": [{"bits": [b % 2, 1], "p": 0.1, "d": 0.1 * (b % 3)} for b in range(64)],
+    "signed-zeros": [{"x": -0.0, "y": 0.0}, {"x": 0.0, "y": -0.0}] * 32,
+    "float-extremes": [
+        {"x": 5e-324, "y": 1.7976931348623157e308}, {"x": -5e-324, "y": -1.7976931348623157e308}
+    ] * 32,
+    "non-finite-row": [{"x": 1.5}] * 64 + [{"x": float("nan")}, {"x": float("inf")}, {"x": -float("inf")}],
+    "np.float64-row": [{"x": 0.5, "n": None}] * 64 + [{"x": np.float64(0.5), "n": None}],
+    "bool-none-rows": [
+        {"b": True, "i": 1, "n": None, "s": "é"}, {"b": False, "i": 0, "n": None, "s": ""}
+    ] * 32,
+    "reordered-row": [{"a": i, "b": 2} for i in range(64)] + [{"b": 5, "a": 6}],
+    "extra-key-row": [{"a": i, "b": 2.5} for i in range(64)] + [{"a": 3, "b": 4.5, "c": None}],
+    "bits-lengths-differ": [{"bits": [1, 0], "s": "a"}] * 64 + [{"bits": [1], "s": "b"}],
+    "bool-among-bits": [{"bits": [1, 0], "s": "a"}] * 64 + [{"bits": [True, 0], "s": "b"}],
+    "percent-keys": [{"%s": 1, "%d": [1, 2]}] * 64,
+    "quoted-keys": [{'"%s"': 1, 'k"\x00': [1, 2]}] * 64,
 }
 
 
 @pytest.mark.parametrize("obj", ENCODER_CASES.values(), ids=list(ENCODER_CASES))
 def test_json_text_matches_json_dumps_indent(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    _assert_same_text(cli._json_text(obj), json.dumps(obj, indent=2))
     for value in obj.values() if isinstance(obj, dict) else obj:
-        assert cli._json_text(value) == json.dumps(value, indent=2)
+        _assert_same_text(cli._json_text(value), json.dumps(value, indent=2))
 
 
 @pytest.mark.parametrize(
