@@ -28,7 +28,7 @@ reported descriptively, never presumed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -56,22 +56,19 @@ PATTERN_CAP = 2**16
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coalition:
+class Coalition(namedtuple("Coalition", "n columns")):
     """A subset of {alice, p1..pn} as its sorted share columns: column 1 is
     alice, the dealer, and column i + 1 is pi. Every other column is honest."""
 
-    n: int
-    columns: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.columns:
+    def __new__(cls, n: int, columns: tuple[int, ...]) -> Coalition:
+        if not columns:
             raise UsageError("coalition cannot be empty")
-        bounds = (0, *self.columns, self.n + 2)
+        bounds = (0, *columns, n + 2)
         if any(a >= b for a, b in zip(bounds, bounds[1:])):
-            raise UsageError(
-                f"coalition columns {self.columns} must rise strictly within 1..{self.n + 1}"
-            )
+            raise UsageError(f"coalition columns {columns} must rise strictly within 1..{n + 1}")
+        return super().__new__(cls, n, columns)
 
     @classmethod
     def parse(cls, spec: str, n: int) -> Coalition:
@@ -181,15 +178,13 @@ def _regime(n: int) -> str:
     return "odd" if (n + 1) % 2 == 1 else "even"
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    params: SchemeParams
-    coalition: Coalition
-    regime: str
-    tagged_residuals: int
-    max_trace_distance: float
-    verdict: str
-    notes: tuple[str, ...]
+class AuditReport(
+    namedtuple(
+        "AuditReport",
+        "params coalition regime tagged_residuals max_trace_distance verdict notes",
+    )
+):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -305,12 +300,8 @@ def distinguishability(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParityRegimeReport:
-    regime: str
-    surviving_patterns: tuple[str, ...]
-    verdict: str
-    notes: tuple[str, ...]
+class ParityRegimeReport(namedtuple("ParityRegimeReport", "regime surviving_patterns verdict notes")):
+    __slots__ = ()
 
 
 def parity_regime_check(params: SchemeParams, coalition: Coalition) -> ParityRegimeReport:

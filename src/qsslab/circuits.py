@@ -20,9 +20,9 @@ reads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .dense import GATE_MATRICES
 from .errors import UnsupportedGateError, UsageError
@@ -35,41 +35,40 @@ GATE_ARITY = {
 CLIFFORD_KINDS = SINGLE_QUBIT_CLIFFORDS + TWO_QUBIT_CLIFFORDS
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    qubits: tuple[int, ...]
-    classical_bit: int | None = None
-    condition: tuple[int, ...] | None = None  # distinct bit slots, XORed
+class Gate(namedtuple("Gate", "kind qubits classical_bit condition")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_ARITY:
-            raise UsageError(f"unknown gate kind {self.kind!r}")
-        qs = tuple(self.qubits)
-        object.__setattr__(self, "qubits", qs)
-        if len(qs) != GATE_ARITY[self.kind]:
-            raise UsageError(f"{self.kind} takes {GATE_ARITY[self.kind]} qubits, got {len(qs)}")
+    def __new__(
+        cls,
+        kind: str,
+        qubits: tuple[int, ...],
+        classical_bit: int | None = None,
+        condition: tuple[int, ...] | None = None,  # distinct bit slots, XORed
+    ) -> Gate:
+        if kind not in GATE_ARITY:
+            raise UsageError(f"unknown gate kind {kind!r}")
+        qs = tuple(qubits)
+        if len(qs) != GATE_ARITY[kind]:
+            raise UsageError(f"{kind} takes {GATE_ARITY[kind]} qubits, got {len(qs)}")
         if len(set(qs)) != len(qs):
-            raise UsageError(f"{self.kind} qubits must be distinct")
-        if self.kind == "MEASURE_Z":
-            if self.classical_bit is None:
+            raise UsageError(f"{kind} qubits must be distinct")
+        if kind == "MEASURE_Z":
+            if classical_bit is None:
                 raise UsageError("MEASURE_Z needs a classical bit slot")
-            if self.condition is not None:
+            if condition is not None:
                 raise UsageError("measurements cannot be conditioned")
-        elif self.classical_bit is not None:
+        elif classical_bit is not None:
             raise UsageError("only MEASURE_Z writes a classical bit")
-        if self.condition is not None and not isinstance(self.condition, tuple):
-            raise UsageError(f"a condition is a slot tuple, not {type(self.condition).__name__}")
+        if condition is not None and not isinstance(condition, tuple):
+            raise UsageError(f"a condition is a slot tuple, not {type(condition).__name__}")
+        return super().__new__(cls, kind, qs, classical_bit, condition)
 
 
-@dataclass(frozen=True)
 class Circuit:
-    num_qubits: int
-    num_classical_bits: int = 0
-    gates: tuple[Gate, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
+    def __init__(self, num_qubits: int, num_classical_bits: int = 0, gates: tuple[Gate, ...] = ()) -> None:
+        self.num_qubits = num_qubits
+        self.num_classical_bits = num_classical_bits
+        self.gates = tuple(gates)
         written: set[int] = set()
         # written slots only grow, so a condition object that passed once
         # passes at every later gate sharing it
@@ -91,12 +90,6 @@ class Circuit:
                 if not 0 <= g.classical_bit < self.num_classical_bits:
                     raise UsageError(f"classical bit b{g.classical_bit} out of range")
                 written.add(g.classical_bit)
-
-    def __iter__(self) -> Iterator[Gate]:
-        return iter(self.gates)
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
     def inverse(self) -> Circuit:
         """Inverse of a measurement-free Clifford+Toffoli circuit."""
@@ -165,8 +158,8 @@ def ladder_gates(m: int) -> tuple[Gate, ...]:
 
 @cache
 def ladder_circuit(m: int) -> Circuit:
-    """ladder_gates(m) as a circuit. Circuits are frozen, so each width is
-    built and validated once per process."""
+    """ladder_gates(m) as a circuit. Nothing writes a circuit after it is
+    built, so each width is built and validated once per process."""
     return Circuit(m, 0, ladder_gates(m))
 
 
@@ -218,8 +211,7 @@ def magic_state_circuit() -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShareLayout:
+class ShareLayout(namedtuple("ShareLayout", "s t n")):
     """(s+t) x (n+1) qubit grid; rows are logical slots, columns are parties.
 
     n = 0 (a single column, no co-participants) is admitted as the degenerate
@@ -227,13 +219,12 @@ class ShareLayout:
     requires n >= 1.
     """
 
-    s: int
-    t: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.s < 1 or self.t < 0 or self.n < 0:
+    def __new__(cls, s: int, t: int, n: int) -> ShareLayout:
+        if s < 1 or t < 0 or n < 0:
             raise UsageError("layout needs s >= 1, t >= 0, n >= 0")
+        return super().__new__(cls, s, t, n)
 
     @property
     def rows(self) -> int:

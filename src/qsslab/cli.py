@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
@@ -92,14 +91,14 @@ BUDGET_NOTE = (
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Report:
-    command: str
-    seed: int | None
-    config: dict
-    checks: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    def __init__(self, command: str, seed: int | None, config: dict) -> None:
+        self.command = command
+        self.seed = seed
+        self.config = config
+        self.checks: list[dict] = []
+        self.notes: list[str] = []
+        self.extras: dict = {}
 
     def add(
         self,

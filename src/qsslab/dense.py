@@ -13,7 +13,6 @@ Qubit 0 is the leftmost tensor factor / most significant index bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Iterable
 
@@ -60,19 +59,16 @@ def _check_cap(num_qubits: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
 class StateVector:
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_cap(self.num_qubits, "StateVector")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 2**self.num_qubits:
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray) -> None:
+        _check_cap(num_qubits, "StateVector")
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if amps.size != 2**num_qubits:
             raise UsageError("amplitude vector has wrong length")
         if abs(np.vdot(amps, amps).real - 1.0) > 1e-10:
             raise UsageError("state vector is not normalized")
-        object.__setattr__(self, "amplitudes", amps)
+        self.num_qubits = num_qubits
+        self.amplitudes = amps
 
     @staticmethod
     def basis(num_qubits: int, index: int) -> StateVector:

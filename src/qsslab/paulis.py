@@ -53,7 +53,7 @@ sets and does not depend on that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -106,22 +106,17 @@ def _bit(mask: int, q: int) -> int:
     return (mask >> q) & 1
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(namedtuple("PauliString", "num_qubits x z phase")):
     """i^phase times an N-qubit Pauli word, packed as (x, z) bit masks."""
 
-    num_qubits: int
-    x: int = 0
-    z: int = 0
-    phase: int = 0  # exponent of i, mod 4
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.num_qubits < 0:
+    def __new__(cls, num_qubits: int, x: int = 0, z: int = 0, phase: int = 0) -> PauliString:
+        # phase is the exponent of i, mod 4
+        if num_qubits < 0:
             raise UsageError("negative qubit count")
-        mask = (1 << self.num_qubits) - 1
-        object.__setattr__(self, "x", self.x & mask)
-        object.__setattr__(self, "z", self.z & mask)
-        object.__setattr__(self, "phase", self.phase % 4)
+        mask = (1 << num_qubits) - 1
+        return super().__new__(cls, num_qubits, x & mask, z & mask, phase % 4)
 
     @staticmethod
     def identity(num_qubits: int) -> PauliString:
@@ -380,7 +375,6 @@ def _real_probability(prob: complex) -> float:
     return float(prob.real)
 
 
-@dataclass(frozen=True, eq=False)
 class PauliOperator:
     """Sparse Hermitian-friendly operator: sum of coeff * phase-free word.
 
@@ -391,10 +385,11 @@ class PauliOperator:
     below; ``==`` is exact equality of the word sets and coefficients.
     """
 
-    num_qubits: int
-    x: np.ndarray
-    z: np.ndarray
-    coeffs: np.ndarray
+    def __init__(self, num_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> None:
+        self.num_qubits = num_qubits
+        self.x = x
+        self.z = z
+        self.coeffs = coeffs
 
     # -- construction -----------------------------------------------------
 

@@ -57,10 +57,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,34 +87,31 @@ DEFAULT_BRANCH_CAP = 4096
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(namedtuple("SchemeParams", "n s t strict_mode")):
     """n participants besides the dealer, s secret rows, t ancilla rows.
 
     Strict mode enforces s = 3k, t = 3k' with k'/k a positive integer;
     otherwise any s >= 1 and t = 3 * (Toffoli budget), budget 0 included.
     """
 
-    n: int
-    s: int
-    t: int
-    strict_mode: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, s: int, t: int, strict_mode: bool = False) -> SchemeParams:
+        if n < 1:
             raise UsageError("need at least one participant besides the dealer")
-        if self.s < 1:
+        if s < 1:
             raise UsageError("need at least one secret row")
-        if self.t < 0 or self.t % 3 != 0:
+        if t < 0 or t % 3 != 0:
             raise UsageError("ancilla rows must come in triples")
-        if self.strict_mode:
-            if self.s % 3 != 0:
+        if strict_mode:
+            if s % 3 != 0:
                 raise UsageError("strict mode requires s = 3k")
-            k, kprime = self.s // 3, self.t // 3
+            k, kprime = s // 3, t // 3
             if kprime < 1:
                 raise UsageError("strict mode requires k' >= 1")
             if kprime % k != 0:
                 raise UsageError("strict mode requires k'/k to be a positive integer")
+        return super().__new__(cls, n, s, t, strict_mode)
 
     @classmethod
     def strict(cls, n: int, k: int, kprime: int) -> SchemeParams:
@@ -137,15 +134,12 @@ class SchemeParams:
 LOGICAL_KINDS = CLIFFORD_KINDS + ("I", "TOFFOLI")
 
 
-@dataclass(frozen=True)
 class EvaluationScript:
     """Ordered logical gates over rows 1..num_rows (Cliffords and TOFFOLIs)."""
 
-    num_rows: int
-    gates: tuple[Gate, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
+    def __init__(self, num_rows: int, gates: tuple[Gate, ...] = ()) -> None:
+        self.num_rows = num_rows
+        self.gates = tuple(gates)
         for g in self.gates:
             if g.kind not in LOGICAL_KINDS:
                 raise UsageError(f"{g.kind} is not a logical script gate")
@@ -154,12 +148,6 @@ class EvaluationScript:
             for r in g.qubits:
                 if not 1 <= r <= self.num_rows:
                     raise UsageError(f"logical row {r} out of range 1..{self.num_rows}")
-
-    def __iter__(self) -> Iterator[Gate]:
-        return iter(self.gates)
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
     @property
     def toffoli_count(self) -> int:
@@ -181,19 +169,12 @@ def logical_unitary(script: EvaluationScript) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BitOrigin:
+class BitOrigin(namedtuple("BitOrigin", "slot gadget_id triple row column participant")):
     """Where one broadcast bit came from."""
 
-    slot: int
-    gadget_id: int
-    triple: int
-    row: int
-    column: int
-    participant: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Transcript:
     """Broadcast record of one evaluate call.
 
@@ -203,9 +184,10 @@ class Transcript:
     sampled mode the one drawn history is recorded with its own probability.
     """
 
-    bit_origins: tuple[BitOrigin, ...]
-    bits: np.ndarray
-    probabilities: np.ndarray
+    def __init__(self, bit_origins: tuple[BitOrigin, ...], bits: np.ndarray, probabilities: np.ndarray) -> None:
+        self.bit_origins = bit_origins
+        self.bits = bits
+        self.probabilities = probabilities
 
     @property
     def branches(self) -> tuple[tuple[tuple[int, ...], float], ...]:
@@ -224,7 +206,6 @@ class Transcript:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class SharedState:
     """The global state after dealing, or after evaluation along one or
     more bit histories, held as its factors.
@@ -239,15 +220,14 @@ class SharedState:
     reached one merged operator holds the same SharedState.
     """
 
-    layout: ShareLayout
-    core: PauliOperator
-    unconsumed: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.core.num_qubits != self.layout.s * self.layout.columns:
+    def __init__(self, layout: ShareLayout, core: PauliOperator, unconsumed: frozenset[int]) -> None:
+        if core.num_qubits != layout.s * layout.columns:
             raise UsageError("core size does not match the layout's secret rows")
-        if not self.unconsumed <= set(range(self.layout.t // 3)):
+        if not unconsumed <= set(range(layout.t // 3)):
             raise UsageError("unconsumed triples outside the layout")
+        self.layout = layout
+        self.core = core
+        self.unconsumed = unconsumed
 
     @property
     def available_triples(self) -> tuple[int, ...]:
@@ -270,7 +250,8 @@ class SharedState:
 @cache
 def encoding_circuit(layout: ShareLayout) -> Circuit:
     """The ladder over each row's columns (empty for the 1-column layout).
-    Layouts and circuits are frozen, so each is built once per process."""
+    Layouts compare by value and nothing writes a circuit after it is
+    built, so each is built once per process."""
     if layout.columns == 1:
         return Circuit(layout.num_qubits, 0, ())
     ladder = ladder_circuit(layout.columns).gates
@@ -371,15 +352,15 @@ def _decoding_circuit(layout: ShareLayout) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Group:
     """One operator and every history that reaches it: row i of
     ``outcomes`` holds history i's measured parities, one column per
     measured set so far, and ``probs[i]`` their probability."""
 
-    op: PauliOperator
-    outcomes: np.ndarray
-    probs: np.ndarray
+    def __init__(self, op: PauliOperator, outcomes: np.ndarray, probs: np.ndarray) -> None:
+        self.op = op
+        self.outcomes = outcomes
+        self.probs = probs
 
 
 def _merge(groups: list[_Group]) -> list[_Group]:

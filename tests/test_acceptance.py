@@ -55,7 +55,7 @@ def test_c01_ladder_closed_form_for_every_width():
     start = time.monotonic()
     for m in range(2, 102):
         circuit = ladder_circuit(m)
-        assert len(circuit) == 2 * (m - 1)
+        assert len(circuit.gates) == 2 * (m - 1)
         for sigma in "IXYZ":
             op = pauli_operator(
                 PauliString.from_letters(sigma + "I" * (m - 1))

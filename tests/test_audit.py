@@ -13,7 +13,9 @@ from qsslab.errors import ResourceError, UsageError
 from qsslab.audit import (
     AUDIT_TOLERANCE,
     PATTERN_CAP,
+    AuditReport,
     Coalition,
+    ParityRegimeReport,
     _row_kernel,
     _secret_row_patterns,
     _tagged_residuals,
@@ -73,8 +75,23 @@ def test_coalition_parse_reads_ascii_digits_only(token, columns):
 @pytest.mark.parametrize("columns", [(), (2, 1), (1, 1), (0, 1), (1, 4)])
 def test_coalition_refuses_bad_columns(columns):
     # empty, unsorted, repeated, below column 1 and past column n + 1 = 3
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError) as refused:
         Coalition(2, columns)
+    rise = f"coalition columns {columns} must rise strictly within 1..3"
+    assert str(refused.value) == (rise if columns else "coalition cannot be empty")
+
+
+def test_audit_records_take_keywords():
+    coalition = Coalition(columns=(1, 2), n=2)
+    assert coalition == Coalition(2, (1, 2))
+    report = AuditReport(
+        params=SchemeParams(2, 1, 0), coalition=coalition, regime="odd", tagged_residuals=0,
+        max_trace_distance=0.0, verdict="pass", notes=("a note",),
+    )
+    assert report == AuditReport(SchemeParams(2, 1, 0), coalition, "odd", 0, 0.0, "pass", ("a note",))
+    assert (report.as_dict()["coalition"], report.as_dict()["notes"]) == ("alice,p1", ["a note"])
+    regime = ParityRegimeReport(regime="even", surviving_patterns=(), verdict="info", notes=())
+    assert (regime.regime, regime.surviving_patterns, regime.verdict) == ("even", (), "info")
 
 
 def test_coalition_parse_rejects_garbage():

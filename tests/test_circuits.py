@@ -109,7 +109,7 @@ def test_circuit_rejects_bit_read_before_write():
     ok = Circuit(
         1, 1, (Gate("MEASURE_Z", (0,), classical_bit=0), Gate("X", (0,), condition=(0,)))
     )
-    assert len(ok) == 2
+    assert len(ok.gates) == 2
 
 
 def test_circuit_checks_a_shared_condition_once_it_is_written():
@@ -132,7 +132,7 @@ def test_inverse_undoes_circuit():
     u = build_unitary(circuit)
     v = build_unitary(circuit.inverse())
     assert np.allclose(v @ u, np.eye(4))
-    assert [g.kind for g in circuit.inverse()] == ["CNOT", "Sdg", "H"]
+    assert [g.kind for g in circuit.inverse().gates] == ["CNOT", "Sdg", "H"]
 
 
 def test_inverse_rejects_measurements():
@@ -191,8 +191,8 @@ def test_ladder_structure():
 
 @pytest.mark.parametrize("m", range(2, 12))
 def test_ladder_gate_count(m):
-    assert len(ladder_circuit(m)) == 2 * (m - 1)
-    assert len(ladder_fanout_circuit(m)) == m - 1
+    assert len(ladder_circuit(m).gates) == 2 * (m - 1)
+    assert len(ladder_fanout_circuit(m).gates) == m - 1
 
 
 def test_ladder_rejects_single_column():
@@ -335,6 +335,57 @@ def test_layout_validation():
     assert ShareLayout(s=3, t=3, n=0).num_qubits == 6
 
 
+_LAYOUT_BOUNDS = "layout needs s >= 1, t >= 0, n >= 0"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Gate("ROTATE", (0,)), "unknown gate kind 'ROTATE'"),
+        (lambda: Gate("H", (0, 1)), "H takes 1 qubits, got 2"),
+        (lambda: Gate("CNOT", [1, 1]), "CNOT qubits must be distinct"),
+        (lambda: Gate("MEASURE_Z", (0,)), "MEASURE_Z needs a classical bit slot"),
+        (lambda: Gate("MEASURE_Z", (0,), 0, (0,)), "measurements cannot be conditioned"),
+        (lambda: Gate("H", (0,), classical_bit=0), "only MEASURE_Z writes a classical bit"),
+        (lambda: Gate("X", (0,), condition=[0]), "a condition is a slot tuple, not list"),
+        (lambda: ShareLayout(s=0, t=0, n=1), _LAYOUT_BOUNDS),
+        (lambda: ShareLayout(s=1, t=-3, n=1), _LAYOUT_BOUNDS),
+        (lambda: ShareLayout(s=1, t=0, n=-1), _LAYOUT_BOUNDS),
+        (lambda: Circuit(2, 0, [Gate("H", (2,))]), "gate H touches qubit 2, out of range"),
+        (
+            lambda: Circuit(1, 1, (Gate("MEASURE_Z", (0,), 0), Gate("X", (0,), condition=(0, 0)))),
+            "condition (0, 0) repeats a bit slot",
+        ),
+        (
+            lambda: Circuit(1, 2, (Gate("X", (0,), condition=(1,)),)),
+            "condition (1,) reads bit b1 before it is written",
+        ),
+        (lambda: Circuit(1, 1, (Gate("MEASURE_Z", (0,), 1),)), "classical bit b1 out of range"),
+    ],
+    ids=[
+        "gate-kind", "gate-arity", "gate-repeated-qubit", "gate-measure-without-slot",
+        "gate-conditioned-measure", "gate-slot-without-measure", "gate-list-condition",
+        "layout-s", "layout-t", "layout-n", "circuit-qubit", "circuit-repeated-slot",
+        "circuit-unwritten-slot", "circuit-slot-range",
+    ],
+)
+def test_records_refuse_bad_fields_with_their_messages(build, message):
+    with pytest.raises(UsageError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_gate_and_layout_take_keywords_and_defaults():
+    gate = Gate(kind="CNOT", qubits=[0, 1])
+    assert gate == Gate("CNOT", (0, 1), None, None)
+    assert (gate.kind, gate.qubits, gate.classical_bit, gate.condition) == ("CNOT", (0, 1), None, None)
+    measure = Gate("MEASURE_Z", (0,), classical_bit=2)
+    assert (measure.classical_bit, measure.condition) == (2, None)
+    assert Gate("X", (0,), condition=(2,)).condition == (2,)
+    layout = ShareLayout(t=3, n=2, s=1)
+    assert layout == ShareLayout(1, 3, 2) and (layout.s, layout.t, layout.n) == (1, 3, 2)
+
+
 def test_layout_index_bounds():
     layout = ShareLayout(s=2, t=0, n=1)
     with pytest.raises(UsageError):
@@ -359,28 +410,28 @@ def _even_layout():
 def test_expand_cnot_is_columnwise():
     layout = _odd_layout()
     circuit = transversal_expand(Gate("CNOT", (1, 2)), layout)
-    assert len(circuit) == layout.columns
+    assert len(circuit.gates) == layout.columns
     assert is_column_local(circuit, layout)
-    assert [g.qubits for g in circuit] == [(0, 3), (1, 4), (2, 5)]
+    assert [g.qubits for g in circuit.gates] == [(0, 3), (1, 4), (2, 5)]
 
 
 def test_expand_cnot_works_at_even_width():
     layout = _even_layout()
     circuit = transversal_expand(Gate("CNOT", (3, 1)), layout)
-    assert len(circuit) == 4
+    assert len(circuit.gates) == 4
     assert is_column_local(circuit, layout)
 
 
 def test_expand_hadamard_odd_only():
     circuit = transversal_expand(Gate("H", (2,)), _odd_layout())
-    assert [g.kind for g in circuit] == ["H", "H", "H"]
+    assert [g.kind for g in circuit.gates] == ["H", "H", "H"]
     with pytest.raises(UnsupportedGateError):
         transversal_expand(Gate("H", (2,)), _even_layout())
 
 
 def test_expand_cz_odd_only():
     circuit = transversal_expand(Gate("CZ", (1, 3)), _odd_layout())
-    assert [g.kind for g in circuit] == ["CZ", "CZ", "CZ"]
+    assert [g.kind for g in circuit.gates] == ["CZ", "CZ", "CZ"]
     with pytest.raises(UnsupportedGateError):
         transversal_expand(Gate("CZ", (1, 3)), _even_layout())
 
@@ -388,11 +439,11 @@ def test_expand_cz_odd_only():
 def test_expand_phase_gate_twists_with_column_count():
     # 3 columns: logical S is realised by Sdg on every copy; 5 columns: by S
     three = transversal_expand(Gate("S", (1,)), ShareLayout(s=1, t=0, n=2))
-    assert [g.kind for g in three] == ["Sdg", "Sdg", "Sdg"]
+    assert [g.kind for g in three.gates] == ["Sdg", "Sdg", "Sdg"]
     five = transversal_expand(Gate("S", (1,)), ShareLayout(s=1, t=0, n=4))
-    assert [g.kind for g in five] == ["S", "S", "S", "S", "S"]
+    assert [g.kind for g in five.gates] == ["S", "S", "S", "S", "S"]
     three_dagger = transversal_expand(Gate("Sdg", (1,)), ShareLayout(s=1, t=0, n=2))
-    assert [g.kind for g in three_dagger] == ["S", "S", "S"]
+    assert [g.kind for g in three_dagger.gates] == ["S", "S", "S"]
     with pytest.raises(UnsupportedGateError):
         transversal_expand(Gate("S", (1,)), ShareLayout(s=1, t=0, n=3))
 
@@ -400,20 +451,20 @@ def test_expand_phase_gate_twists_with_column_count():
 def test_expand_paulis_at_even_width():
     layout = ShareLayout(s=1, t=0, n=3)
     x = transversal_expand(Gate("X", (1,)), layout)
-    assert [(g.kind, g.qubits) for g in x] == [("X", (1,)), ("X", (2,)), ("X", (3,))]
+    assert [(g.kind, g.qubits) for g in x.gates] == [("X", (1,)), ("X", (2,)), ("X", (3,))]
     y = transversal_expand(Gate("Y", (1,)), layout)
-    assert [(g.kind, g.qubits) for g in y] == [
+    assert [(g.kind, g.qubits) for g in y.gates] == [
         ("Z", (0,)), ("Y", (1,)), ("Y", (2,)), ("Y", (3,)),
     ]
     z = transversal_expand(Gate("Z", (1,)), layout)
-    assert [g.kind for g in z] == ["Z", "Z", "Z", "Z"]
+    assert [g.kind for g in z.gates] == ["Z", "Z", "Z", "Z"]
 
 
 def test_expand_paulis_at_odd_width():
     layout = ShareLayout(s=1, t=0, n=2)
     for kind in "XYZ":
         circuit = transversal_expand(Gate(kind, (1,)), layout)
-        assert [g.kind for g in circuit] == [kind] * 3
+        assert [g.kind for g in circuit.gates] == [kind] * 3
 
 
 def test_expand_rejects_toffoli_and_bad_rows():
@@ -434,7 +485,7 @@ def test_gadget_shape():
     gadget = toffoli_gadget((1, 2, 3), (4, 5, 6), layout)
     assert gadget.num_qubits == layout.num_qubits
     assert gadget.num_classical_bits == 3 * layout.columns
-    measures = [g for g in gadget if g.kind == "MEASURE_Z"]
+    measures = [g for g in gadget.gates if g.kind == "MEASURE_Z"]
     assert len(measures) == 3 * layout.columns
     assert is_column_local(gadget, layout)
 
@@ -442,10 +493,10 @@ def test_gadget_shape():
 def test_gadget_measures_data_rows_row_major():
     layout = ShareLayout(s=3, t=3, n=2)
     gadget = toffoli_gadget((1, 2, 3), (4, 5, 6), layout)
-    measured = [g.qubits[0] for g in gadget if g.kind == "MEASURE_Z"]
+    measured = [g.qubits[0] for g in gadget.gates if g.kind == "MEASURE_Z"]
     expected = [layout.index_of(x, y) for x in (1, 2, 3) for y in (1, 2, 3)]
     assert measured == expected
-    slots = [g.classical_bit for g in gadget if g.kind == "MEASURE_Z"]
+    slots = [g.classical_bit for g in gadget.gates if g.kind == "MEASURE_Z"]
     assert slots == list(range(9))
 
 
@@ -460,7 +511,7 @@ def test_gadget_conditions_are_row_parities_at_n_1000():
     row_of = {("X", 4): 0, ("CNOT", 5): 0, ("X", 5): 1, ("CNOT", 4): 1, ("Z", 6): 2, ("CZ", 4): 2}
     shared = {0: set(), 1: set(), 2: set()}
     counts = [0, 0, 0]
-    for g in gadget:
+    for g in gadget.gates:
         if g.condition is None:
             continue
         i = row_of[g.kind, g.qubits[0] // m + 1]

@@ -144,16 +144,17 @@ def test_verify_ladder_builds_each_ladder_gate_once(tmp_path, monkeypatch):
     # columns 1..100 each have one fan-out and one fan-in CNOT, shared by
     # every width and by the dense half
     built = []
-    post_init = circuits.Gate.__post_init__
+    new = circuits.Gate.__new__
 
-    def counting(gate):
+    def counting(cls, *args, **kwargs):
+        gate = new(cls, *args, **kwargs)
         built.append(gate)
-        post_init(gate)
+        return gate
 
     circuits._ladder_cnots.cache_clear()
     circuits.ladder_circuit.cache_clear()
     circuits.ladder_fanout_circuit.cache_clear()
-    monkeypatch.setattr(circuits.Gate, "__post_init__", counting)
+    monkeypatch.setattr(circuits.Gate, "__new__", counting)
     code, payload = _run(tmp_path, "verify-ladder", "--m-range", "2..101")
     assert code == 0
     assert len(payload["checks"]) == 100 + 2 * 7
@@ -164,13 +165,13 @@ def test_verify_ladder_builds_each_ladder_gate_once(tmp_path, monkeypatch):
     }
     # every circuit is cached too: a second run builds no gate and no circuit
     circuits_built = []
-    circuit_init = circuits.Circuit.__post_init__
+    circuit_init = circuits.Circuit.__init__
 
-    def counting_circuit(circuit):
+    def counting_circuit(circuit, *args, **kwargs):
         circuits_built.append(circuit)
-        circuit_init(circuit)
+        circuit_init(circuit, *args, **kwargs)
 
-    monkeypatch.setattr(circuits.Circuit, "__post_init__", counting_circuit)
+    monkeypatch.setattr(circuits.Circuit, "__init__", counting_circuit)
     built.clear()
     code, again = _run(tmp_path, "verify-ladder", "--m-range", "2..101")
     assert code == 0

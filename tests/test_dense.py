@@ -376,22 +376,22 @@ def test_run_circuit_builds_one_state_vector_per_returned_branch(monkeypatch):
     circuit = _classical_circuit(4, rng)
     psi = random_state_vector(4, rng)
     built = []
-    check = StateVector.__post_init__
+    check = StateVector.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        check(self)
+        check(self, *args, **kwargs)
 
-    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    monkeypatch.setattr(StateVector, "__init__", counting)
     got = run_circuit(circuit, psi)
     assert len(got) > 1
     assert [id(state) for _, _, state in got] == [id(state) for state in built]
 
 
 def test_state_vector_validation():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^state vector is not normalized$"):
         StateVector(1, np.array([1.0, 1.0]))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^amplitude vector has wrong length$"):
         StateVector(2, np.array([1.0, 0.0]))
 
 

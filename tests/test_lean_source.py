@@ -88,6 +88,38 @@ def _insert(path, anchor, added):
     path.write_text(text.replace(anchor, added + anchor, 1))
 
 
+def dataclass_imports(package):
+    """module:line of every import of the dataclasses module in a package
+    directory. A frozen dataclass compiles its generated methods when its
+    class is made: 0.70 ms per four-field class, against 0.066 ms for a
+    namedtuple subclass and 0.006 ms for a plain class (medians of 300 on
+    a 2-core Xeon, Python 3.11.7). With 16 such classes, every import of
+    the package paid 11.5-13.2 ms for them."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in modules):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_the_package_imports_no_dataclasses():
+    assert dataclass_imports(PACKAGE) == []
+
+
+def test_a_dataclass_put_back_is_caught(tmp_path):
+    copy = _copy(PACKAGE, tmp_path)
+    added = "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass Spare:\n    n: int\n\n\n"
+    _insert(copy / "errors.py", "class UsageError", added)
+    assert [found.split(":")[0] for found in dataclass_imports(copy)] == ["errors"]
+
+
 def test_every_definition_is_used_by_the_package():
     # equality also fails on an allowed name that the package uses again
     assert unreferenced(PACKAGE) == set(ALLOWED)

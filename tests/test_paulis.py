@@ -79,6 +79,18 @@ def test_phase_wraps_mod_four():
     assert PauliString.from_letters("X", phase=2).phase_factor() == -1
 
 
+def test_pauli_string_refuses_a_negative_qubit_count_with_its_message():
+    with pytest.raises(UsageError) as refused:
+        PauliString(-1)
+    assert str(refused.value) == "negative qubit count"
+
+
+def test_pauli_string_takes_keywords_and_defaults_and_reduces_its_fields():
+    assert PauliString(num_qubits=2) == PauliString(2, 0, 0, 0)
+    ps = PauliString(2, z=0b111, phase=-1)
+    assert (ps.num_qubits, ps.x, ps.z, ps.phase) == (2, 0, 0b11, 3)
+
+
 def _to_matrices(words):
     """The matrices the CLI's dense ladder check reads: each word's row of
     the (perms, phases) its letter gates' monomials give."""
@@ -147,6 +159,12 @@ def test_maximally_mixed():
     assert op.num_terms == 1
     assert op.trace() == pytest.approx(1.0)
     assert np.allclose(op.to_dense(), np.eye(8) / 8)
+
+
+def test_operator_views_are_built_once():
+    op = _random_operator(2, 3)
+    assert op.terms is op.terms and op._canonical is op._canonical
+    assert {"terms", "_canonical"} <= set(vars(op))
 
 
 def test_from_terms_accumulates_and_prunes():

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from qsslab import protocol
+from qsslab.audit import AuditReport, Coalition, ParityRegimeReport
 from qsslab.circuits import (
     GATE_ARITY,
     Circuit,
     Gate,
+    ShareLayout,
     ladder_circuit,
     toffoli_gadget,
     transversal_expand,
@@ -102,6 +104,108 @@ def test_layout_matches_params():
     assert (layout.s, layout.t, layout.n) == (3, 3, 2)
 
 
+_TRIPLES = "ancilla rows must come in triples"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SchemeParams(n=0, s=1, t=0), "need at least one participant besides the dealer"),
+        (lambda: SchemeParams(n=2, s=0, t=0), "need at least one secret row"),
+        (lambda: SchemeParams(n=2, s=1, t=-3), _TRIPLES),
+        (lambda: SchemeParams(n=2, s=3, t=4), _TRIPLES),
+        (lambda: SchemeParams(n=2, s=2, t=3, strict_mode=True), "strict mode requires s = 3k"),
+        (lambda: SchemeParams(n=2, s=3, t=0, strict_mode=True), "strict mode requires k' >= 1"),
+        (
+            lambda: SchemeParams(2, 6, 3, True),
+            "strict mode requires k'/k to be a positive integer",
+        ),
+        (lambda: EvaluationScript(3, [Gate("MEASURE_Z", (1,), 0)]), "MEASURE_Z is not a logical script gate"),
+        (
+            lambda: EvaluationScript(3, (Gate("X", (1,), condition=(0,)),)),
+            "script gates carry no conditions or bits",
+        ),
+        (lambda: EvaluationScript(3, (Gate("H", (4,)),)), "logical row 4 out of range 1..3"),
+        (
+            lambda: protocol.SharedState(SchemeParams(2, 1, 0).layout(), PauliOperator.zero(4), frozenset()),
+            "core size does not match the layout's secret rows",
+        ),
+        (
+            lambda: protocol.SharedState(SchemeParams(2, 1, 3).layout(), PauliOperator.zero(3), frozenset({1})),
+            "unconsumed triples outside the layout",
+        ),
+    ],
+    ids=[
+        "params-n", "params-s", "params-negative-t", "params-partial-triple", "params-strict-s",
+        "params-strict-no-triple", "params-strict-ratio", "script-kind", "script-condition",
+        "script-row", "state-core", "state-triples",
+    ],
+)
+def test_records_refuse_bad_fields_with_their_messages(build, message):
+    with pytest.raises(UsageError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, other, field",
+    [
+        (lambda: Gate("MEASURE_Z", [2], classical_bit=1), lambda: Gate("MEASURE_Z", (2,), 0), "qubits"),
+        (lambda: Gate("X", (0,), condition=(1, 2)), lambda: Gate("X", (0,), condition=(2, 1)), "condition"),
+        (lambda: ShareLayout(s=3, t=3, n=2), lambda: ShareLayout(s=3, t=3, n=4), "n"),
+        (lambda: SchemeParams(n=2, s=3, t=3), lambda: SchemeParams(2, 3, 3, True), "strict_mode"),
+        (lambda: PauliString(3, 0b101, 0b110, 2), lambda: PauliString(3, 0b101, 0b110), "phase"),
+        (lambda: Coalition(n=3, columns=(1, 3)), lambda: Coalition(3, (1, 4)), "columns"),
+        (
+            lambda: protocol.BitOrigin(slot=4, gadget_id=0, triple=0, row=2, column=2, participant="p1"),
+            lambda: protocol.BitOrigin(4, 0, 0, 2, 3, "p2"),
+            "participant",
+        ),
+        (
+            lambda: AuditReport(SchemeParams(2, 1, 0), Coalition(2, (1, 2)), "odd", 0, 0.0, "pass", ()),
+            lambda: AuditReport(SchemeParams(2, 1, 0), Coalition(2, (1, 3)), "odd", 0, 0.0, "pass", ()),
+            "coalition",
+        ),
+        (
+            lambda: ParityRegimeReport("odd", ("II",), "pass", ()),
+            lambda: ParityRegimeReport("odd", ("II",), "fail", ()),
+            "verdict",
+        ),
+    ],
+    ids=[
+        "Gate", "Gate-condition", "ShareLayout", "SchemeParams", "PauliString", "Coalition",
+        "BitOrigin", "AuditReport", "ParityRegimeReport",
+    ],
+)
+def test_value_records_compare_and_hash_by_value(build, other, field):
+    # layouts and gate tuples are @cache keys, so equal records must hash alike
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != other()
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.spare = "one more field"
+
+
+def test_params_and_bit_origins_take_keywords_and_defaults():
+    params = SchemeParams(t=3, s=3, n=2)
+    assert params == SchemeParams(2, 3, 3, False) and params.strict_mode is False
+    assert SchemeParams(n=2, s=3, t=3, strict_mode=True) == SchemeParams.strict(n=2, k=1, kprime=1)
+    origin = protocol.BitOrigin(participant="alice", column=1, row=1, triple=0, gadget_id=0, slot=0)
+    assert origin == protocol.BitOrigin(0, 0, 0, 1, 1, "alice")
+    assert (origin.slot, origin.row, origin.column, origin.participant) == (0, 1, 1, "alice")
+
+
+def test_states_with_equal_contents_stay_two_keys():
+    # states hash by identity, and each caches its flat operator
+    params = SchemeParams(n=2, s=1, t=3)
+    first, second = deal(params, basis_secret(1, 0)), deal(params, basis_secret(1, 0))
+    assert first.core == second.core and first.state == second.state
+    assert first != second and len(dict.fromkeys([first, second, first])) == 2
+    assert first.state is first.state and vars(first)["state"] is first.state
+
+
 # ---------------------------------------------------------------------------
 # scripts
 # ---------------------------------------------------------------------------
@@ -123,7 +227,7 @@ def test_script_from_lines():
     text = '{"g": "TOFFOLI", "q": [1, 2, 3]}\n{"g": "CZ", "q": [1, 3]}\n'
     script = EvaluationScript.from_lines(text, 3)
     assert script.toffoli_count == 1
-    assert [g.kind for g in script] == ["TOFFOLI", "CZ"]
+    assert [g.kind for g in script.gates] == ["TOFFOLI", "CZ"]
 
 
 def test_supported_logical_kinds_by_parity():
@@ -135,8 +239,8 @@ def test_supported_logical_kinds_by_parity():
 def test_random_clifford_script_respects_parity():
     rng = np.random.default_rng(0)
     script = random_clifford_script(4, num_rows=3, length=20, rng=rng)
-    assert len(script) == 20
-    assert {g.kind for g in script} <= set(supported_logical_kinds(4))
+    assert len(script.gates) == 20
+    assert {g.kind for g in script.gates} <= set(supported_logical_kinds(4))
     assert script.toffoli_count == 0
 
 
@@ -555,7 +659,7 @@ def _per_history_evaluate(shared, script):
     layout = shared.layout
     available = list(shared.available_triples)
     branches = [((), 1.0, shared.state)]
-    for gate in script:
+    for gate in script.gates:
         if gate.kind != "TOFFOLI":
             gates = transversal_expand(gate, layout).gates
             branches = [(bits, p, op.conjugate_circuit(gates)) for bits, p, op in branches]
